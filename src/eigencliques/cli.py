@@ -67,6 +67,14 @@ def _parse_params(command: str, raw: str | None) -> dict:
     return out
 
 
+def _number(key: str, value: str, kind: type):
+    """Convert one --params value with int or float; a bad value is a ToolkitError."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ToolkitError(f"parameter {key}={value!r} is not a valid {kind.__name__}") from None
+
+
 def _emit(report: dict, config: RunConfig) -> None:
     doc = {"version": __version__, "config": config.to_json_dict()}
     doc.update(report)
@@ -117,7 +125,9 @@ def _cmd_maxcut(config: RunConfig) -> int:
     from . import cuts
 
     g = read_edge_list(config.input)
-    cutoff = int(config.params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT))
+    cutoff = cuts.EXHAUSTIVE_CUT_LIMIT
+    if "cutoff" in config.params:
+        cutoff = _number("cutoff", config.params["cutoff"], int)
     if g.n <= cutoff:
         rep = cuts.maxcut_exact(g, cutoff)
     else:
@@ -138,7 +148,7 @@ def _cmd_clique(config: RunConfig) -> int:
         kwargs["mode"] = config.params["mode"]
     for key in ("gamma", "eps", "rho", "delta"):
         if key in config.params:
-            kwargs[key] = float(config.params[key])
+            kwargs[key] = _number(key, config.params[key], float)
     cert = densify.clique_pipeline(g, tol=config.tol, **kwargs)
     _emit(cert.to_json_dict(), config)
     return 0 if cert.verified else 2
@@ -151,7 +161,7 @@ def _cmd_chowla(config: RunConfig, inline: str) -> int:
         a = [int(x) for x in inline.split(",") if x]
     except ValueError:
         raise ToolkitError(f"could not parse A from {inline!r}") from None
-    resolution = int(config.params["resolution"]) if "resolution" in config.params else None
+    resolution = _number("resolution", config.params["resolution"], int) if "resolution" in config.params else None
     report = chowla.chowla_certificate(a, resolution)
     _emit(report.to_json_dict(), config)
     tol = config.tol if config.tol is not None else 1e-8
@@ -164,9 +174,9 @@ def _cmd_decompose(config: RunConfig) -> int:
     g = read_edge_list(config.input)
     kwargs = {}
     if "floor" in config.params:
-        kwargs["floor"] = float(config.params["floor"])
+        kwargs["floor"] = _number("floor", config.params["floor"], float)
     if "threshold" in config.params:
-        kwargs["merge_threshold"] = float(config.params["threshold"])
+        kwargs["merge_threshold"] = _number("threshold", config.params["threshold"], float)
     if "extractor" in config.params:
         kwargs["extractor"] = config.params["extractor"]
     decomp = structure.clique_union_decompose(g, **kwargs)
@@ -181,7 +191,9 @@ def _cmd_bisect(config: RunConfig) -> int:
     from . import cuts
 
     g = read_edge_list(config.input)
-    cutoff = int(config.params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT))
+    cutoff = cuts.EXHAUSTIVE_CUT_LIMIT
+    if "cutoff" in config.params:
+        cutoff = _number("cutoff", config.params["cutoff"], int)
     rep = cuts.bisection_exact(g, cutoff)
     disc = cuts.discrepancy(g)
     doc = rep.to_json_dict()
@@ -198,11 +210,11 @@ def _cmd_gen(config: RunConfig) -> int:
     kwargs: dict = {}
     for k, v in params.items():
         if k == "sizes":
-            kwargs["sizes"] = [int(x) for x in v.split(":")]
+            kwargs["sizes"] = [_number(k, x, int) for x in v.split(":")]
         elif k in ("n", "m", "r", "k"):
-            kwargs[k] = int(v)
+            kwargs[k] = _number(k, v, int)
         elif k == "p":
-            kwargs[k] = float(v)
+            kwargs[k] = _number(k, v, float)
         elif k == "strict":
             kwargs[k] = v.lower() in ("1", "true", "yes")
     if family == "Gnp":

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, SizeError
-from .graphs import Graph, pair_uniforms
+from .graphs import Graph, block_edge_counts, neighbor_masks, pair_uniforms
 from .spectral import spectrum
 
 __all__ = [
@@ -215,9 +215,8 @@ def unbalanced_cut(g: Graph, x_side: Iterable[int], tol: float = 1e-12) -> CutRe
         raise InputError("Y = V \\ X must be nonempty")
     xi = np.asarray(xs, dtype=int)
     yi = np.asarray(ys, dtype=int)
-    a = int(g.adjacency[np.ix_(xi, xi)].sum()) // 2
-    b = int(g.adjacency[np.ix_(xi, yi)].sum())
-    c = int(g.adjacency[np.ix_(yi, yi)].sum()) // 2
+    counts = block_edge_counts(g.adjacency, [xi, yi])
+    a, b, c = int(counts[0, 0]) // 2, int(counts[0, 1]), int(counts[1, 1]) // 2
     certs: dict = {"a": a, "b": b, "c": c}
     if a <= b / 2.0:
         sides = [0] * g.n
@@ -284,10 +283,7 @@ def bisection_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> Discrepancy
         return DiscrepancyReport(bw=0, dfc=Fraction(0), witnesses={"bisection": [0] * n})
     from itertools import combinations
 
-    nbr = [0] * n
-    for u, v in g.edges():
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = neighbor_masks(g)
     k = n // 2
     best = None
     best_set: tuple[int, ...] = ()
@@ -314,10 +310,7 @@ def bisection_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> Discrepancy
 def _all_subset_edge_counts(g: Graph) -> np.ndarray:
     """e(G[U]) for every subset mask, by peeling the lowest set bit level by level."""
     n = g.n
-    nbr = np.zeros(n, dtype=np.uint64)
-    for u, v in g.edges():
-        nbr[u] |= np.uint64(1) << np.uint64(v)
-        nbr[v] |= np.uint64(1) << np.uint64(u)
+    nbr = np.asarray(neighbor_masks(g), dtype=np.uint64)
     masks = np.arange(1 << n, dtype=np.uint64)
     e = np.zeros(1 << n, dtype=np.int64)
     sizes = np.bitwise_count(masks).astype(np.int64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .graphs import Graph, complement, induced_subgraph
+from .graphs import Graph, block_edge_counts, complement, induced_subgraph, triangles_per_vertex
 from .spectral import spectrum
 
 __all__ = [
@@ -80,12 +80,15 @@ def _remap(trace: PhaseTrace, labels: np.ndarray) -> PhaseTrace:
     return trace
 
 
-def _density(g: Graph, idx: np.ndarray) -> float:
-    k = len(idx)
+def _density_of(edges: int, k: int) -> float:
+    """Edge density of a k-vertex set with the given edge count; 1 for a single vertex."""
     if k <= 1:
         return 1.0 if k == 1 else 0.0
-    e = int(g.adjacency[np.ix_(idx, idx)].sum()) // 2
-    return e / (k * (k - 1) / 2)
+    return edges / (k * (k - 1) / 2)
+
+
+def _density(g: Graph, idx: np.ndarray) -> float:
+    return _density_of(int(g.adjacency[np.ix_(idx, idx)].sum()) // 2, len(idx))
 
 
 # -- phase 0 ------------------------------------------------------------------
@@ -155,12 +158,12 @@ def default_parameters(g: Graph, tol: float | None = None) -> tuple[float, float
     return gamma, 2.0 * gamma, 1.2 * gamma
 
 
-def _pad_set(g: Graph, base: np.ndarray, pool: np.ndarray, target: int) -> np.ndarray:
+def _pad_set(adj: np.ndarray, base: np.ndarray, pool: np.ndarray, target: int) -> np.ndarray:
     """Grow base to the target size using pool vertices with most edges into base."""
     need = target - len(base)
     if need <= 0 or len(pool) == 0:
         return base
-    scores = g.adjacency[np.ix_(pool, base)].sum(axis=1).astype(np.int64)
+    scores = adj[np.ix_(pool, base)].sum(axis=1, dtype=np.int64)
     order = np.lexsort((pool, -scores))  # most edges into base, ties lowest index
     return np.sort(np.concatenate([base, pool[order[:need]]]))
 
@@ -196,18 +199,18 @@ def phase1_densify(
 
     phi = potential(current)
     for _ in range(max_steps):
-        sub = g.adjacency[np.ix_(current, current)].astype(np.int64)
+        sub = g.adjacency[np.ix_(current, current)]
         k = len(current)
         if k <= 2:
             break
-        deg = sub.sum(axis=1)
+        deg = sub.sum(axis=1, dtype=np.int64)
         d_avg = deg.mean()
         p_cur = _density(g, current)
         candidates: list[tuple[float, str, np.ndarray]] = []
         # (b) closed-neighbourhood step. The triangle count guarantees some
         # vertex has a dense neighbourhood; score them all by the potential of
         # the unpadded closed neighbourhood and evaluate the best few exactly.
-        tri = np.diagonal(sub @ sub @ sub) // 2
+        tri = triangles_per_vertex(sub)
         sizes = deg + 1
         e_closed = tri + deg
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -216,7 +219,6 @@ def phase1_densify(
         shortlist = np.argsort(-score, kind="stable")[:10]
         if int(np.argmax(tri)) not in shortlist:
             shortlist = np.append(shortlist, int(np.argmax(tri)))
-        sub_graph = Graph(g.adjacency[np.ix_(current, current)])
         for v_star in shortlist:
             nbr_local = np.flatnonzero(sub[v_star])
             if not len(nbr_local):
@@ -224,7 +226,7 @@ def phase1_densify(
             closed = np.sort(np.append(nbr_local, v_star))
             target = max(int(math.ceil(p_cur * k)), len(closed))
             rest = np.setdiff1d(np.arange(k), closed, assume_unique=False)
-            padded = _pad_set(sub_graph, closed, rest, target)
+            padded = _pad_set(sub, closed, rest, target)
             cand = current[padded]
             candidates.append((potential(cand), "neighborhood", cand))
         # (a) high-degree split with C = 5
@@ -232,7 +234,7 @@ def phase1_densify(
         if heavy.size:
             target = max(int(math.ceil(k / 5.0)), heavy.size)
             rest = np.setdiff1d(np.arange(k), heavy)
-            padded = _pad_set(sub_graph, heavy, rest, target)
+            padded = _pad_set(sub, heavy, rest, target)
             cand = current[padded]
             candidates.append((potential(cand), "heavy-keep", cand))
             light = np.setdiff1d(np.arange(k), heavy)
@@ -282,20 +284,23 @@ def phase2_dense_core(g: Graph, delta: float = 0.1, extractor: str = "pipeline")
     chosen: np.ndarray
     if not blocks:
         chosen = np.arange(g.n)
+        out_density = _density(g, chosen)
         note = "no blocks recovered; returning the input"
     else:
+        inner = np.diagonal(block_edge_counts(g.adjacency, blocks)) // 2
+        dens = [_density_of(int(e), len(b)) for e, b in zip(inner, blocks)]
         floor_size = p * g.n / 2.0
-        qualifying = [b for b in blocks if len(b) >= floor_size]
-        dense_enough = [b for b in qualifying if _density(g, b) >= 1.0 - delta]
+        qualifying = [i for i, b in enumerate(blocks) if len(b) >= floor_size]
+        dense_enough = [i for i in qualifying if dens[i] >= 1.0 - delta]
         if dense_enough:
             # all meet the density target: take the largest
-            chosen = max(dense_enough, key=lambda b: (len(b), -int(b[0])))
+            pick = max(dense_enough, key=lambda i: (len(blocks[i]), -int(blocks[i][0])))
             note = "largest block meeting the density target"
         else:
-            pool = qualifying if qualifying else blocks
-            chosen = max(pool, key=lambda b: (_density(g, b), len(b), -int(b[0])))
+            pool = qualifying if qualifying else range(len(blocks))
+            pick = max(pool, key=lambda i: (dens[i], len(blocks[i]), -int(blocks[i][0])))
             note = "qualifying block" if qualifying else "densest block below size target"
-    out_density = _density(g, chosen)
+        chosen, out_density = blocks[pick], dens[pick]
     guarantee = {
         "claimed_size": p * g.n / 2.0,
         "claimed_density": 1.0 - delta,

@@ -19,7 +19,6 @@ __all__ = [
     "Graph",
     "GraphStats",
     "from_edge_list",
-    "from_adjacency",
     "generate",
     "clique_union",
     "turan",
@@ -31,6 +30,9 @@ __all__ = [
     "petersen",
     "complement",
     "induced_subgraph",
+    "block_edge_counts",
+    "triangles_per_vertex",
+    "neighbor_masks",
     "read_edge_list",
     "write_edge_list",
     "parse_edge_list",
@@ -152,10 +154,6 @@ class GraphStats:
 
 
 # -- construction -----------------------------------------------------------
-
-
-def from_adjacency(adjacency: np.ndarray, labels: Sequence[str] | None = None) -> Graph:
-    return Graph(adjacency, labels)
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None) -> Graph:
@@ -317,6 +315,38 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     ix = np.asarray(idx, dtype=int)
     labels = tuple(str(v) for v in idx) if g.labels is None else tuple(g.labels[v] for v in idx)
     return Graph(g.adjacency[np.ix_(ix, ix)], labels)
+
+
+# -- block algebra ------------------------------------------------------------
+# Float64 products of 0/1 matrices: every partial sum is an integer below n^2,
+# so the counts are exact while n^2 < 2^53.
+
+
+def block_edge_counts(adj: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """Edge counts between vertex groups, M^T A M for the one-hot membership matrix M.
+
+    Entry (i, j) is the number of ordered adjacent pairs (u, v) with u in
+    groups[i] and v in groups[j]: e(X, Y) for disjoint groups, 2 e(G[X]) on
+    the diagonal. Only the rows and columns of grouped vertices are read.
+    """
+    sizes = [len(grp) for grp in groups]
+    idx = np.asarray([v for grp in groups for v in grp], dtype=np.intp)
+    member = np.zeros((len(idx), len(sizes)))
+    member[np.arange(len(idx)), np.repeat(np.arange(len(sizes)), sizes)] = 1.0
+    sub = adj[np.ix_(idx, idx)].astype(np.float64)
+    return (member.T @ sub @ member).astype(np.int64)
+
+
+def triangles_per_vertex(adj: np.ndarray) -> np.ndarray:
+    """Triangles through each vertex, ((A A) o A) 1 / 2."""
+    a = adj.astype(np.float64)
+    return ((a @ a) * a).sum(axis=1).astype(np.int64) // 2
+
+
+def neighbor_masks(g: Graph) -> list[int]:
+    """Neighbourhoods as Python-int bitmasks: bit v of masks[u] is set iff u ~ v."""
+    packed = np.packbits(g.adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # -- edge-list text format ----------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, complement, induced_subgraph
+from .graphs import Graph, complement, induced_subgraph, neighbor_masks
 
 __all__ = [
     "Spectrum",
@@ -68,15 +68,17 @@ class Spectrum:
 
 
 def _orient_columns(vecs: np.ndarray) -> np.ndarray:
-    """Flip signs so the first coordinate with |v_i| above a scale cutoff is positive."""
-    out = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = out[:, j]
-        cutoff = np.abs(col).max() * 1e-8
-        nz = np.flatnonzero(np.abs(col) > cutoff)
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
+    """Flip signs so the first coordinate with |v_i| above a scale cutoff is positive.
+
+    Returns a new C-ordered array. The magnitudes' buffer is reused for the
+    result, so orienting allocates one matrix, as a plain copy would.
+    """
+    out = np.abs(vecs, order="C")
+    above = out > out.max(axis=0) * 1e-8
+    first = np.argmax(above, axis=0)
+    cols = np.arange(vecs.shape[1])
+    sign = np.where(above[first, cols] & (vecs[first, cols] < 0), -1.0, 1.0)
+    return np.multiply(vecs, sign, out=out)
 
 
 def spectrum(g: Graph, tol: float | None = None) -> Spectrum:
@@ -406,10 +408,7 @@ def exact_independence_number(g: Graph, cutoff: int = 30) -> int:
     """Exact independence number by branch and bound on bitmasks (n <= cutoff)."""
     if g.n > cutoff:
         raise InputError(f"exact independence number limited to n <= {cutoff}")
-    nbr = [0] * g.n
-    for u, v in g.edges():
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = neighbor_masks(g)
     best = 0
 
     def grow(cand: int, size: int):

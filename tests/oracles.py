@@ -83,6 +83,36 @@ def brute_cherries(adj: np.ndarray) -> int:
     return count
 
 
+def brute_block_edge_counts(adj: np.ndarray, groups) -> np.ndarray:
+    """Ordered adjacent pairs between every two groups, one np.ix_ sum per pair."""
+    k = len(groups)
+    out = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            out[i, j] = int(adj[np.ix_(list(groups[i]), list(groups[j]))].sum())
+    return out
+
+
+def brute_triangles_per_vertex(adj: np.ndarray) -> list[int]:
+    """Triangles through each vertex by direct triple enumeration."""
+    n = adj.shape[0]
+    count = [0] * n
+    for trio in itertools.combinations(range(n), 3):
+        if all(adj[u, v] for u, v in itertools.combinations(trio, 2)):
+            for v in trio:
+                count[v] += 1
+    return count
+
+
+def brute_neighbor_masks(n: int, edges) -> list[int]:
+    """Neighbourhood bitmasks set edge by edge."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def brute_independence(adj: np.ndarray) -> int:
     n = adj.shape[0]
     best = 0
@@ -94,6 +124,17 @@ def brute_independence(adj: np.ndarray) -> int:
                 best = r
                 break
     return best
+
+
+def loop_orient_columns(vecs: np.ndarray) -> np.ndarray:
+    """Column-by-column sign flip: first entry above 1e-8 * max |entry| made positive."""
+    out = vecs.copy()
+    for j in range(vecs.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > np.abs(col).max() * 1e-8)
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
 
 
 def cosine_grid_min(a_set, points: int) -> float:

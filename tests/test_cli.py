@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import eigencliques as ec
+from conftest import flip_edges
 from eigencliques.cli import main
+from eigencliques.graphs import pair_uniforms
 
 
 def run(capsys, *argv):
@@ -138,6 +141,25 @@ def test_unknown_param_rejected(tmp_path, capsys):
     assert "unknown parameter" in err
 
 
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (["clique", "--params", "gamma=abc"], "gamma='abc'"),
+        (["decompose", "--params", "floor=x"], "floor='x'"),
+        (["maxcut", "--params", "cutoff=1.5"], "cutoff='1.5'"),
+        (["gen", "--params", "family=Gnp,n=ten,p=0.5"], "n='ten'"),
+    ],
+)
+def test_bad_param_value_fails_closed(tmp_path, capsys, argv, bad):
+    if argv[0] != "gen":
+        argv = argv + ["--input", write_graph(tmp_path, "g.txt", ec.cycle(5))]
+    code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and bad in lines[0]
+
+
 def test_text_format(tmp_path, capsys):
     path = write_graph(tmp_path, "g.txt", ec.cycle(4))
     code, out, _ = run(capsys, "maxcut", "--input", path, "--format", "text")
@@ -150,11 +172,21 @@ def test_missing_input(capsys):
     assert code == 1 and "requires --input" in err
 
 
+def _flipped_union(sizes, seed, rate):
+    """Clique union with every vertex pair flipped where pair_uniforms(seed, i, j) < rate."""
+    g = ec.clique_union(sizes)
+    iu, ju = np.triu_indices(g.n, 1)
+    hit = pair_uniforms(seed, iu, ju) < rate
+    return flip_edges(g, zip(iu[hit].tolist(), ju[hit].tolist()))
+
+
 @pytest.mark.parametrize(
     "command,graph,golden",
     [
         ("maxcut", ec.cycle(5), "maxcut_c5.json"),
         ("decompose", ec.clique_union([5, 3]), "decompose_cu53.json"),
+        # the merge step joins two multi-vertex cliques (21 and 8 vertices) at density < 1
+        ("decompose", _flipped_union([30, 20, 10], 101, 0.03), "decompose_cu302010_flip3.json"),
     ],
 )
 def test_golden_reports(tmp_path, command, graph, golden):

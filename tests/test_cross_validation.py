@@ -4,7 +4,17 @@ import numpy as np
 
 import eigencliques as ec
 from eigencliques import chowla, cuts, structure
-from oracles import brute_bisection, brute_cherries, brute_discrepancy, brute_maxcut, cosine_grid_min
+from eigencliques.graphs import block_edge_counts, neighbor_masks, triangles_per_vertex
+from oracles import (
+    brute_bisection,
+    brute_block_edge_counts,
+    brute_cherries,
+    brute_discrepancy,
+    brute_maxcut,
+    brute_neighbor_masks,
+    brute_triangles_per_vertex,
+    cosine_grid_min,
+)
 
 
 def _random_graph(rng) -> ec.Graph:
@@ -37,10 +47,22 @@ def test_discrepancy_sweep():
 
 
 def test_cherry_sweep():
+    # also checks the block-algebra primitives that cherry counting and the
+    # decomposition are built on; groups are random, may overlap or be empty
     rng = np.random.default_rng(104)
+    group_rng = np.random.default_rng(204)
     for _ in range(25):
         g = _random_graph(rng)
         assert structure.cherry_count(g) == brute_cherries(g.adjacency)
+        assert triangles_per_vertex(g.adjacency).tolist() == brute_triangles_per_vertex(g.adjacency)
+        assert neighbor_masks(g) == brute_neighbor_masks(g.n, g.edges())
+        groups = [
+            sorted(group_rng.choice(g.n, size=int(group_rng.integers(0, g.n + 1)), replace=False).tolist())
+            for _ in range(int(group_rng.integers(1, 5)))
+        ]
+        counts = block_edge_counts(g.adjacency, groups)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, brute_block_edge_counts(g.adjacency, groups))
 
 
 def test_decompose_edit_zero_iff_cherry_free_random():

@@ -6,7 +6,7 @@ import pytest
 import eigencliques as ec
 from eigencliques import spectral
 from eigencliques.errors import InputError
-from oracles import brute_independence
+from oracles import brute_independence, loop_orient_columns
 
 TOL = 1e-8
 
@@ -48,6 +48,12 @@ def test_orientation_deterministic():
     # fresh object, no shared cache
     s2 = ec.spectrum(ec.from_edge_list(8, ec.cycle(8).edges()))
     assert np.allclose(s1.eigenvectors, s2.eigenvectors, atol=1e-12)
+    # bit-for-bit the column loop, signed zeros included; the crafted columns
+    # are all-zero, below-cutoff-then-negative, and negative-first
+    _, vecs = np.linalg.eigh(ec.gnp(40, 0.5, 11).adjacency.astype(float))
+    crafted = np.array([[0.0, 1e-12, -2.0], [0.0, -1.0, 1.0], [0.0, 0.5, 0.0]])
+    for v in (vecs, crafted):
+        assert spectral._orient_columns(v).tobytes() == loop_orient_columns(v).tobytes()
 
 
 def test_clique_union_lambda_min_is_minus_one():
