@@ -1,8 +1,8 @@
 """MaxCut, surplus, spectral surplus certificates, bisection width, discrepancy.
 
-Exact routines enumerate sign patterns and are gated by size cutoffs; the
-surplus lower bounds come from closed-form spectral certificates rather than
-solving the semidefinite relaxation itself.
+Exact routines read one table of subset edge counts and are gated by size
+cutoffs; the surplus lower bounds come from closed-form spectral certificates
+rather than solving the semidefinite relaxation itself.
 """
 
 from __future__ import annotations
@@ -76,8 +76,28 @@ def edwards_floor(m: int) -> float:
     return m / 2.0 + (math.sqrt(8.0 * m + 1.0) - 1.0) / 8.0
 
 
+def _subset_edge_counts(adj: np.ndarray) -> np.ndarray:
+    """e(G[U]) for every subset U, indexed by bitmask (bit i = row i).
+
+    Built by doubling: e[U | {v}] = e[U] + |N(v) & U| for every U below bit v.
+    A cut then needs no edge loop: cut(U) = m - e[U] - e[::-1][U]. The limit
+    keeps the table at 32 MB and every count at most C(24, 2) = 276, so int16
+    cannot wrap.
+    """
+    n = adj.shape[0]
+    if n > EXHAUSTIVE_CUT_LIMIT:
+        raise SizeError(f"n={n} exceeds exhaustive limit {EXHAUSTIVE_CUT_LIMIT}; use maxcut_local_search")
+    nbr = neighbor_masks(adj)
+    e = np.zeros(1 << n, dtype=np.int16)
+    masks = np.arange(1 << max(n - 1, 0), dtype=np.uint32)
+    for v in range(1, n):
+        half = 1 << v
+        e[half : 2 * half] = e[:half] + np.bitwise_count(masks[:half] & nbr[v])
+    return e
+
+
 def maxcut_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> CutReport:
-    """Optimal cut by enumeration of all 2^(n-1) sign patterns (vertex 0 fixed).
+    """Optimal cut over all 2^(n-1) sign patterns (vertex 0 fixed to side 0).
 
     Ties break to the lexicographically smallest optimal assignment.
     """
@@ -86,24 +106,14 @@ def maxcut_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> CutReport:
         raise SizeError(f"n={n} exceeds exhaustive cutoff {cutoff}; use maxcut_local_search")
     if n == 0:
         return CutReport((), 0, Fraction(0), "exact")
-    edges = g.edges()
-    shifts = [n - 1 - i for i in range(n)]  # ascending k == lexicographic assignment
-    total = 1 << max(n - 1, 0)
-    best_cut = -1
-    best_k = 0
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        ks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        cuts = np.zeros(len(ks), dtype=np.int64)
-        for u, v in edges:
-            bu = (ks >> np.uint64(shifts[u])) & np.uint64(1) if u > 0 else np.uint64(0)
-            bv = (ks >> np.uint64(shifts[v])) & np.uint64(1)
-            cuts += (bu ^ bv).astype(np.int64)
-        local_best = int(cuts.max()) if len(cuts) else 0
-        if local_best > best_cut:
-            best_cut = local_best
-            best_k = start + int(np.argmax(cuts))
-    partition = tuple(int((best_k >> shifts[i]) & 1) if i > 0 else 0 for i in range(n))
+    # vertex v is bit n-1-v: masks with vertex 0 on side 0 form the first half,
+    # in lexicographic order of the assignment
+    e = _subset_edge_counts(g.adjacency[::-1, ::-1])
+    half = 1 << (n - 1)
+    cuts = g.m - e[:half] - e[::-1][:half]
+    best_k = int(np.argmax(cuts))
+    best_cut = int(cuts[best_k])
+    partition = tuple((best_k >> (n - 1 - v)) & 1 for v in range(n))
     return CutReport(partition, best_cut, _surplus(g, best_cut), "exact")
 
 
@@ -281,57 +291,32 @@ def bisection_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> Discrepancy
         raise SizeError(f"n={n} exceeds exhaustive cutoff {cutoff}")
     if n <= 1:
         return DiscrepancyReport(bw=0, dfc=Fraction(0), witnesses={"bisection": [0] * n})
-    from itertools import combinations
-
-    nbr = neighbor_masks(g)
-    k = n // 2
-    best = None
-    best_set: tuple[int, ...] = ()
-    if n % 2 == 0:
-        # pin vertex 0 to the k-side so each unordered partition appears once
-        candidates = ((0,) + combo for combo in combinations(range(1, n), k - 1))
-    else:
-        candidates = combinations(range(n), k)
-    for combo in candidates:
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        cut = sum((nbr[v] & ~mask).bit_count() for v in combo)
-        if best is None or cut < best or (cut == best and combo < best_set):
-            best = cut
-            best_set = tuple(combo)
+    # vertex v is bit n-1-v; for even n vertex 0 stays on the k-side (the top
+    # half), so each unordered partition appears once
+    e = _subset_edge_counts(g.adjacency[::-1, ::-1])
+    masks = np.arange(0 if n % 2 else 1 << (n - 1), 1 << n, dtype=np.uint32)
+    masks = masks[np.bitwise_count(masks) == n // 2]
+    cuts = g.m - e[masks] - e[::-1][masks]
+    best = int(cuts.min())
+    # ties go to the largest mask: the k-side that is first in sorted order
+    best_mask = int(masks[np.flatnonzero(cuts == best)[-1]])
     dfc = Fraction(g.m) * (Fraction(1, 2) + Fraction(1, 2 * n - 2)) - best
-    sides = [0] * n
-    for v in best_set:
-        sides[v] = 1
-    return DiscrepancyReport(bw=int(best), dfc=dfc, witnesses={"bisection": sides})
-
-
-def _all_subset_edge_counts(g: Graph) -> np.ndarray:
-    """e(G[U]) for every subset mask, by peeling the lowest set bit level by level."""
-    n = g.n
-    nbr = np.asarray(neighbor_masks(g), dtype=np.uint64)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    e = np.zeros(1 << n, dtype=np.int64)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    low = masks & (~masks + np.uint64(1))
-    lowidx = np.zeros(1 << n, dtype=np.int64)
-    lowidx[1:] = np.round(np.log2(low[1:].astype(np.float64))).astype(np.int64)
-    rest = masks ^ low
-    for level in range(2, n + 1):
-        sel = np.flatnonzero(sizes == level)
-        e[sel] = e[rest[sel]] + np.bitwise_count(nbr[lowidx[sel]] & rest[sel]).astype(np.int64)
-    return e
+    sides = [(best_mask >> (n - 1 - v)) & 1 for v in range(n)]
+    return DiscrepancyReport(bw=best, dfc=dfc, witnesses={"bisection": sides})
 
 
 def discrepancy(g: Graph, cutoff: int = EXHAUSTIVE_SUBSET_LIMIT, seed: int = 0) -> DiscrepancyReport:
-    """disc+ and disc- with witness subsets; exact by subset enumeration up to cutoff."""
+    """disc+ and disc- with witness subsets.
+
+    Exact from the subset edge-count table when n <= cutoff (SizeError above
+    EXHAUSTIVE_CUT_LIMIT, whatever the cutoff), 1-flip local search otherwise.
+    """
     n = g.n
     if n <= 1 or g.m == 0:
         return DiscrepancyReport(disc_plus=Fraction(0), disc_minus=Fraction(0), witnesses={"disc_plus": [], "disc_minus": []})
     denom = n * (n - 1) // 2
     if n <= cutoff:
-        e = _all_subset_edge_counts(g)
+        e = _subset_edge_counts(g.adjacency).astype(np.int64)
         sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
         pairs = sizes * (sizes - 1) // 2
         score = e * denom - g.m * pairs  # disc+ scaled by C(n,2)

@@ -343,9 +343,9 @@ def triangles_per_vertex(adj: np.ndarray) -> np.ndarray:
     return ((a @ a) * a).sum(axis=1).astype(np.int64) // 2
 
 
-def neighbor_masks(g: Graph) -> list[int]:
-    """Neighbourhoods as Python-int bitmasks: bit v of masks[u] is set iff u ~ v."""
-    packed = np.packbits(g.adjacency, axis=1, bitorder="little")
+def neighbor_masks(adj: np.ndarray) -> list[int]:
+    """Neighbourhoods as Python-int bitmasks: bit v of masks[u] is set iff adj[u, v]."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 

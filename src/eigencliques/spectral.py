@@ -408,7 +408,7 @@ def exact_independence_number(g: Graph, cutoff: int = 30) -> int:
     """Exact independence number by branch and bound on bitmasks (n <= cutoff)."""
     if g.n > cutoff:
         raise InputError(f"exact independence number limited to n <= {cutoff}")
-    nbr = neighbor_masks(g)
+    nbr = neighbor_masks(g.adjacency)
     best = 0
 
     def grow(cand: int, size: int):

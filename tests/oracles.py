@@ -46,15 +46,17 @@ def local_optimum_cuts(adj: np.ndarray) -> list[int]:
     return out
 
 
-def brute_bisection(adj: np.ndarray) -> int:
+def brute_bisection(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """Minimum cut over all floor(n/2)-subsets; the first optimal one in
+    itertools.combinations order wins (for even n it contains vertex 0)."""
     n = adj.shape[0]
-    k = n // 2
-    best = None
-    for combo in itertools.combinations(range(n), k):
+    best, best_set = None, ()
+    for combo in itertools.combinations(range(n), n // 2):
         s = set(combo)
         cut = sum(1 for u in range(n) for v in range(u + 1, n) if adj[u, v] and ((u in s) != (v in s)))
-        best = cut if best is None else min(best, cut)
-    return best or 0
+        if best is None or cut < best:
+            best, best_set = cut, combo
+    return best, best_set
 
 
 def brute_discrepancy(adj: np.ndarray) -> tuple[Fraction, Fraction]:

@@ -160,6 +160,18 @@ def test_bad_param_value_fails_closed(tmp_path, capsys, argv, bad):
     assert len(lines) == 1 and lines[0].startswith("error:") and bad in lines[0]
 
 
+@pytest.mark.parametrize("command", ["maxcut", "bisect"])
+def test_cutoff_above_exhaustive_limit_fails_closed(tmp_path, capsys, command):
+    # a cutoff above the exhaustive limit must not start a 2^29-pattern (maxcut)
+    # or C(29,14)-split (bisect) enumeration on n=30
+    path = write_graph(tmp_path, "g.txt", ec.gnp(30, 0.3, 1))
+    code, _, err = run(capsys, command, "--input", path, "--params", "cutoff=40", "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "maxcut_local_search" in lines[0]
+
+
 def test_text_format(tmp_path, capsys):
     path = write_graph(tmp_path, "g.txt", ec.cycle(4))
     code, out, _ = run(capsys, "maxcut", "--input", path, "--format", "text")
@@ -187,6 +199,8 @@ def _flipped_union(sizes, seed, rate):
         ("decompose", ec.clique_union([5, 3]), "decompose_cu53.json"),
         # the merge step joins two multi-vertex cliques (21 and 8 vertices) at density < 1
         ("decompose", _flipped_union([30, 20, 10], 101, 0.03), "decompose_cu302010_flip3.json"),
+        # n=10 with many tied bisections; also takes the exact discrepancy branch
+        ("bisect", ec.petersen(), "bisect_petersen.json"),
     ],
 )
 def test_golden_reports(tmp_path, command, graph, golden):

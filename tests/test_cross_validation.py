@@ -23,18 +23,24 @@ def _random_graph(rng) -> ec.Graph:
     return ec.gnp(n, p, int(rng.integers(0, 10_000)))
 
 
+# graphs where many cuts tie, so they pin the tie-breaks
+_TIED = (ec.from_edge_list(7, []), ec.complete(6), ec.cycle(8), ec.cycle(7), ec.clique_union([3, 3, 2]))
+
+
 def test_maxcut_exact_sweep():
     rng = np.random.default_rng(101)
-    for _ in range(30):
-        g = _random_graph(rng)
-        assert cuts.maxcut_exact(g).cut_size == brute_maxcut(g.adjacency)[0]
+    for g in (*_TIED, *(_random_graph(rng) for _ in range(30))):
+        rep = cuts.maxcut_exact(g)
+        assert (rep.cut_size, rep.partition) == brute_maxcut(g.adjacency)
 
 
 def test_bisection_sweep():
     rng = np.random.default_rng(102)
-    for _ in range(20):
-        g = _random_graph(rng)
-        assert cuts.bisection_exact(g).bw == brute_bisection(g.adjacency)
+    for g in (*_TIED, *(_random_graph(rng) for _ in range(20))):
+        rep = cuts.bisection_exact(g)
+        bw, k_side = brute_bisection(g.adjacency)
+        assert rep.bw == bw
+        assert [v for v, side in enumerate(rep.witnesses["bisection"]) if side] == list(k_side)
 
 
 def test_discrepancy_sweep():
@@ -55,7 +61,7 @@ def test_cherry_sweep():
         g = _random_graph(rng)
         assert structure.cherry_count(g) == brute_cherries(g.adjacency)
         assert triangles_per_vertex(g.adjacency).tolist() == brute_triangles_per_vertex(g.adjacency)
-        assert neighbor_masks(g) == brute_neighbor_masks(g.n, g.edges())
+        assert neighbor_masks(g.adjacency) == brute_neighbor_masks(g.n, g.edges())
         groups = [
             sorted(group_rng.choice(g.n, size=int(group_rng.integers(0, g.n + 1)), replace=False).tolist())
             for _ in range(int(group_rng.integers(1, 5)))

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,13 +175,32 @@ def test_bisection_examples():
 
 
 def test_bisection_matches_oracle():
-    for g in (ec.cycle(7), ec.gnp(8, 0.5, 3), ec.petersen(), ec.h_k(3)):
-        assert cuts.bisection_exact(g).bw == brute_bisection(g.adjacency)
+    tied = (ec.from_edge_list(6, []), ec.complete(5), ec.cycle(8), ec.clique_union([3, 3, 2]))
+    for g in (ec.cycle(7), ec.gnp(8, 0.5, 3), ec.petersen(), ec.h_k(3), *tied):
+        rep = cuts.bisection_exact(g)
+        bw, k_side = brute_bisection(g.adjacency)
+        assert rep.bw == bw
+        assert [v for v, side in enumerate(rep.witnesses["bisection"]) if side] == list(k_side)
 
 
 def test_bisection_size_error():
     with pytest.raises(SizeError):
         cuts.bisection_exact(ec.gnp(30, 0.1, 1))
+
+
+def test_exhaustive_limit_ignores_larger_cutoff():
+    # a cutoff above EXHAUSTIVE_CUT_LIMIT cannot lift it: the subset table
+    # refuses n = 25 before it allocates its 2^25 entries
+    g = ec.gnp(cuts.EXHAUSTIVE_CUT_LIMIT + 1, 0.3, 1)
+    for routine in (cuts.maxcut_exact, cuts.bisection_exact, cuts.discrepancy):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="maxcut_local_search"):
+                routine(g, cutoff=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, routine.__name__
 
 
 def test_discrepancy_c4():
