@@ -9,6 +9,7 @@ distinguishes counterexample hunts from crashes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -26,6 +27,9 @@ _PARAM_KEYS = {
     "bisect": {"cutoff"},
     "gen": {"family", "sizes", "n", "m", "p", "r", "k", "strict"},
 }
+# Loosest accepted --tol: the default is 1e-9 (1e-7 above n = 500), and a
+# larger tolerance would pass eigensolver output that is plainly wrong.
+_MAX_TOL = 1e-3
 
 
 @dataclass
@@ -68,11 +72,21 @@ def _parse_params(command: str, raw: str | None) -> dict:
 
 
 def _number(key: str, value: str, kind: type):
-    """Convert one --params value with int or float; a bad value is a ToolkitError."""
+    """Convert one --params value with int or float; a bad or non-finite value is a ToolkitError."""
     try:
-        return kind(value)
+        out = kind(value)
     except ValueError:
         raise ToolkitError(f"parameter {key}={value!r} is not a valid {kind.__name__}") from None
+    if not math.isfinite(out):
+        raise ToolkitError(f"parameter {key}={value!r} is not a finite {kind.__name__}")
+    return out
+
+
+def _check_tol(tol: float | None) -> float | None:
+    # written so that NaN fails the comparison too
+    if tol is not None and not 0.0 <= tol <= _MAX_TOL:
+        raise ToolkitError(f"--tol must be a finite number in [0, {_MAX_TOL:g}], got {tol!r}")
+    return tol
 
 
 def _emit(report: dict, config: RunConfig) -> None:
@@ -256,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             input=args.input,
             output=args.output,
             seed=args.seed,
-            tol=args.tol,
+            tol=_check_tol(args.tol),
             params=_parse_params(args.command, args.params),
             format=args.format,
         )

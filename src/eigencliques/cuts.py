@@ -316,10 +316,16 @@ def discrepancy(g: Graph, cutoff: int = EXHAUSTIVE_SUBSET_LIMIT, seed: int = 0) 
         return DiscrepancyReport(disc_plus=Fraction(0), disc_minus=Fraction(0), witnesses={"disc_plus": [], "disc_minus": []})
     denom = n * (n - 1) // 2
     if n <= cutoff:
-        e = _subset_edge_counts(g.adjacency).astype(np.int64)
-        sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-        pairs = sizes * (sizes - 1) // 2
-        score = e * denom - g.m * pairs  # disc+ scaled by C(n,2)
+        # disc+ scaled by C(n,2): e[U] C(n,2) - m C(|U|,2), each term at most
+        # 276^2 for n <= 24, so int32 holds it
+        score = _subset_edge_counts(g.adjacency).astype(np.int32)
+        score *= denom
+        sizes = np.zeros(1 << n, dtype=np.uint8)  # |U|, by doubling like the table
+        for v in range(n):
+            half = 1 << v
+            sizes[half : 2 * half] = sizes[:half] + 1
+        k = np.arange(n + 1, dtype=np.int32)
+        score -= (g.m * (k * (k - 1) // 2))[sizes]
         plus_mask = int(np.argmax(score))
         minus_mask = int(np.argmin(score))
         wit_p = [v for v in range(n) if (plus_mask >> v) & 1]

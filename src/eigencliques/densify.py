@@ -94,6 +94,41 @@ def _density(g: Graph, idx: np.ndarray) -> float:
 # -- phase 0 ------------------------------------------------------------------
 
 
+def _phase0_search(g: Graph) -> PhaseTrace:
+    """Phase 0's vertex choice: d = floor(avg degree) neighbours of a
+    maximum-degree vertex. Reads no spectrum and leaves the guarantee empty."""
+    if g.m == 0:
+        raise DegenerateInputError("phase 0 needs at least one edge")
+    d = max(1, int(g.average_degree))
+    x = int(np.argmax(g.degrees))
+    s_idx = g.neighbors(x)[:d]
+    return PhaseTrace(
+        phase=0,
+        vertices_in=tuple(range(g.n)),
+        vertices_out=tuple(int(v) for v in s_idx),
+        density_in=g.density,
+        density_out=_density(g, s_idx),
+        params={"d": d, "apex": x},
+    )
+
+
+def _certify_phase0(g: Graph, trace: PhaseTrace, lam_n: float) -> PhaseTrace:
+    """Fill in phase 0's edge guarantee d^2 / (4 |lambda_n|) from g's smallest eigenvalue."""
+    d = trace.params["d"]
+    s_idx = np.asarray(trace.vertices_out, dtype=int)
+    e_s = int(g.adjacency[np.ix_(s_idx, s_idx)].sum()) // 2
+    applicable = lam_n * lam_n <= d / 2.0
+    claimed = d * d / (4.0 * abs(lam_n)) if lam_n != 0 else 0.0
+    trace.params["lambda_n"] = lam_n
+    trace.guarantee = {
+        "claimed_edges": claimed if applicable else None,
+        "measured_edges": e_s,
+        "met": bool(e_s >= claimed) if applicable else None,
+        "applicable": bool(applicable),
+    }
+    return trace
+
+
 def phase0_neighborhood(g: Graph, tol: float | None = None) -> PhaseTrace:
     """Restrict to d neighbours of a maximum-degree vertex, d = floor(avg degree).
 
@@ -101,31 +136,7 @@ def phase0_neighborhood(g: Graph, tol: float | None = None) -> PhaseTrace:
     lambda_n^2 <= d/2; outside that regime the subgraph is still returned with
     the guarantee marked not applicable.
     """
-    if g.m == 0:
-        raise DegenerateInputError("phase 0 needs at least one edge")
-    d = max(1, int(g.average_degree))
-    x = int(np.argmax(g.degrees))
-    nbrs = g.neighbors(x)
-    s_idx = nbrs[:d]
-    lam_n = spectrum(g, tol).lambda_min
-    e_s = int(g.adjacency[np.ix_(s_idx, s_idx)].sum()) // 2
-    applicable = lam_n * lam_n <= d / 2.0
-    claimed = d * d / (4.0 * abs(lam_n)) if lam_n != 0 else 0.0
-    guarantee = {
-        "claimed_edges": claimed if applicable else None,
-        "measured_edges": e_s,
-        "met": bool(e_s >= claimed) if applicable else None,
-        "applicable": bool(applicable),
-    }
-    return PhaseTrace(
-        phase=0,
-        vertices_in=tuple(range(g.n)),
-        vertices_out=tuple(int(v) for v in s_idx),
-        density_in=g.density,
-        density_out=_density(g, s_idx),
-        params={"d": d, "apex": x, "lambda_n": lam_n},
-        guarantee=guarantee,
-    )
+    return _certify_phase0(g, _phase0_search(g), spectrum(g, tol).lambda_min)
 
 
 # -- phase 1 ------------------------------------------------------------------
@@ -142,13 +153,17 @@ def check_phase1_parameters(gamma: float, eps: float, rho: float) -> None:
         raise InputError("need rho/eps + 2*gamma/(1-eps-4*gamma) < 1")
 
 
+_FALLBACK_GAMMA = 0.05
+
+
 def default_parameters(g: Graph, tol: float | None = None) -> tuple[float, float, float]:
     """Infer (gamma, eps, rho) from the measured smallest eigenvalue.
 
-    gamma is log_d |lambda_n| clamped into [0.01, 0.08]; with eps = 2 gamma and
-    rho = 1.2 gamma the phase-1 parameter constraints hold on the whole range.
+    gamma is log_d |lambda_n| clamped into [0.01, 0.08] (_FALLBACK_GAMMA when
+    the spectrum gives no logarithm); with eps = 2 gamma and rho = 1.2 gamma
+    the phase-1 parameter constraints hold on the whole range.
     """
-    gamma = 0.05
+    gamma = _FALLBACK_GAMMA
     if g.m > 0:
         d = g.average_degree
         lam = abs(spectrum(g, tol).lambda_min)
@@ -463,6 +478,46 @@ def phase3_clique(g: Graph) -> CliqueCertificate:
 # -- the pipeline ----------------------------------------------------------------
 
 
+def _clique_search(
+    g: Graph,
+    gamma: float = _FALLBACK_GAMMA,
+    eps: float = 2.0 * _FALLBACK_GAMMA,
+    rho: float = 1.2 * _FALLBACK_GAMMA,
+    delta: float = 0.1,
+    sparse_threshold: float = 0.125,
+) -> CliqueCertificate:
+    """The four-phase vertex search on a graph with at least one edge.
+
+    Phase 0's vertex choice (sparse inputs only), phases 1-3, greedy
+    maximalisation and the pairwise check; it reads no spectrum, so the
+    phase-0 guarantee is left empty and there is no target. The defaults are
+    the parameters default_parameters falls back to without a spectrum;
+    phase 1 reads gamma, eps and rho only through rho/eps = 0.6.
+    """
+    traces: list[PhaseTrace] = []
+    current = np.arange(g.n)
+    if g.density <= sparse_threshold:
+        t0 = _phase0_search(g)
+        traces.append(t0)
+        current = np.asarray(t0.vertices_out, dtype=int)
+    h1 = induced_subgraph(g, current)
+    if h1.n >= 1:
+        t1 = phase1_densify(h1, gamma, eps, rho)
+        keep = np.asarray(t1.vertices_out, dtype=int)
+        traces.append(_remap(t1, current))
+        current = current[keep]
+    h2 = induced_subgraph(g, current)
+    t2 = phase2_dense_core(h2, delta, extractor="greedy")
+    keep = np.asarray(t2.vertices_out, dtype=int)
+    traces.append(_remap(t2, current))
+    current = current[keep]
+    h3 = induced_subgraph(g, current)
+    cert3 = phase3_clique(h3)
+    traces.append(_remap(cert3.phases[0], current))
+    clique = extend_clique(g, sorted(int(current[v]) for v in cert3.clique))
+    return CliqueCertificate(clique=tuple(clique), size=len(clique), phases=traces, verified=g.is_clique(clique))
+
+
 def clique_pipeline(
     g: Graph,
     mode: str = "eigen",
@@ -478,6 +533,9 @@ def clique_pipeline(
     The returned clique is verified pairwise against the original adjacency
     and greedily maximalised inside the input graph. Guarantees are recorded
     per phase as (claimed, measured, met) with all hidden constants set to 1.
+    The spectral certificate (lambda_n, the default gamma, phase 0's edge
+    guarantee, the hypothesis and the target) wraps _clique_search, which
+    finds the clique without reading the spectrum.
     """
     if mode not in ("eigen", "surplus"):
         raise InputError("mode must be 'eigen' or 'surplus'")
@@ -492,35 +550,13 @@ def clique_pipeline(
     if rho is None:
         rho = 1.2 * gamma
     check_phase1_parameters(gamma, eps, rho)
-    s = spectrum(g, tol)
-    lam = abs(s.lambda_min)
+    lam_n = spectrum(g, tol).lambda_min
+    lam = abs(lam_n)
     d_floor = max(1, int(g.average_degree))
-    traces: list[PhaseTrace] = []
-    current = np.arange(g.n)
-    used_phase0 = False
-    if g.density <= sparse_threshold:
-        t0 = phase0_neighborhood(g, tol)
-        traces.append(t0)
-        current = np.asarray(t0.vertices_out, dtype=int)
-        used_phase0 = True
-    h1 = induced_subgraph(g, current)
-    if h1.n >= 1:
-        t1 = phase1_densify(h1, gamma, eps, rho)
-        keep = np.asarray(t1.vertices_out, dtype=int)
-        traces.append(_remap(t1, current))
-        current = current[keep]
-    h2 = induced_subgraph(g, current)
-    t2 = phase2_dense_core(h2, delta, extractor="greedy")
-    keep = np.asarray(t2.vertices_out, dtype=int)
-    traces.append(_remap(t2, current))
-    current = current[keep]
-    h3 = induced_subgraph(g, current)
-    cert3 = phase3_clique(h3)
-    local_clique = list(cert3.clique)
-    traces.append(_remap(cert3.phases[0], current))
-    clique = sorted(int(current[v]) for v in local_clique)
-    clique = extend_clique(g, clique)
-    verified = g.is_clique(clique)
+    cert = _clique_search(g, gamma, eps, rho, delta, sparse_threshold)
+    used_phase0 = cert.phases[0].phase == 0
+    if used_phase0:
+        _certify_phase0(g, cert.phases[0], lam_n)
     if mode == "eigen":
         if used_phase0:
             target_value = d_floor ** (1.0 - 4.0 * gamma)
@@ -534,16 +570,16 @@ def clique_pipeline(
         target_formula = "n^(1-2*gamma-eps)"
         surp_cap = lam * g.n / 4.0
         hypothesis = {"claimed": g.n ** (1.0 + gamma), "measured": surp_cap, "met": bool(surp_cap <= g.n ** (1.0 + gamma))}
-    target = {
+    cert.target = {
         "mode": mode,
         "formula": target_formula,
         "value": target_value,
-        "achieved": len(clique),
-        "met": bool(len(clique) >= target_value),
+        "achieved": cert.size,
+        "met": bool(cert.size >= target_value),
         "hypothesis": hypothesis,
         "params": {"gamma": gamma, "eps": eps, "rho": rho, "delta": delta},
     }
-    return CliqueCertificate(clique=tuple(clique), size=len(clique), phases=traces, verified=verified, target=target)
+    return cert
 
 
 # -- triple Hadamard diagnostic ---------------------------------------------------

@@ -13,9 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SizeError
 
 __all__ = [
+    "MAX_VERTICES",
     "Graph",
     "GraphStats",
     "from_edge_list",
@@ -38,6 +39,16 @@ __all__ = [
     "parse_edge_list",
     "format_edge_list",
 ]
+
+
+# Largest vertex count the toolkit builds: the float64 adjacency that eigh
+# reads is then 2.1 GB. Checked before any n x n array is allocated.
+MAX_VERTICES = 1 << 14
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise SizeError(f"n={n} exceeds the vertex ceiling {MAX_VERTICES} (dense n x n adjacency)")
 
 
 class Graph:
@@ -160,6 +171,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[st
     """Build a graph from unordered vertex pairs; duplicates collapse to one edge."""
     if n < 0:
         raise InputError("vertex count must be nonnegative")
+    _check_vertex_count(n)
     adj = np.zeros((n, n), dtype=np.uint8)
     for u, v in edges:
         u, v = int(u), int(v)
@@ -195,6 +207,7 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
         raise InputError("n must be positive")
     if not (0.0 <= p <= 1.0):
         raise InputError("p must lie in [0,1]")
+    _check_vertex_count(n)
     iu, ju = np.triu_indices(n, 1)
     u = pair_uniforms(seed, iu, ju)
     adj = np.zeros((n, n), dtype=np.uint8)
@@ -210,6 +223,7 @@ def clique_union(sizes: Sequence[int]) -> Graph:
     if not sizes or any(s < 1 for s in sizes):
         raise InputError("clique sizes must be positive")
     n = sum(sizes)
+    _check_vertex_count(n)
     adj = np.zeros((n, n), dtype=np.uint8)
     start = 0
     for s in sizes:
@@ -234,6 +248,7 @@ def turan(r: int, n: int, strict: bool = False) -> Graph:
         raise InputError("r must not exceed n")
     if strict and n % r != 0:
         raise InputError(f"strict mode requires r | n, got r={r}, n={n}")
+    _check_vertex_count(n)
     sizes = [n // r + (1 if i < n % r else 0) for i in range(r)]
     adj = np.ones((n, n), dtype=np.uint8)
     start = 0
@@ -252,6 +267,7 @@ def h_k(k: int) -> Graph:
     if k < 1:
         raise InputError("k must be positive")
     n = 2 * k + 1
+    _check_vertex_count(n)
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[: 2 * k, : 2 * k] = 1
     adj[2 * k, :k] = 1
@@ -263,13 +279,13 @@ def h_k(k: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs n >= 3")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InputError("path needs n >= 1")
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def petersen() -> Graph:
@@ -372,6 +388,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise InputError(f"line {lineno}: expected integers in header") from None
             if n < 0 or m_expected < 0:
                 raise InputError(f"line {lineno}: negative header values")
+            _check_vertex_count(n)
             header = (n, m_expected)
             continue
         if len(parts) != 2:

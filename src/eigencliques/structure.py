@@ -239,7 +239,7 @@ def _extract_clique(g: Graph, extractor: str) -> list[int]:
     if extractor == "pipeline":
         if g.m == 0:
             return [0] if g.n else []
-        return list(densify.clique_pipeline(g).clique)
+        return list(densify._clique_search(g).clique)
     if extractor == "greedy":
         if g.n == 0:
             return []
@@ -267,7 +267,10 @@ def clique_union_decompose(
     nearest clique union.
 
     The extractor picks each peeled clique. "pipeline" runs the four-phase
-    densify.clique_pipeline on the residual graph; "greedy" grows a clique by
+    search of densify.clique_pipeline on the residual graph without its
+    spectral certificate, so no peel eigendecomposes its residual graph;
+    phase 1 runs at the gamma, eps and rho that default_parameters falls
+    back to without a spectrum. "greedy" grows a clique by
     repeatedly taking the vertex with most neighbours among the candidates
     (densify.greedy_clique) and maximalises it (densify.extend_clique). The
     two can peel different cliques and so disagree: on clique_union([30, 20,

@@ -1,12 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import eigencliques as ec
-from conftest import flip_edges
+from conftest import flip_edges, planted_noisy_union
 from eigencliques.cli import main
-from eigencliques.graphs import pair_uniforms
+from eigencliques.graphs import MAX_VERTICES, pair_uniforms
 
 
 def run(capsys, *argv):
@@ -148,16 +149,53 @@ def test_unknown_param_rejected(tmp_path, capsys):
         (["decompose", "--params", "floor=x"], "floor='x'"),
         (["maxcut", "--params", "cutoff=1.5"], "cutoff='1.5'"),
         (["gen", "--params", "family=Gnp,n=ten,p=0.5"], "n='ten'"),
+        # NaN used to merge nothing; infinities are no better
+        (["decompose", "--params", "threshold=nan"], "threshold='nan'"),
+        (["clique", "--params", "gamma=inf"], "gamma='inf'"),
+        (["gen", "--params", "family=Gnp,n=20,p=-inf"], "p='-inf'"),
+        # --tol nan passed every spectrum check and exited 2 with a made-up
+        # counterexample; --tol 1e6 made every check vacuous and exited 0
+        (["spectrum", "--tol", "nan"], "--tol"),
+        (["spectrum", "--tol", "inf"], "--tol"),
+        (["spectrum", "--tol", "1e6"], "--tol"),
+        (["chowla", "1,2", "--tol=-1e-9"], "--tol"),
     ],
 )
 def test_bad_param_value_fails_closed(tmp_path, capsys, argv, bad):
-    if argv[0] != "gen":
+    if argv[0] not in ("gen", "chowla"):
         argv = argv + ["--input", write_graph(tmp_path, "g.txt", ec.cycle(5))]
     code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
     assert code == 1
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and bad in lines[0]
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["header:1000000000 0", "header:16385 0", "gen:family=Gnp,n=16385,p=0.5", "gen:family=Cycle,n=1000000000"],
+)
+def test_vertex_ceiling_fails_closed(tmp_path, capsys, source):
+    # a vertex count above graphs.MAX_VERTICES is refused before any n x n
+    # array exists (1000000000 0 used to print a numpy allocation traceback)
+    kind, arg = source.split(":")
+    out = str(tmp_path / "out")
+    if kind == "header":
+        path = tmp_path / "g.txt"
+        path.write_text(arg + "\n")
+        argv = ["spectrum", "--input", str(path), "--output", out]
+    else:
+        argv = ["gen", "--params", arg, "--output", out]
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1 << 20
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(MAX_VERTICES) in lines[0]
 
 
 @pytest.mark.parametrize("command", ["maxcut", "bisect"])
@@ -201,6 +239,9 @@ def _flipped_union(sizes, seed, rate):
         ("decompose", _flipped_union([30, 20, 10], 101, 0.03), "decompose_cu302010_flip3.json"),
         # n=10 with many tied bisections; also takes the exact discrepancy branch
         ("bisect", ec.petersen(), "bisect_petersen.json"),
+        # density 0.122 takes phase 0 with an applicable guarantee: pins the
+        # lambda_n-based phase-0 bound, the default gamma and the target
+        ("clique", planted_noisy_union(24, 8, 2, 0.002), "clique_planted_noisy.json"),
     ],
 )
 def test_golden_reports(tmp_path, command, graph, golden):

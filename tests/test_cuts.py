@@ -235,6 +235,19 @@ def test_discrepancy_witnesses_reproduce_values():
     assert Fraction(e) - p * Fraction(k * (k - 1), 2) == rep.disc_plus
 
 
+def test_discrepancy_exact_at_exhaustive_limit():
+    # the exact branch at n = 24 (int32 scores over 2^24 subsets); the values
+    # and witnesses were recorded from the int64 implementation
+    rep = cuts.discrepancy(ec.gnp(24, 0.5, 1), cutoff=24)
+    assert rep.method == "exact"
+    assert rep.disc_plus == Fraction(1715, 92)
+    assert rep.disc_minus == Fraction(1781, 92)
+    assert rep.witnesses == {
+        "disc_plus": [2, 3, 5, 6, 7, 8, 9, 11, 13, 14, 15, 18, 21, 22, 23],
+        "disc_minus": [1, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18, 19, 20, 21],
+    }
+
+
 def test_discrepancy_heuristic_mode():
     g = ec.gnp(25, 0.5, 2)
     rep = cuts.discrepancy(g)

@@ -6,7 +6,7 @@ import pytest
 import eigencliques as ec
 from eigencliques import structure
 from eigencliques.errors import InputError
-from conftest import flip_edges
+from conftest import flip_edges, planted_noisy_union
 from oracles import brute_cherries
 
 
@@ -139,6 +139,27 @@ def test_decompose_model_is_clique_union():
 def test_decompose_edgeless():
     d = structure.clique_union_decompose(ec.from_edge_list(5, []))
     assert d.blocks == [] and len(d.leftover) == 5 and d.edit_distance == 0
+
+
+def test_decompose_pipeline_peels_read_no_spectrum(monkeypatch):
+    # the peels run the four-phase search without its spectral certificate;
+    # the expected values were recorded when every peel still ran the full
+    # clique_pipeline, with its eigendecomposition, on the residual graph
+    from eigencliques import densify, spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum called during the peels")
+
+    for mod in (spectral, densify, structure):
+        monkeypatch.setattr(mod, "spectrum", refuse)
+    g = planted_noisy_union(40, 5, 11)
+    d = structure.clique_union_decompose(g)
+    planted = [tuple(range(40 * i, 40 * (i + 1))) for i in range(5)]
+    assert d.cliques == [planted[2], planted[0], planted[1], planted[3], planted[4]]
+    assert d.blocks == planted
+    assert d.leftover == ()
+    assert d.edit_distance == 305
+    assert d.closeness == 0.007625
 
 
 def test_pair_classify_sparse_and_dense():
