@@ -230,6 +230,8 @@ def _cmd_gen(config: RunConfig) -> int:
         elif k == "p":
             kwargs[k] = _number(k, v, float)
         elif k == "strict":
+            if v.lower() not in ("1", "0", "true", "false", "yes", "no"):
+                raise ToolkitError(f"parameter strict={v!r} is not one of 1/0/true/false/yes/no")
             kwargs[k] = v.lower() in ("1", "true", "yes")
     if family == "Gnp":
         kwargs.setdefault("seed", config.seed)

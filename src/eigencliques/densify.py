@@ -29,6 +29,7 @@ __all__ = [
     "clique_pipeline",
     "greedy_clique",
     "extend_clique",
+    "peel_cliques",
     "default_parameters",
     "triple_hadamard_diagnostic",
 ]
@@ -285,17 +286,14 @@ def phase1_densify(
 # -- phase 2 ------------------------------------------------------------------
 
 
-def phase2_dense_core(g: Graph, delta: float = 0.1, extractor: str = "pipeline") -> PhaseTrace:
+def phase2_dense_core(g: Graph, delta: float = 0.1) -> PhaseTrace:
     """Densest block of the clique-union decomposition, aiming for size >= p*n/2.
 
-    The pipeline calls this with extractor="greedy" so that the decomposition's
-    own clique extraction does not recurse back into the pipeline.
+    The blocks come from peel_cliques with the greedy extractor, so the
+    peeling does not recurse back into the four-phase search.
     """
-    from . import structure
-
     p = g.density
-    decomp = structure.clique_union_decompose(g, extractor=extractor)
-    blocks = [np.asarray(b, dtype=int) for b in decomp.blocks]
+    blocks = [np.asarray(b, dtype=int) for b in peel_cliques(g, "greedy")[1]]
     chosen: np.ndarray
     if not blocks:
         chosen = np.arange(g.n)
@@ -330,7 +328,7 @@ def phase2_dense_core(g: Graph, delta: float = 0.1, extractor: str = "pipeline")
         vertices_out=tuple(int(v) for v in chosen),
         density_in=p,
         density_out=out_density,
-        params={"delta": delta, "extractor": extractor},
+        params={"delta": delta},
         guarantee=guarantee,
     )
 
@@ -507,7 +505,7 @@ def _clique_search(
         traces.append(_remap(t1, current))
         current = current[keep]
     h2 = induced_subgraph(g, current)
-    t2 = phase2_dense_core(h2, delta, extractor="greedy")
+    t2 = phase2_dense_core(h2, delta)
     keep = np.asarray(t2.vertices_out, dtype=int)
     traces.append(_remap(t2, current))
     current = current[keep]
@@ -516,6 +514,70 @@ def _clique_search(
     traces.append(_remap(cert3.phases[0], current))
     clique = extend_clique(g, sorted(int(current[v]) for v in cert3.clique))
     return CliqueCertificate(clique=tuple(clique), size=len(clique), phases=traces, verified=g.is_clique(clique))
+
+
+# -- clique peeling ----------------------------------------------------------------
+
+
+def peel_cliques(
+    g: Graph,
+    extractor: str,
+    floor: float | None = None,
+    merge_threshold: float | None = None,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]:
+    """Peel cliques off g, then merge near-complete pairs into blocks.
+
+    Cliques are extracted from the residual graph until one falls under the
+    size floor (default sqrt(n)). The cliques and the leftover vertices (as
+    1-cliques) become nodes of an auxiliary graph joining pairs with crossing
+    density >= 1 - merge_threshold (default n^(-1/6)), all read off one k x k
+    block edge-count matrix; its connected components are the blocks.
+    Returns (cliques in peel order, sorted blocks, sorted leftover vertices).
+
+    The extractor picks each peeled clique. "pipeline" runs _clique_search,
+    the four-phase search of clique_pipeline without its spectral
+    certificate, so no peel eigendecomposes its residual graph. "greedy"
+    maximalises (extend_clique) the clique that greedy_clique grows by
+    repeatedly taking the candidate with most neighbours among the others.
+    """
+    if extractor not in ("pipeline", "greedy"):
+        raise InputError(f"unknown extractor {extractor!r}")
+    n = g.n
+    if floor is None:
+        floor = math.sqrt(n)
+    if merge_threshold is None:
+        merge_threshold = n ** (-1.0 / 6.0) if n > 1 else 0.5
+    residual = np.arange(n)
+    cliques: list[tuple[int, ...]] = []
+    while len(residual):
+        sub = induced_subgraph(g, residual)
+        if extractor == "greedy":
+            local = extend_clique(sub, greedy_clique(sub))
+        else:
+            local = list(_clique_search(sub).clique) if sub.m else [0]
+        if len(local) < floor:
+            break
+        cliques.append(tuple(int(v) for v in residual[local]))
+        residual = np.delete(residual, local)
+    nodes: list[tuple[int, ...]] = list(cliques) + [(int(v),) for v in residual]
+    k = len(nodes)
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    sizes = np.asarray([len(node) for node in nodes], dtype=np.int64)
+    dens = block_edge_counts(g.adjacency, nodes) / np.outer(sizes, sizes)
+    for i, j in zip(*np.nonzero(np.triu(dens >= 1.0 - merge_threshold, 1))):
+        parent[find(int(i))] = find(int(j))
+    groups: dict[int, list[int]] = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).extend(nodes[i])
+    merged = sorted(tuple(sorted(verts)) for verts in groups.values())
+    return cliques, [b for b in merged if len(b) > 1], tuple(b[0] for b in merged if len(b) == 1)
 
 
 def clique_pipeline(

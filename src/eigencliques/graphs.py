@@ -54,9 +54,9 @@ def _check_vertex_count(n: int) -> None:
 class Graph:
     """Immutable dense graph. Use :func:`from_edge_list` or a generator to build one."""
 
-    __slots__ = ("n", "adjacency", "labels", "m", "_degrees", "_memo")
+    __slots__ = ("n", "adjacency", "m", "_degrees", "_memo")
 
-    def __init__(self, adjacency: np.ndarray, labels: Sequence[str] | None = None):
+    def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency, dtype=np.uint8)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise InputError("adjacency must be a square matrix")
@@ -70,7 +70,6 @@ class Graph:
         adj.setflags(write=False)
         self.n: int = adj.shape[0]
         self.adjacency: np.ndarray = adj
-        self.labels = tuple(labels) if labels is not None else None
         self._degrees = adj.sum(axis=1, dtype=np.int64) if self.n else np.zeros(0, dtype=np.int64)
         self._degrees.setflags(write=False)
         self.m: int = int(self._degrees.sum()) // 2
@@ -99,9 +98,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u, v])
 
     def edges(self) -> list[tuple[int, int]]:
         iu, ju = np.nonzero(np.triu(self.adjacency, 1))
@@ -167,7 +163,7 @@ class GraphStats:
 # -- construction -----------------------------------------------------------
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None) -> Graph:
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse to one edge."""
     if n < 0:
         raise InputError("vertex count must be nonnegative")
@@ -181,7 +177,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]], labels: Sequence[st
             raise InputError(f"self-loop at vertex {u}")
         adj[u, v] = 1
         adj[v, u] = 1
-    return Graph(adj, labels)
+    return Graph(adj)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -296,14 +292,15 @@ def petersen() -> Graph:
     return from_edge_list(10, edges)
 
 
+# family -> (required parameters, builder)
 _FAMILIES = {
-    "CliqueUnion": lambda args: clique_union(args["sizes"]),
-    "Turan": lambda args: turan(args["r"], args["n"], args.get("strict", False)),
-    "Gnp": lambda args: gnp(args["n"], args["p"], args.get("seed", 0)),
-    "Hk": lambda args: h_k(args["k"]),
-    "Complete": lambda args: complete(args["n"]),
-    "Cycle": lambda args: cycle(args["n"]),
-    "Path": lambda args: path(args["n"]),
+    "CliqueUnion": (("sizes",), lambda args: clique_union(args["sizes"])),
+    "Turan": (("r", "n"), lambda args: turan(args["r"], args["n"], args.get("strict", False))),
+    "Gnp": (("n", "p"), lambda args: gnp(args["n"], args["p"], args.get("seed", 0))),
+    "Hk": (("k",), lambda args: h_k(args["k"])),
+    "Complete": (("n",), lambda args: complete(args["n"])),
+    "Cycle": (("n",), lambda args: cycle(args["n"])),
+    "Path": (("n",), lambda args: path(args["n"])),
 }
 
 
@@ -311,7 +308,11 @@ def generate(family: str, **params) -> Graph:
     """Dispatch on a family descriptor name; see _FAMILIES for the accepted set."""
     if family not in _FAMILIES:
         raise InputError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
-    return _FAMILIES[family](params)
+    required, build = _FAMILIES[family]
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise InputError(f"family {family!r} requires parameter {', '.join(missing)}")
+    return build(params)
 
 
 # -- transformations --------------------------------------------------------
@@ -320,7 +321,7 @@ def generate(family: str, **params) -> Graph:
 def complement(g: Graph) -> Graph:
     adj = np.ones((g.n, g.n), dtype=np.uint8) - g.adjacency
     np.fill_diagonal(adj, 0)
-    return Graph(adj, g.labels)
+    return Graph(adj)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -329,8 +330,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     if idx and not (0 <= idx[0] and idx[-1] < g.n):
         raise InputError("vertex out of range")
     ix = np.asarray(idx, dtype=int)
-    labels = tuple(str(v) for v in idx) if g.labels is None else tuple(g.labels[v] for v in idx)
-    return Graph(g.adjacency[np.ix_(ix, ix)], labels)
+    return Graph(g.adjacency[np.ix_(ix, ix)])
 
 
 # -- block algebra ------------------------------------------------------------

@@ -51,7 +51,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source: str
     tol: float
 
     @property
@@ -99,7 +98,7 @@ def spectrum(g: Graph, tol: float | None = None) -> Spectrum:
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = _orient_columns(vecs[:, order])
-    s = Spectrum(eigenvalues=vals, eigenvectors=vecs, source=g.fingerprint(), tol=tol)
+    s = Spectrum(eigenvalues=vals, eigenvectors=vecs, tol=tol)
     _validate_spectrum(s, a, g.m)
     vals.setflags(write=False)
     vecs.setflags(write=False)

@@ -11,8 +11,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .densify import peel_cliques
 from .errors import InputError, NumericalError
-from .graphs import Graph, block_edge_counts, induced_subgraph, triangles_per_vertex
+from .graphs import Graph, block_edge_counts, triangles_per_vertex
 from .spectral import Spectrum, spectrum
 
 __all__ = [
@@ -109,9 +110,10 @@ def regular_partition(
     Coordinates of each kept eigenvector are bucketed at width beta/sqrt(n)
     over the window {-h..h}; vertices sharing all r bucket indices form cells,
     cells are chopped into K equal parts (spill goes to the exceptional set,
-    which is chopped last). The asymptotic-formula defaults explode at desk
-    scale, so pass scaled_regularity_constants(...) for real runs; the profile
-    used is recorded in the output.
+    which is chopped last). constants default to
+    scaled_regularity_constants(n, r, delta); the paper's
+    asymptotic_regularity_constants give K far above n at desk scale and
+    raise. The profile used is recorded in the output.
     """
     if not (0.0 < delta < 1.0):
         raise InputError("delta must lie in (0,1)")
@@ -128,7 +130,7 @@ def regular_partition(
     idx = np.flatnonzero(s.eigenvalues >= kappa * n)
     r = max(int(idx.size), 1)
     if constants is None:
-        constants = asymptotic_regularity_constants(r, delta)
+        constants = scaled_regularity_constants(n, r, delta)
     beta, h, big_k = constants["beta"], int(constants["h"]), int(constants["K"])
     if big_k > n:
         raise InputError(
@@ -233,21 +235,6 @@ class CliqueUnionDecomposition:
         }
 
 
-def _extract_clique(g: Graph, extractor: str) -> list[int]:
-    from . import densify
-
-    if extractor == "pipeline":
-        if g.m == 0:
-            return [0] if g.n else []
-        return list(densify._clique_search(g).clique)
-    if extractor == "greedy":
-        if g.n == 0:
-            return []
-        clique = densify.greedy_clique(g)
-        return densify.extend_clique(g, clique)
-    raise InputError(f"unknown extractor {extractor!r}")
-
-
 def clique_union_decompose(
     g: Graph,
     floor: float | None = None,
@@ -257,79 +244,26 @@ def clique_union_decompose(
 ) -> CliqueUnionDecomposition:
     """Peel off cliques, merge near-complete pairs, and measure the edit distance.
 
-    Cliques are extracted from the residual graph until the best one falls
-    under the size floor (default sqrt(n)). Extracted cliques and the leftover
-    vertices (as 1-cliques) become nodes of an auxiliary graph joining pairs
-    with crossing density >= 1 - threshold (default n^(-1/6)), all densities
-    read off one k x k block edge-count matrix; its connected components are
-    the blocks. The edit distance counts exact edge flips between the input
-    and the block clique-union model; it upper-bounds the distance to the
-    nearest clique union.
-
-    The extractor picks each peeled clique. "pipeline" runs the four-phase
-    search of densify.clique_pipeline on the residual graph without its
-    spectral certificate, so no peel eigendecomposes its residual graph;
-    phase 1 runs at the gamma, eps and rho that default_parameters falls
-    back to without a spectrum. "greedy" grows a clique by
-    repeatedly taking the vertex with most neighbours among the candidates
-    (densify.greedy_clique) and maximalises it (densify.extend_clique). The
-    two can peel different cliques and so disagree: on clique_union([30, 20,
-    10]) with the pairs where pair_uniforms(102, i, j) < 0.03 flipped,
-    "pipeline" returns blocks of 50 and 10 vertices at edit distance 621,
-    "greedy" the planted 30/20/10 blocks at edit distance 59.
+    The peeling and merging live in densify.peel_cliques, beside the clique
+    search they call; floor, merge_threshold and extractor are passed to it.
+    The edit distance counts exact edge flips between the input and the block
+    clique-union model; it upper-bounds the distance to the nearest clique
+    union. The two extractors can peel different cliques and so disagree: on
+    clique_union([30, 20, 10]) with the pairs where pair_uniforms(102, i, j)
+    < 0.03 flipped, "pipeline" returns blocks of 50 and 10 vertices at edit
+    distance 621, "greedy" the planted 30/20/10 blocks at edit distance 59.
     """
     n = g.n
-    if floor is None:
-        floor = math.sqrt(n)
-    if merge_threshold is None:
-        merge_threshold = n ** (-1.0 / 6.0) if n > 1 else 0.5
-    residual = np.arange(n)
-    cliques: list[tuple[int, ...]] = []
-    while len(residual):
-        sub = induced_subgraph(g, residual)
-        local = _extract_clique(sub, extractor)
-        if not local or len(local) < floor:
-            break
-        clique = tuple(int(residual[v]) for v in local)
-        cliques.append(clique)
-        residual = np.setdiff1d(residual, np.asarray(clique, dtype=int))
-    nodes: list[tuple[int, ...]] = list(cliques) + [(int(v),) for v in residual]
-    k = len(nodes)
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    sizes = np.asarray([len(node) for node in nodes], dtype=np.int64)
-    dens = block_edge_counts(g.adjacency, nodes) / np.outer(sizes, sizes)
-    for i, j in zip(*np.nonzero(np.triu(dens >= 1.0 - merge_threshold, 1))):
-        parent[find(int(i))] = find(int(j))
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    blocks: list[tuple[int, ...]] = []
-    leftover: list[int] = []
-    for members in groups.values():
-        verts = sorted(v for i in members for v in nodes[i])
-        if len(verts) == 1:
-            leftover.append(verts[0])
-        else:
-            blocks.append(tuple(verts))
-    blocks.sort()
-    leftover.sort()
+    cliques, blocks, leftover = peel_cliques(g, extractor, floor, merge_threshold)
     model = np.zeros((n, n), dtype=np.uint8)
     for b in blocks:
-        bi = np.asarray(b, dtype=int)
-        model[np.ix_(bi, bi)] = 1
+        model[np.ix_(b, b)] = 1
     np.fill_diagonal(model, 0)
     edit = int((g.adjacency != model).sum()) // 2
     closeness = edit / (n * n) if n else 0.0
     return CliqueUnionDecomposition(
         blocks=blocks,
-        leftover=tuple(leftover),
+        leftover=leftover,
         edit_distance=edit,
         closeness=closeness,
         cliques=cliques,

@@ -159,12 +159,33 @@ def test_unknown_param_rejected(tmp_path, capsys):
         (["spectrum", "--tol", "inf"], "--tol"),
         (["spectrum", "--tol", "1e6"], "--tol"),
         (["chowla", "1,2", "--tol=-1e-9"], "--tol"),
+        (["decompose", "--params", "extractor=bogus"], "extractor 'bogus'"),
     ],
 )
 def test_bad_param_value_fails_closed(tmp_path, capsys, argv, bad):
     if argv[0] not in ("gen", "chowla"):
         argv = argv + ["--input", write_graph(tmp_path, "g.txt", ec.cycle(5))]
     code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and bad in lines[0]
+
+
+@pytest.mark.parametrize(
+    "params,bad",
+    [
+        # each used to print a KeyError traceback
+        ("family=Gnp,p=0.5", "'Gnp' requires parameter n"),
+        ("family=CliqueUnion", "'CliqueUnion' requires parameter sizes"),
+        ("family=Turan,n=6", "'Turan' requires parameter r"),
+        ("family=Hk", "'Hk' requires parameter k"),
+        # used to be read as false
+        ("family=Turan,r=2,n=6,strict=ture", "strict='ture'"),
+    ],
+)
+def test_gen_bad_family_params_fail_closed(tmp_path, capsys, params, bad):
+    code, _, err = run(capsys, "gen", "--params", params, "--output", str(tmp_path / "out"))
     assert code == 1
     assert "Traceback" not in err
     lines = err.splitlines()
@@ -242,6 +263,10 @@ def _flipped_union(sizes, seed, rate):
         # density 0.122 takes phase 0 with an applicable guarantee: pins the
         # lambda_n-based phase-0 bound, the default gamma and the target
         ("clique", planted_noisy_union(24, 8, 2, 0.002), "clique_planted_noisy.json"),
+        # the greedy extractor recovers the planted 30/20/10 blocks (edit distance 59)
+        ("decompose --params extractor=greedy", _flipped_union([30, 20, 10], 102, 0.03), "decompose_cu302010_greedy.json"),
+        # dense input, phases 1-3: pins phase 2's block choice (clique of 22)
+        ("clique", _flipped_union([30, 20, 10], 102, 0.03), "clique_cu302010_flip3.json"),
     ],
 )
 def test_golden_reports(tmp_path, command, graph, golden):
@@ -249,7 +274,7 @@ def test_golden_reports(tmp_path, command, graph, golden):
 
     path = write_graph(tmp_path, "g.txt", graph)
     out = tmp_path / "out.json"
-    assert main([command, "--input", path, "--output", str(out)]) == 0
+    assert main([*command.split(), "--input", path, "--output", str(out)]) == 0
     text = out.read_text().replace(path, "GRAPH").replace(str(out), "OUT")
     expected = (Path(__file__).parent / "golden" / golden).read_text()
     assert text == expected

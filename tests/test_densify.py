@@ -234,3 +234,19 @@ def test_default_parameters_satisfy_constraints():
     for g in (ec.gnp(50, 0.3, 1), ec.clique_union([20, 20]), ec.petersen(), ec.cycle(12)):
         gamma, eps, rho = densify.default_parameters(g)
         densify.check_phase1_parameters(gamma, eps, rho)
+
+
+def test_densify_imports_nothing_from_structure():
+    # the peel-and-merge loop lives in densify, so densify needs no import of
+    # structure (which imports densify) and no function-local import
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(densify.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            names += [a.name for a in node.names]
+            assert not any(name.split(".")[-1] == "structure" for name in names), names
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node)), node.name

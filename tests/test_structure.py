@@ -71,8 +71,12 @@ def test_regular_partition_empty_all_empty():
 
 
 def test_regular_partition_paper_constants_error():
+    # the paper's constants ask for K = 250002 parts of n = 60 vertices
+    g = ec.clique_union([30, 30])
     with pytest.raises(InputError, match="scaled"):
-        structure.regular_partition(ec.clique_union([30, 30]), 0.1)
+        structure.regular_partition(g, 0.1, constants=structure.asymptotic_regularity_constants(1, 0.1))
+    rp = structure.regular_partition(g, 0.1)
+    assert rp.profile["profile"] == "scaled" and rp.K == 11 and rp.irregular_count == 0
 
 
 def test_regular_partition_parts_partition_vertices():
@@ -139,6 +143,12 @@ def test_decompose_model_is_clique_union():
 def test_decompose_edgeless():
     d = structure.clique_union_decompose(ec.from_edge_list(5, []))
     assert d.blocks == [] and len(d.leftover) == 5 and d.edit_distance == 0
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_decompose_unknown_extractor_fails_before_peeling(n):
+    with pytest.raises(InputError, match="unknown extractor 'bogus'"):
+        structure.clique_union_decompose(ec.from_edge_list(n, []), extractor="bogus")
 
 
 def test_decompose_pipeline_peels_read_no_spectrum(monkeypatch):
