@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph
+from .graphs import Graph, _check_vertex_count
 
 __all__ = [
     "FiniteGroup",
@@ -216,6 +216,7 @@ def cayley_graph(group: FiniteGroup, a_set: SymmetricSet | Iterable[int]) -> Gra
     elif a_set.group is not group:
         a_set = SymmetricSet.of(group, a_set.elements)  # re-validate under this group
     n = group.order
+    _check_vertex_count(n)
     gens = a_set.without_identity()
     adj = np.zeros((n, n), dtype=np.uint8)
     ys = np.arange(n)

@@ -12,21 +12,14 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ToolkitError
 from .graphs import format_edge_list, generate, read_edge_list
 from .serialize import dumps
 
-_PARAM_KEYS = {
-    "spectrum": set(),
-    "maxcut": {"cutoff"},
-    "clique": {"mode", "gamma", "eps", "rho", "delta"},
-    "chowla": {"resolution"},
-    "decompose": {"floor", "threshold", "extractor"},
-    "bisect": {"cutoff"},
-    "gen": {"family", "sizes", "n", "m", "p", "r", "k", "strict"},
-}
 # Loosest accepted --tol: the default is 1e-9 (1e-7 above n = 500), and a
 # larger tolerance would pass eigensolver output that is plainly wrong.
 _MAX_TOL = 1e-3
@@ -41,6 +34,7 @@ class RunConfig:
     tol: float | None = None
     params: dict = field(default_factory=dict)
     format: str = "json"
+    a_list: str | None = None  # chowla's inline set A; not echoed in the report
 
     def to_json_dict(self) -> dict:
         return {
@@ -57,7 +51,7 @@ class RunConfig:
 def _parse_params(command: str, raw: str | None) -> dict:
     if not raw:
         return {}
-    allowed = _PARAM_KEYS.get(command, set())
+    allowed = _COMMANDS[command].params
     out = {}
     for item in raw.split(","):
         if not item:
@@ -80,6 +74,24 @@ def _number(key: str, value: str, kind: type):
     if not math.isfinite(out):
         raise ToolkitError(f"parameter {key}={value!r} is not a finite {kind.__name__}")
     return out
+
+
+# --params converters: (key, raw value) -> typed value, or a ToolkitError naming both
+_int, _float = partial(_number, kind=int), partial(_number, kind=float)
+
+
+def _str(key: str, value: str) -> str:
+    return value
+
+
+def _sizes(key: str, value: str) -> list[int]:
+    return [_int(key, x) for x in value.split(":")]
+
+
+def _strict(key: str, value: str) -> bool:
+    if value.lower() not in ("1", "0", "true", "false", "yes", "no"):
+        raise ToolkitError(f"parameter {key}={value!r} is not one of 1/0/true/false/yes/no")
+    return value.lower() in ("1", "true", "yes")
 
 
 def _check_tol(tol: float | None) -> float | None:
@@ -115,7 +127,7 @@ def _emit(report: dict, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
+def _cmd_spectrum(config: RunConfig, params: dict) -> int:
     from . import spectral
 
     g = read_edge_list(config.input)
@@ -135,13 +147,11 @@ def _cmd_spectrum(config: RunConfig) -> int:
     return 0 if bounds.holds() and main.holds() else 2
 
 
-def _cmd_maxcut(config: RunConfig) -> int:
+def _cmd_maxcut(config: RunConfig, params: dict) -> int:
     from . import cuts
 
     g = read_edge_list(config.input)
-    cutoff = cuts.EXHAUSTIVE_CUT_LIMIT
-    if "cutoff" in config.params:
-        cutoff = _number("cutoff", config.params["cutoff"], int)
+    cutoff = params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT)
     if g.n <= cutoff:
         rep = cuts.maxcut_exact(g, cutoff)
     else:
@@ -153,46 +163,33 @@ def _cmd_maxcut(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_clique(config: RunConfig) -> int:
+def _cmd_clique(config: RunConfig, params: dict) -> int:
     from . import densify
 
     g = read_edge_list(config.input)
-    kwargs = {}
-    if "mode" in config.params:
-        kwargs["mode"] = config.params["mode"]
-    for key in ("gamma", "eps", "rho", "delta"):
-        if key in config.params:
-            kwargs[key] = _number(key, config.params[key], float)
-    cert = densify.clique_pipeline(g, tol=config.tol, **kwargs)
+    cert = densify.clique_pipeline(g, tol=config.tol, **params)
     _emit(cert.to_json_dict(), config)
     return 0 if cert.verified else 2
 
 
-def _cmd_chowla(config: RunConfig, inline: str) -> int:
+def _cmd_chowla(config: RunConfig, params: dict) -> int:
     from . import chowla
 
     try:
-        a = [int(x) for x in inline.split(",") if x]
+        a = [int(x) for x in config.a_list.split(",") if x]
     except ValueError:
-        raise ToolkitError(f"could not parse A from {inline!r}") from None
-    resolution = _number("resolution", config.params["resolution"], int) if "resolution" in config.params else None
-    report = chowla.chowla_certificate(a, resolution)
+        raise ToolkitError(f"could not parse A from {config.a_list!r}") from None
+    report = chowla.chowla_certificate(a, params.get("resolution"))
     _emit(report.to_json_dict(), config)
     tol = config.tol if config.tol is not None else 1e-8
     return 0 if report.holds(tol) else 2
 
 
-def _cmd_decompose(config: RunConfig) -> int:
+def _cmd_decompose(config: RunConfig, params: dict) -> int:
     from . import structure
 
     g = read_edge_list(config.input)
-    kwargs = {}
-    if "floor" in config.params:
-        kwargs["floor"] = _number("floor", config.params["floor"], float)
-    if "threshold" in config.params:
-        kwargs["merge_threshold"] = _number("threshold", config.params["threshold"], float)
-    if "extractor" in config.params:
-        kwargs["extractor"] = config.params["extractor"]
+    kwargs = {"merge_threshold" if k == "threshold" else k: v for k, v in params.items()}
     decomp = structure.clique_union_decompose(g, **kwargs)
     doc = decomp.to_json_dict()
     doc["clique_union_like"] = decomp.clique_union_like
@@ -201,14 +198,11 @@ def _cmd_decompose(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_bisect(config: RunConfig) -> int:
+def _cmd_bisect(config: RunConfig, params: dict) -> int:
     from . import cuts
 
     g = read_edge_list(config.input)
-    cutoff = cuts.EXHAUSTIVE_CUT_LIMIT
-    if "cutoff" in config.params:
-        cutoff = _number("cutoff", config.params["cutoff"], int)
-    rep = cuts.bisection_exact(g, cutoff)
+    rep = cuts.bisection_exact(g, params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT))
     disc = cuts.discrepancy(g)
     doc = rep.to_json_dict()
     doc.update({"disc_plus": float(disc.disc_plus), "disc_minus": float(disc.disc_minus)})
@@ -216,47 +210,48 @@ def _cmd_bisect(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    params = dict(config.params)
+def _cmd_gen(config: RunConfig, params: dict) -> int:
     family = params.pop("family", None)
     if family is None:
         raise ToolkitError("gen requires --params family=...")
-    kwargs: dict = {}
-    for k, v in params.items():
-        if k == "sizes":
-            kwargs["sizes"] = [_number(k, x, int) for x in v.split(":")]
-        elif k in ("n", "m", "r", "k"):
-            kwargs[k] = _number(k, v, int)
-        elif k == "p":
-            kwargs[k] = _number(k, v, float)
-        elif k == "strict":
-            if v.lower() not in ("1", "0", "true", "false", "yes", "no"):
-                raise ToolkitError(f"parameter strict={v!r} is not one of 1/0/true/false/yes/no")
-            kwargs[k] = v.lower() in ("1", "true", "yes")
-    if family == "Gnp":
-        kwargs.setdefault("seed", config.seed)
-    g = generate(family, **kwargs)
     if not config.output:
         raise ToolkitError("gen requires --output")
+    if family == "Gnp":
+        params["seed"] = config.seed
+    g = generate(family, **params)
     with open(config.output, "w", encoding="utf-8") as fh:
         fh.write(format_edge_list(g))
     return 0
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[RunConfig, dict], int]
+    reads_input: bool
+    params: dict  # --params key -> converter(key, raw value)
+
+
+_COMMANDS = {
+    "spectrum": _Command("eigenvalues, eigenvector bounds, and the recursive spectral inequality", _cmd_spectrum, True,
+                         {}),
+    "maxcut": _Command("exact or local-search MaxCut with spectral caps", _cmd_maxcut, True, {"cutoff": _int}),
+    "clique": _Command("four-phase clique extraction with a verified certificate", _cmd_clique, True,
+                       {"mode": _str, "gamma": _float, "eps": _float, "rho": _float, "delta": _float}),
+    "chowla": _Command("Cayley/cosine certificate for an inline set A", _cmd_chowla, False, {"resolution": _int}),
+    "decompose": _Command("clique-union decomposition with exact edit distance", _cmd_decompose, True,
+                          {"floor": _float, "threshold": _float, "extractor": _str}),
+    "bisect": _Command("exact bisection width, deficit, and discrepancy", _cmd_bisect, True, {"cutoff": _int}),
+    "gen": _Command("write a generated family to an edge-list file", _cmd_gen, False,
+                    {"family": _str, "sizes": _sizes, "n": _int, "p": _float, "r": _int, "k": _int, "strict": _strict}),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="eigencliques", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("spectrum", "eigenvalues, eigenvector bounds, and the recursive spectral inequality"),
-        ("maxcut", "exact or local-search MaxCut with spectral caps"),
-        ("clique", "four-phase clique extraction with a verified certificate"),
-        ("chowla", "Cayley/cosine certificate for an inline set A"),
-        ("decompose", "clique-union decomposition with exact edit distance"),
-        ("bisect", "exact bisection width, deficit, and discrepancy"),
-        ("gen", "write a generated family to an edge-list file"),
-    ]:
-        p = sub.add_parser(name, help=help_)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         if name == "chowla":
             p.add_argument("a_list", help="comma-separated positive integers, e.g. 1,2,5")
         p.add_argument("--input", default=None)
@@ -266,6 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--params", default=None, help="comma-separated k=v overrides")
         p.add_argument("--format", choices=["json", "text"], default="json")
     args = parser.parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         config = RunConfig(
             command=args.command,
@@ -275,24 +271,12 @@ def main(argv: list[str] | None = None) -> int:
             tol=_check_tol(args.tol),
             params=_parse_params(args.command, args.params),
             format=args.format,
+            a_list=getattr(args, "a_list", None),
         )
-        if args.command in ("spectrum", "maxcut", "clique", "decompose", "bisect") and not config.input:
+        if command.reads_input and not config.input:
             raise ToolkitError(f"{args.command} requires --input")
-        if args.command == "spectrum":
-            return _cmd_spectrum(config)
-        if args.command == "maxcut":
-            return _cmd_maxcut(config)
-        if args.command == "clique":
-            return _cmd_clique(config)
-        if args.command == "chowla":
-            return _cmd_chowla(config, args.a_list)
-        if args.command == "decompose":
-            return _cmd_decompose(config)
-        if args.command == "bisect":
-            return _cmd_bisect(config)
-        if args.command == "gen":
-            return _cmd_gen(config)
-        raise ToolkitError(f"unknown command {args.command!r}")
+        params = {k: command.params[k](k, v) for k, v in config.params.items()}
+        return command.run(config, params)
     except ToolkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -37,6 +37,12 @@ __all__ = [
 
 EXHAUSTIVE_CUT_LIMIT = 24
 EXHAUSTIVE_SUBSET_LIMIT = 20
+# Constant of the quadratic surplus bound c / sqrt(Delta*+1) * sum lambda^2.
+_SURPLUS_C = 1.0 / 60.0
+# Slack allowed when unbalanced_cut checks its biased-cut guarantee.
+_UNBALANCED_TOL = 1e-12
+# Seed of the heuristic discrepancy's disc+ start; disc- starts from the next one.
+_DISCREPANCY_SEED = 0
 
 
 @dataclass
@@ -153,7 +159,7 @@ class SurplusBounds:
     diagnostics: dict = field(default_factory=dict)
 
 
-def surplus_lb_spectral(g: Graph, c: float = 1.0 / 60.0, tol: float | None = None) -> SurplusBounds:
+def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
     """Lower bounds on surp* from the negative spectrum, with PSD certificates.
 
     The linear bound is exact: -<A, X> for X the projector onto the negative
@@ -170,7 +176,7 @@ def surplus_lb_spectral(g: Graph, c: float = 1.0 / 60.0, tol: float | None = Non
     delta_star = g.stats().delta_star
     beta = 1.0 / (120.0 * (delta_star + 1.0))
     lb_linear = float(lam_neg.sum())
-    lb_quadratic = float(c / math.sqrt(delta_star + 1.0) * (lam_neg**2).sum())
+    lb_quadratic = float(_SURPLUS_C / math.sqrt(delta_star + 1.0) * (lam_neg**2).sum())
     lb_cubic = float(beta * (lam_neg**3).sum())
     diag_ok = True
     diagnostics: dict = {"delta_star": delta_star, "beta": beta}
@@ -195,7 +201,7 @@ def surplus_lb_spectral(g: Graph, c: float = 1.0 / 60.0, tol: float | None = Non
         lb_cubic=lb_cubic,
         ub_lambda=caps.ub_lambda,
         ub_surp_quarter=caps.ub_surp_quarter,
-        c=c,
+        c=_SURPLUS_C,
         certificate_diag_ok=diag_ok,
         diagnostics=diagnostics,
     )
@@ -209,7 +215,7 @@ def spectral_surplus_caps(g: Graph, tol: float | None = None) -> SurplusBounds:
     return SurplusBounds(0.0, 0.0, 0.0, lam_n * g.n, lam_n * g.n / 4.0, 0.0, True)
 
 
-def unbalanced_cut(g: Graph, x_side: Iterable[int], tol: float = 1e-12) -> CutReport:
+def unbalanced_cut(g: Graph, x_side: Iterable[int]) -> CutReport:
     """Cut guarantee from an unbalanced split (X, Y).
 
     With a = e(G[X]), b = e(G[X,Y]), c = e(G[Y]): if a <= b/2 the plain cut
@@ -257,7 +263,7 @@ def unbalanced_cut(g: Graph, x_side: Iterable[int], tol: float = 1e-12) -> CutRe
     guarantee = b * b / (8.0 * a) - c / 2.0
     certs.update({"branch": "biased", "p": p, "guarantee": guarantee})
     report = CutReport(tuple(sides), cut, _surplus(g, cut), "unbalanced", certs)
-    certs["guarantee_met"] = bool(float(report.surplus) >= guarantee - tol)
+    certs["guarantee_met"] = bool(float(report.surplus) >= guarantee - _UNBALANCED_TOL)
     return report
 
 
@@ -305,7 +311,7 @@ def bisection_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> Discrepancy
     return DiscrepancyReport(bw=best, dfc=dfc, witnesses={"bisection": sides})
 
 
-def discrepancy(g: Graph, cutoff: int = EXHAUSTIVE_SUBSET_LIMIT, seed: int = 0) -> DiscrepancyReport:
+def discrepancy(g: Graph, cutoff: int = EXHAUSTIVE_SUBSET_LIMIT) -> DiscrepancyReport:
     """disc+ and disc- with witness subsets.
 
     Exact from the subset edge-count table when n <= cutoff (SizeError above
@@ -346,7 +352,8 @@ def discrepancy(g: Graph, cutoff: int = EXHAUSTIVE_SUBSET_LIMIT, seed: int = 0) 
 
     results = {}
     for sign, key in ((1, "disc_plus"), (-1, "disc_minus")):
-        u = pair_uniforms(seed + (0 if sign == 1 else 1), np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64))
+        seed = _DISCREPANCY_SEED + (0 if sign == 1 else 1)
+        u = pair_uniforms(seed, np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64))
         bits = (u < 0.5).astype(np.int8)
         best = score_of(bits, sign)
         improved = True

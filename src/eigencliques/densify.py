@@ -155,6 +155,12 @@ def check_phase1_parameters(gamma: float, eps: float, rho: float) -> None:
 
 
 _FALLBACK_GAMMA = 0.05
+# Phase 1 stops when no move improves the potential by a factor above
+# 1 + _PHASE1_TOL_POTENTIAL, or after _PHASE1_MAX_STEPS moves.
+_PHASE1_TOL_POTENTIAL = 1e-6
+_PHASE1_MAX_STEPS = 1000
+# Phase 0 runs only on inputs with edge density at most this.
+_SPARSE_THRESHOLD = 0.125
 
 
 def default_parameters(g: Graph, tol: float | None = None) -> tuple[float, float, float]:
@@ -189,8 +195,6 @@ def phase1_densify(
     gamma: float,
     eps: float,
     rho: float,
-    tol_potential: float = 1e-6,
-    max_steps: int = 1000,
 ) -> PhaseTrace:
     """Monotone local improvement of the potential v(H)^(rho/eps) * p(H).
 
@@ -199,7 +203,7 @@ def phase1_densify(
     padded back up to max(p*v, |X|) by best-connected vertices), and the
     high-degree split that either keeps the heavy vertices (padded to v/5) or
     drops them. The loop stops when no move improves the potential by a
-    factor above 1 + tol_potential.
+    factor above 1 + _PHASE1_TOL_POTENTIAL, or after _PHASE1_MAX_STEPS moves.
     """
     try:
         check_phase1_parameters(gamma, eps, rho)
@@ -214,7 +218,7 @@ def phase1_densify(
         return len(idx) ** expo * _density(g, idx)
 
     phi = potential(current)
-    for _ in range(max_steps):
+    for _ in range(_PHASE1_MAX_STEPS):
         sub = g.adjacency[np.ix_(current, current)]
         k = len(current)
         if k <= 2:
@@ -260,7 +264,7 @@ def phase1_densify(
         if not candidates:
             break
         best_phi, move, best = max(candidates, key=lambda t: (t[0], t[1]))
-        if best_phi <= phi * (1.0 + tol_potential):
+        if best_phi <= phi * (1.0 + _PHASE1_TOL_POTENTIAL):
             break
         steps.append({"move": move, "size": int(len(best)), "potential": best_phi})
         current = best
@@ -482,7 +486,6 @@ def _clique_search(
     eps: float = 2.0 * _FALLBACK_GAMMA,
     rho: float = 1.2 * _FALLBACK_GAMMA,
     delta: float = 0.1,
-    sparse_threshold: float = 0.125,
 ) -> CliqueCertificate:
     """The four-phase vertex search on a graph with at least one edge.
 
@@ -494,7 +497,7 @@ def _clique_search(
     """
     traces: list[PhaseTrace] = []
     current = np.arange(g.n)
-    if g.density <= sparse_threshold:
+    if g.density <= _SPARSE_THRESHOLD:
         t0 = _phase0_search(g)
         traces.append(t0)
         current = np.asarray(t0.vertices_out, dtype=int)
@@ -587,7 +590,6 @@ def clique_pipeline(
     eps: float | None = None,
     rho: float | None = None,
     delta: float = 0.1,
-    sparse_threshold: float = 0.125,
     tol: float | None = None,
 ) -> CliqueCertificate:
     """Compose phase 0 (sparse inputs only), phase 1, phase 2, and phase 3.
@@ -615,7 +617,7 @@ def clique_pipeline(
     lam_n = spectrum(g, tol).lambda_min
     lam = abs(lam_n)
     d_floor = max(1, int(g.average_degree))
-    cert = _clique_search(g, gamma, eps, rho, delta, sparse_threshold)
+    cert = _clique_search(g, gamma, eps, rho, delta)
     used_phase0 = cert.phases[0].phase == 0
     if used_phase0:
         _certify_phase0(g, cert.phases[0], lam_n)

@@ -292,26 +292,29 @@ def petersen() -> Graph:
     return from_edge_list(10, edges)
 
 
-# family -> (required parameters, builder)
+# family -> (required parameters, optional parameters, builder)
 _FAMILIES = {
-    "CliqueUnion": (("sizes",), lambda args: clique_union(args["sizes"])),
-    "Turan": (("r", "n"), lambda args: turan(args["r"], args["n"], args.get("strict", False))),
-    "Gnp": (("n", "p"), lambda args: gnp(args["n"], args["p"], args.get("seed", 0))),
-    "Hk": (("k",), lambda args: h_k(args["k"])),
-    "Complete": (("n",), lambda args: complete(args["n"])),
-    "Cycle": (("n",), lambda args: cycle(args["n"])),
-    "Path": (("n",), lambda args: path(args["n"])),
+    "CliqueUnion": (("sizes",), (), lambda args: clique_union(args["sizes"])),
+    "Turan": (("r", "n"), ("strict",), lambda args: turan(args["r"], args["n"], args.get("strict", False))),
+    "Gnp": (("n", "p"), ("seed",), lambda args: gnp(args["n"], args["p"], args.get("seed", 0))),
+    "Hk": (("k",), (), lambda args: h_k(args["k"])),
+    "Complete": (("n",), (), lambda args: complete(args["n"])),
+    "Cycle": (("n",), (), lambda args: cycle(args["n"])),
+    "Path": (("n",), (), lambda args: path(args["n"])),
 }
 
 
 def generate(family: str, **params) -> Graph:
-    """Dispatch on a family descriptor name; see _FAMILIES for the accepted set."""
+    """Dispatch on a family descriptor name (see _FAMILIES); a key the family does not read is an InputError."""
     if family not in _FAMILIES:
         raise InputError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
-    required, build = _FAMILIES[family]
+    required, optional, build = _FAMILIES[family]
     missing = [key for key in required if key not in params]
     if missing:
         raise InputError(f"family {family!r} requires parameter {', '.join(missing)}")
+    unread = sorted(set(params) - set(required) - set(optional))
+    if unread:
+        raise InputError(f"family {family!r} does not read parameter {', '.join(unread)}")
     return build(params)
 
 

@@ -34,6 +34,9 @@ __all__ = [
     "exact_independence_number",
 ]
 
+# Largest n for which the independence number is computed exactly.
+_INDEPENDENCE_CUTOFF = 30
+
 
 def default_tol(n: int) -> float:
     """Relative tolerance: 1e-9 up to n=500, loosened to 1e-7 above."""
@@ -164,24 +167,23 @@ class Subspace:
         return self.basis @ (self.basis.T @ x)
 
 
-def subspace_from_hadamard(s: Spectrum, T: float, rank_tol: float | None = None) -> Subspace:
+def subspace_from_hadamard(s: Spectrum, T: float) -> Subspace:
     """Orthonormal basis of span{v_i o v_j : lambda_i, lambda_j >= T}.
 
     Returns the zero subspace if no eigenvalue clears T. The basis is computed
-    by SVD with singular values below rank_tol discarded. Degenerate eigenspaces
-    make the generating set basis-dependent; the canonical eigenvector
-    orientation fixes the reported answer.
+    by SVD with singular values below the recorded rank_tol discarded.
+    Degenerate eigenspaces make the generating set basis-dependent; the
+    canonical eigenvector orientation fixes the reported answer.
     """
     n = s.n
     mask = _threshold_cut(s.eigenvalues, T, s.tol)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
-        return Subspace(basis=np.zeros((n, 0)), rank_tol=rank_tol or 0.0)
+        return Subspace(basis=np.zeros((n, 0)), rank_tol=0.0)
     vs = s.eigenvectors[:, idx]
     k = idx.size
     prods = (vs[:, :, None] * vs[:, None, :]).reshape(n, k * k)
-    if rank_tol is None:
-        rank_tol = s.tol * math.sqrt(n) * max(1.0, float(np.linalg.norm(prods, axis=0).max()))
+    rank_tol = s.tol * math.sqrt(n) * max(1.0, float(np.linalg.norm(prods, axis=0).max()))
     u, sig, _ = np.linalg.svd(prods, full_matrices=False)
     dim = int((sig > rank_tol).sum())
     return Subspace(basis=u[:, :dim], rank_tol=rank_tol)
@@ -309,13 +311,12 @@ def verify_maxcut_main_inequality(
     gamma: float,
     C: float,
     thresholds: Sequence[float] | None = None,
-    surp_star_upper: float | None = None,
     tol: float | None = None,
 ) -> InequalityReport:
     """Surplus-side variant: same inequality, admissible for T >= C n^{1 - 1/24 + gamma/4}.
 
-    surp_star_upper bounds the semidefinite surplus relaxation; when omitted it
-    defaults to the spectral cap |lambda_n| n. Records carry the heavy-diagonal
+    The semidefinite surplus relaxation is bounded by the spectral cap
+    surp_star_upper = |lambda_n| n. Records carry the heavy-diagonal
     cut-off beta = Q^{1/4} n^{7/8} / T and the count |J| of indices above it,
     together with its bound Q / beta.
     """
@@ -324,7 +325,7 @@ def verify_maxcut_main_inequality(
     s = spectrum(g, tol)
     tol = s.tol
     n = g.n
-    q_upper = surp_star_upper if surp_star_upper is not None else abs(s.lambda_min) * n
+    q_upper = abs(s.lambda_min) * n
     t_min = C * n ** (1.0 - 1.0 / 24.0 + gamma / 4.0)
     if thresholds is None:
         thresholds = [t_min * 2.0**i for i in range(4)]
@@ -361,7 +362,6 @@ def tail_second_moment_check(
     gamma: float,
     q: float,
     kappas: Sequence[float],
-    tol: float | None = None,
 ) -> InequalityReport:
     """Check sum_{0 <= lambda_i <= kappa n} lambda_i^2 <= 50 kappa^{1-gamma/q} n^2.
 
@@ -372,7 +372,7 @@ def tail_second_moment_check(
     """
     if not (0.0 < gamma < q < 1.0):
         raise InputError("need 0 < gamma < q < 1")
-    tol = s.tol if tol is None else tol
+    tol = s.tol
     n = s.n
     report = InequalityReport(name="tail_second_moment", tol=tol)
     pos_sum = float(s.eigenvalues[s.eigenvalues > 0].sum())
@@ -403,10 +403,10 @@ def tail_second_moment_check(
 # -- bundled eigenvalue/eigenvector bounds ------------------------------------
 
 
-def exact_independence_number(g: Graph, cutoff: int = 30) -> int:
-    """Exact independence number by branch and bound on bitmasks (n <= cutoff)."""
-    if g.n > cutoff:
-        raise InputError(f"exact independence number limited to n <= {cutoff}")
+def exact_independence_number(g: Graph) -> int:
+    """Exact independence number by branch and bound on bitmasks (n <= _INDEPENDENCE_CUTOFF)."""
+    if g.n > _INDEPENDENCE_CUTOFF:
+        raise InputError(f"exact independence number limited to n <= {_INDEPENDENCE_CUTOFF}")
     nbr = neighbor_masks(g.adjacency)
     best = 0
 
@@ -454,7 +454,7 @@ def eigen_bound_report(g: Graph, tol: float | None = None) -> InequalityReport:
         high = (1.0 + 2.0 * comp.density + 2.0 / n) / sqrt_n
         report.records.append(_record("T", 0.0, float(v1.min()), low, tol, bound="principal_entry_lower"))
         report.records.append(_record("T", 0.0, high, float(v1.max()), tol, bound="principal_entry_upper"))
-    if g.is_regular() and n >= 1 and g.m > 0 and n <= 30:
+    if g.is_regular() and n >= 1 and g.m > 0 and n <= _INDEPENDENCE_CUTOFF:
         d = g.average_degree
         lam_n = abs(s.lambda_min)
         alpha = exact_independence_number(g)

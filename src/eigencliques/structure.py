@@ -31,6 +31,11 @@ __all__ = [
     "rank1_boolean_round",
 ]
 
+# Largest closeness (edit distance / n^2) reported as clique-union-like.
+_CLIQUE_UNION_LIKE = 0.05
+# Factor on 2 lambda_n^2 in pair_classify's Sparse and Dense thresholds.
+_PAIR_SLACK = 3.0
+
 
 # -- low-rank approximation -----------------------------------------------------
 
@@ -88,20 +93,21 @@ def asymptotic_regularity_constants(r: int, delta: float) -> dict:
     return {"profile": "asymptotic", "beta": beta, "h": h, "K": int(math.ceil(big_i / (8.0 * delta)))}
 
 
-def scaled_regularity_constants(n: int, r: int, delta: float, beta: float = 0.1, h: int | None = None) -> dict:
-    # unit eigenvectors have typical coordinate 1/sqrt(n), i.e. bucket index
-    # ~1/beta, so the window must reach past that
-    if h is None:
-        h = int(math.ceil(2.0 / beta))
+# Bucket width of the scaled profile; unit eigenvectors have typical coordinate
+# 1/sqrt(n), i.e. bucket index ~1/beta, so the window h must reach past that.
+_SCALED_BETA = 0.1
+_SCALED_H = int(math.ceil(2.0 / _SCALED_BETA))
+
+
+def scaled_regularity_constants(n: int, r: int, delta: float) -> dict:
     k = min(max(int(1.0 / delta) + 1, 8), max(n // 4, 2))
-    return {"profile": "scaled", "beta": beta, "h": h, "K": k}
+    return {"profile": "scaled", "beta": _SCALED_BETA, "h": _SCALED_H, "K": k}
 
 
 def regular_partition(
     g: Graph,
     delta: float,
     constants: dict | None = None,
-    kappa: float | None = None,
     tol: float | None = None,
 ) -> RegularPartition:
     """Equipartition from bucketed top eigenvector coordinates, with every part
@@ -119,13 +125,10 @@ def regular_partition(
         raise InputError("delta must lie in (0,1)")
     n = g.n
     s = spectrum(g, tol)
-    if kappa is None:
-        eps_target = delta * delta / 100.0 * n * n
-        kappa = 0.5
-        for cand in [0.5 / 2**i for i in range(12)]:
-            kappa = cand
-            if low_rank_approx(s, cand)[1] <= eps_target:
-                break
+    eps_target = delta * delta / 100.0 * n * n
+    for kappa in [0.5 / 2**i for i in range(12)]:
+        if low_rank_approx(s, kappa)[1] <= eps_target:
+            break
     _, residual = low_rank_approx(s, kappa)
     idx = np.flatnonzero(s.eigenvalues >= kappa * n)
     r = max(int(idx.size), 1)
@@ -240,7 +243,6 @@ def clique_union_decompose(
     floor: float | None = None,
     merge_threshold: float | None = None,
     extractor: str = "pipeline",
-    like_threshold: float = 0.05,
 ) -> CliqueUnionDecomposition:
     """Peel off cliques, merge near-complete pairs, and measure the edit distance.
 
@@ -267,7 +269,7 @@ def clique_union_decompose(
         edit_distance=edit,
         closeness=closeness,
         cliques=cliques,
-        clique_union_like=closeness <= like_threshold,
+        clique_union_like=closeness <= _CLIQUE_UNION_LIKE,
         model_adjacency=model,
     )
 
@@ -279,12 +281,11 @@ def pair_classify(
     g: Graph,
     x_set: Iterable[int],
     y_set: Iterable[int],
-    slack: float = 3.0,
     lambda_n: float | None = None,
     tol: float | None = None,
 ) -> dict:
     """Classify the bipartite graph between two equal cliques as Sparse, Dense,
-    or Mixed, against the thresholds k|X| and |X|^2 - k|X| with k = slack * 2 lambda_n^2.
+    or Mixed, against the thresholds k|X| and |X|^2 - k|X| with k = _PAIR_SLACK * 2 lambda_n^2.
 
     lambda_n defaults to the measured smallest eigenvalue; pass the hypothesis
     value instead to probe a graph that is expected to violate it. A Mixed
@@ -302,7 +303,7 @@ def pair_classify(
     if lambda_n is None:
         lambda_n = abs(spectrum(g, tol).lambda_min)
     k_base = 2.0 * lambda_n * lambda_n
-    k_eff = slack * k_base
+    k_eff = _PAIR_SLACK * k_base
     size = len(xs)
     xi = np.asarray(xs, dtype=int)
     yi = np.asarray(ys, dtype=int)

@@ -182,6 +182,10 @@ def test_bad_param_value_fails_closed(tmp_path, capsys, argv, bad):
         ("family=Hk", "'Hk' requires parameter k"),
         # used to be read as false
         ("family=Turan,r=2,n=6,strict=ture", "strict='ture'"),
+        # keys the family does not read used to be dropped silently
+        ("family=Gnp,n=10,p=0.5,k=3", "'Gnp' does not read parameter k"),
+        ("family=Complete,n=5,strict=yes", "'Complete' does not read parameter strict"),
+        ("family=Gnp,n=10,p=0.5,m=9", "unknown parameter 'm'"),
     ],
 )
 def test_gen_bad_family_params_fail_closed(tmp_path, capsys, params, bad):
@@ -194,7 +198,14 @@ def test_gen_bad_family_params_fail_closed(tmp_path, capsys, params, bad):
 
 @pytest.mark.parametrize(
     "source",
-    ["header:1000000000 0", "header:16385 0", "gen:family=Gnp,n=16385,p=0.5", "gen:family=Cycle,n=1000000000"],
+    [
+        "header:1000000000 0",
+        "header:16385 0",
+        "gen:family=Gnp,n=16385,p=0.5",
+        "gen:family=Cycle,n=1000000000",
+        # Cay(Z/16411Z, A u -A); cayley_graph used to allocate the 16411^2 adjacency first
+        "chowla:4100",
+    ],
 )
 def test_vertex_ceiling_fails_closed(tmp_path, capsys, source):
     # a vertex count above graphs.MAX_VERTICES is refused before any n x n
@@ -205,8 +216,10 @@ def test_vertex_ceiling_fails_closed(tmp_path, capsys, source):
         path = tmp_path / "g.txt"
         path.write_text(arg + "\n")
         argv = ["spectrum", "--input", str(path), "--output", out]
-    else:
+    elif kind == "gen":
         argv = ["gen", "--params", arg, "--output", out]
+    else:
+        argv = ["chowla", arg, "--output", out]
     tracemalloc.start()
     try:
         code, _, err = run(capsys, *argv)
@@ -217,6 +230,20 @@ def test_vertex_ceiling_fails_closed(tmp_path, capsys, source):
     assert peak < 1 << 20
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(MAX_VERTICES) in lines[0]
+
+
+def test_gen_checks_output_before_building(capsys):
+    # G(4000, 1/2) used to be built (366 MB traced) before the missing --output was reported
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "gen", "--params", "family=Gnp,n=4000,p=0.5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1 << 20
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0] == "error: gen requires --output"
 
 
 @pytest.mark.parametrize("command", ["maxcut", "bisect"])

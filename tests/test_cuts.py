@@ -252,7 +252,12 @@ def test_discrepancy_heuristic_mode():
     g = ec.gnp(25, 0.5, 2)
     rep = cuts.discrepancy(g)
     assert rep.method == "local-search"
-    assert rep.disc_plus >= 0 and rep.disc_minus >= 0
+    assert rep.disc_plus == Fraction(484, 25)
+    assert rep.disc_minus == Fraction(811, 50)
+    assert rep.witnesses == {
+        "disc_plus": [0, 1, 5, 7, 8, 11, 12, 13, 15, 16, 17, 18, 20, 21, 22, 23, 24],
+        "disc_minus": [1, 3, 6, 7, 8, 9, 10, 12, 13, 19, 20, 23, 24],
+    }
 
 
 def test_dfc_nonnegative_small():
