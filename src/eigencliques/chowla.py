@@ -339,7 +339,7 @@ class ChowlaReport:
         }
 
 
-def chowla_certificate(a_set: Sequence[int], resolution: int | None = None) -> ChowlaReport:
+def chowla_certificate(a_set: Sequence[int]) -> ChowlaReport:
     """Certify the eigenvalue/Fourier identity for Cay(Z/nZ, A u -A).
 
     n is the least prime above 4*max(A). The adjacency spectrum must match the
@@ -358,7 +358,7 @@ def chowla_certificate(a_set: Sequence[int], resolution: int | None = None) -> C
     xi = np.arange(n)
     fourier = 2.0 * np.cos(2.0 * math.pi * np.outer(xi, np.asarray(a)) / n).sum(axis=1)
     residual = float(np.abs(np.sort(eigs) - np.sort(fourier)).max())
-    x_star, f_star = cosine_min(a, resolution)
+    x_star, f_star = cosine_min(a)
     return ChowlaReport(
         a_set=tuple(a),
         n=n,

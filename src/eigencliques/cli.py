@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ToolkitError
-from .graphs import format_edge_list, generate, read_edge_list
+from .graphs import generate, read_edge_list, write_edge_list
 from .serialize import dumps
 
 # Loosest accepted --tol: the default is 1e-9 (1e-7 above n = 500), and a
@@ -179,7 +179,7 @@ def _cmd_chowla(config: RunConfig, params: dict) -> int:
         a = [int(x) for x in config.a_list.split(",") if x]
     except ValueError:
         raise ToolkitError(f"could not parse A from {config.a_list!r}") from None
-    report = chowla.chowla_certificate(a, params.get("resolution"))
+    report = chowla.chowla_certificate(a)
     _emit(report.to_json_dict(), config)
     tol = config.tol if config.tol is not None else 1e-8
     return 0 if report.holds(tol) else 2
@@ -218,9 +218,7 @@ def _cmd_gen(config: RunConfig, params: dict) -> int:
         raise ToolkitError("gen requires --output")
     if family == "Gnp":
         params["seed"] = config.seed
-    g = generate(family, **params)
-    with open(config.output, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))
+    write_edge_list(generate(family, **params), config.output)
     return 0
 
 
@@ -237,7 +235,7 @@ _COMMANDS = {
     "maxcut": _Command("exact or local-search MaxCut with spectral caps", _cmd_maxcut, True, {"cutoff": _int}),
     "clique": _Command("four-phase clique extraction with a verified certificate", _cmd_clique, True,
                        {"mode": _str, "gamma": _float, "eps": _float, "rho": _float, "delta": _float}),
-    "chowla": _Command("Cayley/cosine certificate for an inline set A", _cmd_chowla, False, {"resolution": _int}),
+    "chowla": _Command("Cayley/cosine certificate for an inline set A", _cmd_chowla, False, {}),
     "decompose": _Command("clique-union decomposition with exact edit distance", _cmd_decompose, True,
                           {"floor": _float, "threshold": _float, "extractor": _str}),
     "bisect": _Command("exact bisection width, deficit, and discrepancy", _cmd_bisect, True, {"cutoff": _int}),

@@ -123,24 +123,38 @@ def maxcut_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> CutReport:
     return CutReport(partition, best_cut, _surplus(g, best_cut), "exact")
 
 
+def _hill_climb(adj: np.ndarray, x: np.ndarray, alpha: int, beta: int, c) -> np.ndarray:
+    """1-flip ascent of f(x) = alpha e(X) + beta C(|X|, 2) + c.x over 0/1 vectors, X = {v : x_v = 1}.
+
+    h_v = alpha |N(v) & X| + beta |X - {v}| + c_v, so flipping v gains
+    h_v (1 - 2 x_v). Vertices are visited in order 0..n-1 and flipped on a
+    strictly positive gain until a full pass flips none; a flip moves h by
+    +-(alpha adj[v] + beta), except at v itself. Extra memory is O(n).
+    """
+    x = x.astype(np.int8)
+    alpha, beta = np.int64(alpha), np.int64(beta)
+    h = alpha * adj.sum(axis=0, dtype=np.int64, where=(x == 1)[:, None]) + beta * (x.sum(dtype=np.int64) - x) + c
+    improved = True
+    while improved:
+        improved = False
+        for v in range(len(x)):
+            sign = 1 - 2 * int(x[v])
+            if sign * int(h[v]) > 0:
+                x[v] ^= 1
+                h += sign * (alpha * adj[v] + beta)
+                h[v] -= sign * beta
+                improved = True
+    return x
+
+
 def maxcut_local_search(g: Graph, seed: int = 0) -> CutReport:
     """1-flip local optimum: every vertex has at least half its edges crossing."""
     n = g.n
     if n == 0:
         return CutReport((), 0, Fraction(0), "local-search")
     u = pair_uniforms(seed, np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64))
-    sides = (u < 0.5).astype(np.int8)
-    adj = g.adjacency
-    improved = True
-    while improved:
-        improved = False
-        for v in range(n):
-            nbrs = adj[v]
-            cross = int(nbrs[sides != sides[v]].sum())
-            deg = int(nbrs.sum())
-            if deg - cross > cross:
-                sides[v] ^= 1
-                improved = True
+    # f = sum of degrees over X - 2 e(X) = e(X, V - X), the cut
+    sides = _hill_climb(g.adjacency, u < 0.5, -2, 0, g.degrees)
     cut = cut_size(g, sides)
     return CutReport(tuple(int(x) for x in sides), cut, _surplus(g, cut), "local-search")
 
@@ -341,35 +355,18 @@ def discrepancy(g: Graph, cutoff: int = EXHAUSTIVE_SUBSET_LIMIT) -> DiscrepancyR
             disc_minus=Fraction(-int(score[minus_mask]), denom),
             witnesses={"disc_plus": wit_p, "disc_minus": wit_m},
         )
-    # heuristic: greedy 1-flip search from seeded starts, for both signs
-    p = Fraction(g.m, denom)
-
-    def score_of(mask_bits: np.ndarray, sign: int) -> Fraction:
-        idx = np.flatnonzero(mask_bits)
-        k = len(idx)
-        e_u = int(g.adjacency[np.ix_(idx, idx)].sum()) // 2
-        return sign * (Fraction(e_u) - p * Fraction(k * (k - 1), 2))
-
+    # heuristic: 1-flip search from seeded starts on the exact path's scaled
+    # score sign * (C(n,2) e(U) - m C(|U|,2)), for both signs
     results = {}
     for sign, key in ((1, "disc_plus"), (-1, "disc_minus")):
         seed = _DISCREPANCY_SEED + (0 if sign == 1 else 1)
         u = pair_uniforms(seed, np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64))
-        bits = (u < 0.5).astype(np.int8)
-        best = score_of(bits, sign)
-        improved = True
-        while improved:
-            improved = False
-            for v in range(n):
-                bits[v] ^= 1
-                sc = score_of(bits, sign)
-                if sc > best:
-                    best = sc
-                    improved = True
-                else:
-                    bits[v] ^= 1
-        if best < 0:
-            best, bits = Fraction(0), np.zeros(n, dtype=np.int8)  # empty set witnesses 0
-        results[key] = (best, [int(v) for v in np.flatnonzero(bits)])
+        idx = np.flatnonzero(_hill_climb(g.adjacency, u < 0.5, sign * denom, -sign * g.m, 0))
+        k = len(idx)
+        score = sign * (denom * (int(g.adjacency[idx][:, idx].sum()) // 2) - g.m * (k * (k - 1) // 2))
+        if score < 0:
+            score, idx = 0, []  # empty set witnesses 0
+        results[key] = (Fraction(score, denom), [int(v) for v in idx])
     return DiscrepancyReport(
         disc_plus=results["disc_plus"][0],
         disc_minus=results["disc_minus"][0],

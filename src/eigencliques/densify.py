@@ -423,14 +423,12 @@ def greedy_clique(g: Graph, candidates: np.ndarray | None = None) -> list[int]:
 def extend_clique(g: Graph, clique: list[int]) -> list[int]:
     """Greedy maximalisation: single ascending pass adding universally adjacent vertices."""
     s = sorted(clique)
-    member = np.zeros(g.n, dtype=bool)
-    member[s] = True
+    # neighbours of each vertex in s; with no self-loops a member never counts all of s
+    count = g.adjacency[s].sum(axis=0, dtype=np.int64)
     for v in range(g.n):
-        if member[v]:
-            continue
-        if bool(g.adjacency[v, member].all()):
-            member[v] = True
+        if count[v] == len(s):
             s.append(v)
+            count += g.adjacency[v]
     return sorted(s)
 
 

@@ -305,9 +305,8 @@ def pair_classify(
     k_base = 2.0 * lambda_n * lambda_n
     k_eff = _PAIR_SLACK * k_base
     size = len(xs)
-    xi = np.asarray(xs, dtype=int)
-    yi = np.asarray(ys, dtype=int)
-    crossing = int(g.adjacency[np.ix_(xi, yi)].sum())
+    block = g.adjacency[np.ix_(xs, ys)]
+    crossing = int(block.sum())
     if crossing <= k_eff * size:
         verdict = "Sparse"
     elif crossing >= size * size - k_eff * size:
@@ -316,9 +315,7 @@ def pair_classify(
         verdict = "Mixed"
     witness = None
     if verdict == "Mixed":
-        deg_x = g.adjacency[np.ix_(xi, yi)].sum(axis=1)
-        deg_y = g.adjacency[np.ix_(yi, xi)].sum(axis=1)
-        for verts, degs in ((xs, deg_x), (ys, deg_y)):
+        for verts, degs in ((xs, block.sum(axis=1)), (ys, block.sum(axis=0))):
             for v, dv in zip(verts, degs):
                 if k_base <= float(dv) <= size - k_base:
                     witness = {"vertex": int(v), "neighbors_across": int(dv)}

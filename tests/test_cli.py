@@ -246,6 +246,21 @@ def test_gen_checks_output_before_building(capsys):
     assert len(lines) == 1 and lines[0] == "error: gen requires --output"
 
 
+def test_chowla_takes_no_resolution(capsys):
+    # the cosine grid size was settable from the command line, and a large
+    # value allocated ~24 B per grid point before any check
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "chowla", "5", "--params", "resolution=1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1 << 20
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "resolution" in lines[0]
+
+
 @pytest.mark.parametrize("command", ["maxcut", "bisect"])
 def test_cutoff_above_exhaustive_limit_fails_closed(tmp_path, capsys, command):
     # a cutoff above the exhaustive limit must not start a 2^29-pattern (maxcut)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -79,6 +80,29 @@ def test_local_search_guarantee_gnp200():
     rep = cuts.maxcut_local_search(g, 9)
     assert rep.cut_size >= g.m / 2
     assert cuts.cut_size(g, rep.partition) == rep.cut_size
+
+
+def test_local_search_visiting_order_pinned():
+    # partitions recorded from the per-vertex masked-sum search: the hill
+    # climb must visit 0..n-1 and flip only on a strictly positive gain
+    rep = cuts.maxcut_local_search(ec.gnp(60, 0.3, 5), 3)
+    assert rep.cut_size == 341
+    assert "".join(map(str, rep.partition)) == "100111001000111111100000101001100010111010001010101100101010"
+    rep = cuts.maxcut_local_search(ec.gnp(200, 0.5, 9), 9)
+    assert rep.cut_size == 5472
+    assert hashlib.sha256(bytes(rep.partition)).hexdigest().startswith("f8ec9c67bc88716c")
+
+
+def test_hill_climb_needs_no_square_array():
+    g = ec.gnp(600, 0.5, 4)
+    x = np.arange(g.n) % 2
+    tracemalloc.start()
+    try:
+        cuts._hill_climb(g.adjacency, x, g.n * (g.n - 1) // 2, -g.m, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n // 4  # an n x n uint8 copy alone would take 4x this
 
 
 def test_surplus_monotone_under_deletion():

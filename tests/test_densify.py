@@ -132,6 +132,15 @@ def test_balanced_robustness_exhaustive_small():
             assert ec.induced_subgraph(g, keep).density >= p / 2 - 1e-12
 
 
+def test_extend_clique_pinned():
+    # recorded from the masked-row maximalisation: one ascending pass that
+    # adds each vertex adjacent to every member so far
+    g = ec.gnp(40, 0.5, 1)
+    assert densify.extend_clique(g, []) == [0, 1, 15]
+    assert densify.extend_clique(g, [7]) == [2, 3, 4, 7, 10, 39]
+    assert densify.extend_clique(g, [39]) == [1, 2, 3, 15, 21, 23, 39]
+
+
 def test_phase3_complete():
     cert = densify.phase3_clique(ec.complete(50))
     assert cert.size == 50 and cert.verified
