@@ -39,12 +39,12 @@ __all__ = [
     "least_prime_above",
 ]
 
-TABLE_LIMIT = 1024  # cyclic groups above this use modular arithmetic, no table
+TABLE_LIMIT = 1024  # largest arithmetic group group_to_json writes out as a table
 ASSOC_EXHAUSTIVE_LIMIT = 64
 
 
 class FiniteGroup:
-    """Finite group by explicit multiplication table, or arithmetic for large Z/nZ.
+    """Finite group by explicit multiplication table, or modular arithmetic for Z/nZ.
 
     Element i*j is table[i][j]. On construction the table is verified to be a
     Latin square with a two-sided identity and inverses; associativity is
@@ -125,10 +125,7 @@ class FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("order must be positive")
-    if n > TABLE_LIMIT:
-        return FiniteGroup(None, modulus=n)
-    i = np.arange(n)
-    return FiniteGroup((i[:, None] + i[None, :]) % n)
+    return FiniteGroup(None, modulus=n)
 
 
 def dihedral_group(m: int) -> FiniteGroup:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from . import __version__
+from . import __version__, chowla, cuts, densify, spectral, structure
 from .errors import ToolkitError
 from .graphs import generate, read_edge_list, write_edge_list
 from .serialize import dumps
@@ -128,8 +128,6 @@ def _emit(report: dict, config: RunConfig) -> None:
 
 
 def _cmd_spectrum(config: RunConfig, params: dict) -> int:
-    from . import spectral
-
     g = read_edge_list(config.input)
     s = spectral.spectrum(g, config.tol)
     bounds = spectral.eigen_bound_report(g, config.tol)
@@ -148,8 +146,6 @@ def _cmd_spectrum(config: RunConfig, params: dict) -> int:
 
 
 def _cmd_maxcut(config: RunConfig, params: dict) -> int:
-    from . import cuts
-
     g = read_edge_list(config.input)
     cutoff = params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT)
     if g.n <= cutoff:
@@ -164,8 +160,6 @@ def _cmd_maxcut(config: RunConfig, params: dict) -> int:
 
 
 def _cmd_clique(config: RunConfig, params: dict) -> int:
-    from . import densify
-
     g = read_edge_list(config.input)
     cert = densify.clique_pipeline(g, tol=config.tol, **params)
     _emit(cert.to_json_dict(), config)
@@ -173,8 +167,6 @@ def _cmd_clique(config: RunConfig, params: dict) -> int:
 
 
 def _cmd_chowla(config: RunConfig, params: dict) -> int:
-    from . import chowla
-
     try:
         a = [int(x) for x in config.a_list.split(",") if x]
     except ValueError:
@@ -186,8 +178,6 @@ def _cmd_chowla(config: RunConfig, params: dict) -> int:
 
 
 def _cmd_decompose(config: RunConfig, params: dict) -> int:
-    from . import structure
-
     g = read_edge_list(config.input)
     kwargs = {"merge_threshold" if k == "threshold" else k: v for k, v in params.items()}
     decomp = structure.clique_union_decompose(g, **kwargs)
@@ -199,8 +189,6 @@ def _cmd_decompose(config: RunConfig, params: dict) -> int:
 
 
 def _cmd_bisect(config: RunConfig, params: dict) -> int:
-    from . import cuts
-
     g = read_edge_list(config.input)
     rep = cuts.bisection_exact(g, params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT))
     disc = cuts.discrepancy(g)

@@ -561,22 +561,21 @@ def peel_cliques(
         cliques.append(tuple(int(v) for v in residual[local]))
         residual = np.delete(residual, local)
     nodes: list[tuple[int, ...]] = list(cliques) + [(int(v),) for v in residual]
-    k = len(nodes)
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     sizes = np.asarray([len(node) for node in nodes], dtype=np.int64)
-    dens = block_edge_counts(g.adjacency, nodes) / np.outer(sizes, sizes)
-    for i, j in zip(*np.nonzero(np.triu(dens >= 1.0 - merge_threshold, 1))):
-        parent[find(int(i))] = find(int(j))
+    near = block_edge_counts(g.adjacency, nodes) / np.outer(sizes, sizes) >= 1.0 - merge_threshold
+    # components by frontier expansion: each node enters exactly one frontier
+    k = len(nodes)
+    label = np.full(k, -1)
+    for start in range(k):
+        if label[start] >= 0:
+            continue
+        frontier = np.arange(k) == start
+        while frontier.any():
+            label[frontier] = start
+            frontier = near[frontier].any(axis=0) & (label < 0)
     groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).extend(nodes[i])
+    for node, root in zip(nodes, label.tolist()):
+        groups.setdefault(root, []).extend(node)
     merged = sorted(tuple(sorted(verts)) for verts in groups.values())
     return cliques, [b for b in merged if len(b) > 1], tuple(b[0] for b in merged if len(b) == 1)
 

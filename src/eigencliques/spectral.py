@@ -271,25 +271,22 @@ def verify_main_inequality(g: Graph, thresholds: Sequence[float] | None = None, 
         lhs = 4.0 * n * threshold_summary(s, k_low).S
         rhs = st.S**2
         extra: dict = {"S_T": st.S, "N_T": st.N}
-        try:
-            w = subspace_from_hadamard(s, T)
-            tr_a = w_trace(a, w, tol)
-            comp_rhs = threshold_summary(s, k_low).S + k_low * w.dim
-            extra["dim_W"] = w.dim
-            extra["trace_W_A"] = tr_a
-            extra["trace_compression_ok"] = bool(tr_a <= comp_rhs + tol * max(1.0, abs(comp_rhs)))
-            idx = np.flatnonzero(_threshold_cut(s.eigenvalues, T, tol))
-            if idx.size:
-                vs = s.eigenvectors[:, idx]
-                lam = s.eigenvalues[idx]
-                g2 = (vs * vs).T @ (vs * vs)  # |v_i o v_j|_2^2 gram
-                hsum = float(lam @ g2 @ lam)
-            else:
-                hsum = 0.0
-            extra["hadamard_sum"] = hsum
-            extra["hadamard_lower_ok"] = bool(hsum >= rhs / n - tol * max(1.0, rhs / n))
-        except NumericalError as exc:  # pragma: no cover - annotate rather than abort
-            extra["numerical_failure"] = str(exc)
+        w = subspace_from_hadamard(s, T)
+        tr_a = w_trace(a, w, tol)
+        comp_rhs = threshold_summary(s, k_low).S + k_low * w.dim
+        extra["dim_W"] = w.dim
+        extra["trace_W_A"] = tr_a
+        extra["trace_compression_ok"] = bool(tr_a <= comp_rhs + tol * max(1.0, abs(comp_rhs)))
+        idx = np.flatnonzero(_threshold_cut(s.eigenvalues, T, tol))
+        if idx.size:
+            vs = s.eigenvectors[:, idx]
+            lam = s.eigenvalues[idx]
+            g2 = (vs * vs).T @ (vs * vs)  # |v_i o v_j|_2^2 gram
+            hsum = float(lam @ g2 @ lam)
+        else:
+            hsum = 0.0
+        extra["hadamard_sum"] = hsum
+        extra["hadamard_lower_ok"] = bool(hsum >= rhs / n - tol * max(1.0, rhs / n))
         report.records.append(_record("T", T, lhs, rhs, tol, **extra))
     return report
 

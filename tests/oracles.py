@@ -95,6 +95,34 @@ def brute_block_edge_counts(adj: np.ndarray, groups) -> np.ndarray:
     return out
 
 
+def union_find_blocks(adj: np.ndarray, cliques, merge_threshold: float):
+    """Reference clique-union merge: the peeled cliques and the unpeeled
+    vertices (as 1-cliques) are nodes, every pair with crossing density
+    >= 1 - merge_threshold is joined in a union-find with path halving, and
+    the classes become (sorted blocks of >= 2 vertices, sorted leftover)."""
+    peeled = {v for c in cliques for v in c}
+    nodes = [tuple(c) for c in cliques] + [(v,) for v in range(adj.shape[0]) if v not in peeled]
+    parent = list(range(len(nodes)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    sizes = np.asarray([len(node) for node in nodes], dtype=np.int64)
+    dens = brute_block_edge_counts(adj, nodes) / np.outer(sizes, sizes)
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            if dens[i, j] >= 1.0 - merge_threshold:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i, node in enumerate(nodes):
+        groups.setdefault(find(i), []).extend(node)
+    merged = sorted(tuple(sorted(verts)) for verts in groups.values())
+    return [b for b in merged if len(b) > 1], tuple(b[0] for b in merged if len(b) == 1)
+
+
 def brute_triangles_per_vertex(adj: np.ndarray) -> list[int]:
     """Triangles through each vertex by direct triple enumeration."""
     n = adj.shape[0]

@@ -105,6 +105,28 @@ def test_hill_climb_needs_no_square_array():
     assert peak < g.n * g.n // 4  # an n x n uint8 copy alone would take 4x this
 
 
+def test_cut_size_needs_no_square_array():
+    g = ec.gnp(600, 0.5, 4)
+    sides = np.arange(g.n) % 2
+    tracemalloc.start()
+    try:
+        cut = cuts.cut_size(g, sides)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n // 4  # an n x n bool mask alone would take 4x this
+    assert cut == int(g.adjacency[np.ix_(sides == 0, sides == 1)].sum())
+
+
+def test_cut_size_rejects_non_binary_sides():
+    g = ec.cycle(4)
+    assert cuts.cut_size(g, [0, 1, 0, 1]) == 4
+    with pytest.raises(InputError):
+        cuts.cut_size(g, [0, 2, 0, 2])
+    with pytest.raises(InputError):
+        cuts.cut_size(g, [0, 1, 0])
+
+
 def test_surplus_monotone_under_deletion():
     # deleting one vertex never increases surplus; chains give all induced subgraphs
     for g in (ec.gnp(12, 0.5, 21), ec.clique_union([5, 4, 3]), ec.h_k(4)):

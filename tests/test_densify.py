@@ -7,6 +7,7 @@ import eigencliques as ec
 from eigencliques import densify
 from eigencliques.errors import DegenerateInputError, InputError
 from conftest import flip_edges, planted_noisy_union
+from oracles import union_find_blocks
 
 
 def test_phase0_k11():
@@ -259,3 +260,30 @@ def test_densify_imports_nothing_from_structure():
             assert not any(name.split(".")[-1] == "structure" for name in names), names
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node)), node.name
+
+
+def test_peel_cliques_merge_matches_union_find_oracle():
+    # components of the thresholded density matrix must equal the classes of
+    # the union-find reference applied to the same peeled cliques
+    graphs = [
+        ec.from_edge_list(0, []),
+        ec.from_edge_list(1, []),
+        ec.gnp(40, 0.05, 3),
+        ec.gnp(50, 0.5, 8),
+        planted_noisy_union(8, 5, 11, p_noise=0.1),
+        planted_noisy_union(10, 4, 12, p_noise=0.3),
+    ]
+    kinds = set()
+    for g in graphs:
+        for extractor in ("pipeline", "greedy"):
+            for floor in (None, g.n + 1):
+                for threshold in (None, 0.0, 0.05, 0.3, 0.6, 1.0):
+                    cliques, blocks, leftover = densify.peel_cliques(g, extractor, floor, threshold)
+                    if threshold is None:
+                        threshold = g.n ** (-1.0 / 6.0) if g.n > 1 else 0.5
+                    assert (blocks, leftover) == union_find_blocks(g.adjacency, cliques, threshold)
+                    k = len(cliques) + g.n - sum(map(len, cliques))
+                    components = len(blocks) + len(leftover)
+                    if k >= 2:
+                        kinds.add("one" if components == 1 else "singletons" if components == k else "many")
+    assert kinds == {"one", "singletons", "many"}
