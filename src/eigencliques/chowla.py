@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .graphs import Graph, _check_vertex_count
+from .errors import InputError, NumericalError, SizeError
+from .graphs import MAX_VERTICES, Graph, _check_vertex_count
 
 __all__ = [
     "FiniteGroup",
@@ -233,10 +233,15 @@ def cayley_graph(group: FiniteGroup, a_set: SymmetricSet | Iterable[int]) -> Gra
 class CosinePolynomial:
     """f(x) = sum_{a in A} cos(a x) for a finite set of positive integers.
 
-    Evaluation reduces the argument mod 2 pi; f(0) = |A| exactly.
+    The one check of A and the one point evaluator of f. Evaluation reduces
+    the argument mod 2 pi; f(0) = |A| exactly.
     """
 
     a_set: tuple[int, ...]
+    _arr: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_arr", np.asarray(self.a_set, dtype=np.float64))
 
     @staticmethod
     def of(a_set: Sequence[int]) -> "CosinePolynomial":
@@ -251,41 +256,37 @@ class CosinePolynomial:
         x = math.fmod(x, 2.0 * math.pi)
         if x == 0.0:
             return float(len(self.a_set))
-        arr = np.asarray(self.a_set, dtype=np.float64)
-        return float(np.cos(arr * x).sum())
+        return float(np.cos(self._arr * x).sum())
 
     def minimum(self, resolution: int | None = None) -> tuple[float, float]:
         return cosine_min(self.a_set, resolution)
 
 
-def cosine_min(a_set: Sequence[int], resolution: int | None = None) -> tuple[float, float]:
-    """Grid minimum of f(x) = sum_{a in A} cos(a x) over [0, 2pi), with ternary
-    refinement to interval width 1e-12.
+def _cosine_grid(a_set: tuple[int, ...], r: int) -> np.ndarray:
+    """f(2 pi k / r) for k < r: the real part of the length-r DFT of A's
+    indicator, valid for r > max(A). O(r) memory."""
+    return np.fft.fft(np.bincount(a_set, minlength=r)).real
 
-    The returned value is attained at the returned point, so it is a sound
-    upper bound on the true minimum. The grid must sample at least 4*max(A)
-    points per period (default 64*max(A)).
+
+def cosine_min(a_set: Sequence[int], resolution: int | None = None) -> tuple[float, float]:
+    """Grid minimum of f(x) = sum_{a in A} cos(a x), with ternary refinement
+    to interval width 1e-12.
+
+    f is symmetric about pi, so the search runs over [0, pi] and the returned
+    minimiser lies there. The returned value is f evaluated at the returned
+    point, so it is a sound upper bound on the true minimum. The grid must
+    sample at least 4*max(A) points per period (default 64*max(A)).
     """
-    a = sorted(set(int(x) for x in a_set))
-    if not a:
-        raise InputError("A must be nonempty")
-    if any(x <= 0 for x in a):
-        raise InputError("A must contain positive integers")
-    amax = a[-1]
+    f = CosinePolynomial.of(a_set)
+    amax = f.a_set[-1]
     if resolution is None:
         resolution = 64 * amax
     if resolution < 4 * amax:
         raise InputError(f"resolution {resolution} below Nyquist floor {4 * amax}")
-    arr = np.asarray(a, dtype=np.float64)
-
-    def f(x: float) -> float:
-        return float(np.cos(arr * x).sum())
-
-    xs = 2.0 * math.pi * np.arange(resolution) / resolution
-    vals = np.cos(np.outer(xs, arr)).sum(axis=1)
-    i = int(np.argmin(vals))
-    lo = xs[i] - 2.0 * math.pi / resolution
-    hi = xs[i] + 2.0 * math.pi / resolution
+    i = int(np.argmin(_cosine_grid(f.a_set, resolution)[: resolution // 2 + 1]))
+    x_grid = 2.0 * math.pi * i / resolution
+    lo = x_grid - 2.0 * math.pi / resolution
+    hi = min(x_grid + 2.0 * math.pi / resolution, math.pi)
     while hi - lo > 1e-12:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -294,10 +295,7 @@ def cosine_min(a_set: Sequence[int], resolution: int | None = None) -> tuple[flo
         else:
             lo = m1
     x_star = (lo + hi) / 2.0
-    f_star = f(x_star)
-    if vals[i] < f_star:
-        x_star, f_star = float(xs[i]), float(vals[i])
-    return x_star, f_star
+    return min((x_star, f(x_star)), (x_grid, f(x_grid)), key=lambda point: point[1])
 
 
 def least_prime_above(k: int) -> int:
@@ -344,20 +342,19 @@ def chowla_certificate(a_set: Sequence[int]) -> ChowlaReport:
     (= lambda_min / 2) can be no smaller than the grid minimum of f. The
     reference line -|A|^(1/10) is recorded for comparison only.
     """
-    a = sorted(set(int(x) for x in a_set))
-    if not a or any(x <= 0 for x in a):
-        raise InputError("A must be a nonempty set of positive integers")
+    a = CosinePolynomial.of(a_set).a_set
+    if 4 * a[-1] >= MAX_VERTICES:  # n > 4*max(A): refuse before the prime search and any n-sized array
+        raise SizeError(f"n > 4*max(A) = {4 * a[-1]} exceeds the vertex ceiling {MAX_VERTICES} (dense n x n adjacency)")
     n = least_prime_above(4 * a[-1])
     group = cyclic_group(n)
     sym = SymmetricSet.of(group, [x % n for x in a] + [(-x) % n for x in a])
     graph = cayley_graph(group, sym)
     eigs = np.linalg.eigvalsh(graph.adjacency.astype(np.float64))
-    xi = np.arange(n)
-    fourier = 2.0 * np.cos(2.0 * math.pi * np.outer(xi, np.asarray(a)) / n).sum(axis=1)
+    fourier = 2.0 * _cosine_grid(a, n)
     residual = float(np.abs(np.sort(eigs) - np.sort(fourier)).max())
     x_star, f_star = cosine_min(a)
     return ChowlaReport(
-        a_set=tuple(a),
+        a_set=a,
         n=n,
         lambda_min=float(eigs.min()),
         grid_x=x_star,

@@ -235,13 +235,20 @@ class InequalityReport:
 def _record(key: str, x: float, lhs: float, rhs: float, tol: float, skipped: bool = False, **extra) -> dict:
     if skipped:
         verdict = "skipped"
-        slack = lhs - rhs
     else:
-        slack = lhs - rhs
         verdict = "holds" if lhs >= rhs - tol * max(1.0, abs(rhs)) else "fails"
-    rec = {key: float(x), "lhs": float(lhs), "rhs": float(rhs), "slack": float(slack), "verdict": verdict}
+    rec = {key: float(x), "lhs": float(lhs), "rhs": float(rhs), "slack": float(lhs - rhs), "verdict": verdict}
     rec.update(extra)
     return rec
+
+
+def _recursion_record(s: Spectrum, T: float, skipped: bool = False) -> tuple[dict, ThresholdSummary]:
+    """Record of the recursive inequality 4n S_K >= S_T^2 at K = T^2/(2n), and
+    the summary at K. A record that is not skipped also carries S_T and N_T."""
+    st = threshold_summary(s, T)
+    low = threshold_summary(s, T * T / (2.0 * s.n))
+    extra = {} if skipped else {"S_T": st.S, "N_T": st.N}
+    return _record("T", T, 4.0 * s.n * low.S, st.S**2, s.tol, skipped, **extra), low
 
 
 def verify_main_inequality(g: Graph, thresholds: Sequence[float] | None = None, tol: float | None = None) -> InequalityReport:
@@ -263,20 +270,18 @@ def verify_main_inequality(g: Graph, thresholds: Sequence[float] | None = None, 
     a = g.adjacency.astype(np.float64)
     for T in thresholds:
         T = float(T)
-        st = threshold_summary(s, T)
-        if T < t_min - tol * (1.0 + t_min) or T <= 0:
-            report.records.append(_record("T", T, 4.0 * n * threshold_summary(s, T * T / (2.0 * n)).S, st.S**2, tol, skipped=True))
+        skipped = T < t_min - tol * (1.0 + t_min) or T <= 0
+        rec, low = _recursion_record(s, T, skipped)
+        report.records.append(rec)
+        if skipped:
             continue
-        k_low = T * T / (2.0 * n)
-        lhs = 4.0 * n * threshold_summary(s, k_low).S
-        rhs = st.S**2
-        extra: dict = {"S_T": st.S, "N_T": st.N}
+        rhs = rec["rhs"]
         w = subspace_from_hadamard(s, T)
         tr_a = w_trace(a, w, tol)
-        comp_rhs = threshold_summary(s, k_low).S + k_low * w.dim
-        extra["dim_W"] = w.dim
-        extra["trace_W_A"] = tr_a
-        extra["trace_compression_ok"] = bool(tr_a <= comp_rhs + tol * max(1.0, abs(comp_rhs)))
+        comp_rhs = low.S + low.T * w.dim
+        rec["dim_W"] = w.dim
+        rec["trace_W_A"] = tr_a
+        rec["trace_compression_ok"] = bool(tr_a <= comp_rhs + tol * max(1.0, abs(comp_rhs)))
         idx = np.flatnonzero(_threshold_cut(s.eigenvalues, T, tol))
         if idx.size:
             vs = s.eigenvectors[:, idx]
@@ -285,9 +290,8 @@ def verify_main_inequality(g: Graph, thresholds: Sequence[float] | None = None, 
             hsum = float(lam @ g2 @ lam)
         else:
             hsum = 0.0
-        extra["hadamard_sum"] = hsum
-        extra["hadamard_lower_ok"] = bool(hsum >= rhs / n - tol * max(1.0, rhs / n))
-        report.records.append(_record("T", T, lhs, rhs, tol, **extra))
+        rec["hadamard_sum"] = hsum
+        rec["hadamard_lower_ok"] = bool(hsum >= rhs / n - tol * max(1.0, rhs / n))
     return report
 
 
@@ -334,23 +338,17 @@ def verify_maxcut_main_inequality(
     e_diag = ((s.eigenvectors[:, neg] ** 2) * np.abs(s.eigenvalues[neg])).sum(axis=1) if neg.size else np.zeros(n)
     for T in thresholds:
         T = float(T)
-        st = threshold_summary(s, T)
-        lhs = 4.0 * n * threshold_summary(s, T * T / (2.0 * n)).S
-        rhs = st.S**2
-        if T < t_min - tol * (1.0 + t_min) or T <= 0:
-            report.records.append(_record("T", T, lhs, rhs, tol, skipped=True))
+        skipped = T < t_min - tol * (1.0 + t_min) or T <= 0
+        rec, _ = _recursion_record(s, T, skipped)
+        report.records.append(rec)
+        if skipped:
             continue
         beta = q_upper ** 0.25 * n ** (7.0 / 8.0) / T if T > 0 else float("inf")
         j_count = int((e_diag > beta).sum())
-        extra = {
-            "S_T": st.S,
-            "N_T": st.N,
-            "beta": beta,
-            "J_size": j_count,
-            "J_bound": (q_upper / beta) if beta > 0 else float("inf"),
-            "J_bound_ok": bool(beta <= 0 or j_count <= q_upper / beta + tol),
-        }
-        report.records.append(_record("T", T, lhs, rhs, tol, **extra))
+        rec["beta"] = beta
+        rec["J_size"] = j_count
+        rec["J_bound"] = (q_upper / beta) if beta > 0 else float("inf")
+        rec["J_bound_ok"] = bool(beta <= 0 or j_count <= q_upper / beta + tol)
     return report
 
 
@@ -377,8 +375,7 @@ def tail_second_moment_check(
     t_floor = 2.0 * n ** (1.0 - q)
     hyp_rec = True
     for lam in np.unique(s.eigenvalues[s.eigenvalues >= t_floor - tol]):
-        st = threshold_summary(s, float(lam))
-        if st.S**2 > 4.0 * n * threshold_summary(s, float(lam) ** 2 / (2.0 * n)).S + tol * max(1.0, st.S**2):
+        if _recursion_record(s, float(lam))[0]["verdict"] == "fails":
             hyp_rec = False
             break
     report.diagnostics["hypothesis_positive_mass_ok"] = bool(hyp_mass)

@@ -127,7 +127,8 @@ def regular_partition(
     s = spectrum(g, tol)
     eps_target = delta * delta / 100.0 * n * n
     for kappa in [0.5 / 2**i for i in range(12)]:
-        if low_rank_approx(s, kappa)[1] <= eps_target:
+        # low_rank_approx's residual, without building its n x n matrix
+        if float((s.eigenvalues[~(s.eigenvalues >= kappa * n)] ** 2).sum()) <= eps_target:
             break
     _, residual = low_rank_approx(s, kappa)
     idx = np.flatnonzero(s.eigenvalues >= kappa * n)

@@ -173,6 +173,29 @@ def cosine_grid_min(a_set, points: int) -> float:
     return float(np.cos(np.outer(xs, arr)).sum(axis=1).min())
 
 
+def outer_product_cosine_min(a_set) -> tuple[float, float]:
+    """The former cosine_min: a 64*max(A) x |A| cosine outer product over all
+    of [0, 2 pi), then ternary refinement to width 1e-12 around the grid argmin."""
+    arr = np.asarray(sorted(set(a_set)), dtype=np.float64)
+    points = 64 * int(arr[-1])
+
+    def f(x: float) -> float:
+        return float(np.cos(arr * x).sum())
+
+    xs = 2.0 * np.pi * np.arange(points) / points
+    vals = np.cos(np.outer(xs, arr)).sum(axis=1)
+    i = int(np.argmin(vals))
+    lo, hi = xs[i] - 2.0 * np.pi / points, xs[i] + 2.0 * np.pi / points
+    while hi - lo > 1e-12:
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if f(m1) <= f(m2):
+            hi = m2
+        else:
+            lo = m1
+    x = (lo + hi) / 2.0
+    return (float(xs[i]), float(vals[i])) if vals[i] < f(x) else (x, f(x))
+
+
 class SevenVertexTables:
     """mc and surplus for every labelled graph on exactly `n` <= 7 vertices,
     indexed by the C(n,2)-bit edge mask."""

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import eigencliques as ec
 from eigencliques import chowla
 from eigencliques.errors import InputError, NumericalError
-from oracles import cosine_grid_min
+from oracles import cosine_grid_min, outer_product_cosine_min
 
 
 def test_cyclic_group_basics():
@@ -138,6 +140,35 @@ def test_cosine_min_initial_segments_bounded():
         assert oracle - 1e-6 <= f <= oracle + 1e-9
         # Dirichlet-kernel scale: the minimum sits near -(4k+2)/(6 pi)
         assert f >= -(0.25 * k + 1.0)
+
+
+def test_cosine_min_matches_outer_product_grid():
+    # the FFT grid finds the former outer-product minimum; the minimiser is the
+    # one in [0, pi] and the value is f evaluated there
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        amax = int(rng.integers(1, 200))
+        size = int(rng.integers(1, min(amax, 20) + 1))
+        a = sorted(int(x) for x in rng.choice(np.arange(1, amax + 1), size=size, replace=False))
+        x, f = chowla.cosine_min(a)
+        assert abs(f - outer_product_cosine_min(a)[1]) <= 1e-9, a
+        assert 0.0 <= x <= math.pi, (a, x)
+        assert f == chowla.CosinePolynomial.of(a)(x), a
+
+
+@pytest.mark.parametrize("k,limit_mb,limit_s", [(500, 8, None), (5000, 32, 1.0)])
+def test_cosine_min_memory_is_linear_in_max_a(k, limit_mb, limit_s):
+    # the former 64*max(A) x |A| grid traced 244 MiB at k = 500 and would need 12.8 GB at k = 5000
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        chowla.cosine_min(range(1, k + 1))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb << 20
+    assert limit_s is None or elapsed < limit_s
 
 
 def test_cosine_min_validation():

@@ -205,6 +205,10 @@ def test_gen_bad_family_params_fail_closed(tmp_path, capsys, params, bad):
         "gen:family=Cycle,n=1000000000",
         # Cay(Z/16411Z, A u -A); cayley_graph used to allocate the 16411^2 adjacency first
         "chowla:4100",
+        # the prime search and the order-n group used to run before the ceiling:
+        # 645 MB RSS, and a 29 TiB allocation traceback
+        "chowla:10000000",
+        "chowla:1000000000000",
     ],
 )
 def test_vertex_ceiling_fails_closed(tmp_path, capsys, source):

@@ -141,6 +141,52 @@ def test_edge_list_comments_and_errors():
         parse_edge_list("3 2\n0 1\n")  # missing edge line
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "line 1: empty input, expected header 'n m'"),
+        ("# only a comment\n\n", "line 1: empty input, expected header 'n m'"),
+        ("# c\n\n3\n", "line 3: expected header 'n m'"),
+        ("3 x\n", "line 1: expected integers in header"),
+        ("3 -1\n", "line 1: negative header values"),
+        ("-3 1\n", "line 1: negative header values"),
+        ("3 1\n0\n", "line 2: expected edge 'u v'"),
+        ("3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
+        ("3 1\n0 x\n", "line 2: expected integer endpoints"),
+        ("3 2\n0 1\n", "header declares m=2 but 1 edge lines found"),
+        ("3 0\n0 1\n", "header declares m=0 but 1 edge lines found"),
+        ("3 1\n0 3\n", "edge (0,3) out of range for n=3"),
+        ("3 1\n-1 0\n", "edge (-1,0) out of range for n=3"),
+        ("3 1\n1 1\n", "self-loop at vertex 1"),
+        # which error wins: a malformed line beats an earlier out-of-range edge,
+        ("3 2\n0 9\n0 x\n", "line 3: expected integer endpoints"),
+        # the m-count check comes before the range checks,
+        ("3 2\n0 9\n", "header declares m=2 but 1 edge lines found"),
+        # and on one edge the range error beats the self-loop error
+        ("3 1\n5 5\n", "edge (5,5) out of range for n=3"),
+    ],
+)
+def test_edge_list_error_texts(text, message):
+    with pytest.raises(InputError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "n,edges,message",
+    [
+        (-1, [], "vertex count must be nonnegative"),
+        (3, [(0, 3)], "edge (0,3) out of range for n=3"),
+        (3, [(2, 2)], "self-loop at vertex 2"),
+        (3, [(5, 5)], "edge (5,5) out of range for n=3"),
+    ],
+)
+def test_from_edge_list_error_texts(n, edges, message):
+    with pytest.raises(InputError) as err:
+        ec.from_edge_list(n, edges)
+    assert str(err.value) == message
+
+
 def test_petersen_shape():
     g = ec.petersen()
     assert g.n == 10 and g.m == 15 and g.is_regular()
