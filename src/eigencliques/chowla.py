@@ -41,6 +41,7 @@ __all__ = [
 
 TABLE_LIMIT = 1024  # largest arithmetic group group_to_json writes out as a table
 ASSOC_EXHAUSTIVE_LIMIT = 64
+MAX_COSINE_DEGREE = 1 << 16  # largest max(A) cosine_min accepts: 64*max(A) grid points, ~40 B each
 
 
 class FiniteGroup:
@@ -258,8 +259,8 @@ class CosinePolynomial:
             return float(len(self.a_set))
         return float(np.cos(self._arr * x).sum())
 
-    def minimum(self, resolution: int | None = None) -> tuple[float, float]:
-        return cosine_min(self.a_set, resolution)
+    def minimum(self) -> tuple[float, float]:
+        return cosine_min(self.a_set)
 
 
 def _cosine_grid(a_set: tuple[int, ...], r: int) -> np.ndarray:
@@ -268,21 +269,20 @@ def _cosine_grid(a_set: tuple[int, ...], r: int) -> np.ndarray:
     return np.fft.fft(np.bincount(a_set, minlength=r)).real
 
 
-def cosine_min(a_set: Sequence[int], resolution: int | None = None) -> tuple[float, float]:
+def cosine_min(a_set: Sequence[int]) -> tuple[float, float]:
     """Grid minimum of f(x) = sum_{a in A} cos(a x), with ternary refinement
     to interval width 1e-12.
 
     f is symmetric about pi, so the search runs over [0, pi] and the returned
     minimiser lies there. The returned value is f evaluated at the returned
-    point, so it is a sound upper bound on the true minimum. The grid must
-    sample at least 4*max(A) points per period (default 64*max(A)).
+    point, so it is a sound upper bound on the true minimum. The grid samples
+    64*max(A) points per period; max(A) above MAX_COSINE_DEGREE is a SizeError.
     """
     f = CosinePolynomial.of(a_set)
     amax = f.a_set[-1]
-    if resolution is None:
-        resolution = 64 * amax
-    if resolution < 4 * amax:
-        raise InputError(f"resolution {resolution} below Nyquist floor {4 * amax}")
+    if amax > MAX_COSINE_DEGREE:  # refuse before the grid is allocated
+        raise SizeError(f"max(A) = {amax} exceeds the cosine_min ceiling {MAX_COSINE_DEGREE} (grid of 64*max(A) points)")
+    resolution = 64 * amax
     i = int(np.argmin(_cosine_grid(f.a_set, resolution)[: resolution // 2 + 1]))
     x_grid = 2.0 * math.pi * i / resolution
     lo = x_grid - 2.0 * math.pi / resolution
@@ -302,8 +302,7 @@ def least_prime_above(k: int) -> int:
     """Smallest prime strictly greater than k, by trial division."""
     cand = max(2, k + 1)
     while True:
-        is_prime = cand >= 2 and all(cand % d for d in range(2, int(math.isqrt(cand)) + 1))
-        if is_prime:
+        if all(cand % d for d in range(2, int(math.isqrt(cand)) + 1)):
             return cand
         cand += 1
 

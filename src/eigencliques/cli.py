@@ -11,41 +11,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
 from . import __version__, chowla, cuts, densify, spectral, structure
 from .errors import ToolkitError
-from .graphs import generate, read_edge_list, write_edge_list
+from .graphs import Graph, generate, read_edge_list, write_edge_list
 from .serialize import dumps
 
 # Loosest accepted --tol: the default is 1e-9 (1e-7 above n = 500), and a
 # larger tolerance would pass eigensolver output that is plainly wrong.
 _MAX_TOL = 1e-3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    output: str | None = None
-    seed: int = 0
-    tol: float | None = None
-    params: dict = field(default_factory=dict)
-    format: str = "json"
-    a_list: str | None = None  # chowla's inline set A; not echoed in the report
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "output": self.output,
-            "seed": self.seed,
-            "tol": self.tol,
-            "params": dict(sorted(self.params.items())),
-            "format": self.format,
-        }
 
 
 def _parse_params(command: str, raw: str | None) -> dict:
@@ -94,17 +70,18 @@ def _strict(key: str, value: str) -> bool:
     return value.lower() in ("1", "true", "yes")
 
 
-def _check_tol(tol: float | None) -> float | None:
+def _check_tol(tol: float | None) -> None:
     # written so that NaN fails the comparison too
     if tol is not None and not 0.0 <= tol <= _MAX_TOL:
         raise ToolkitError(f"--tol must be a finite number in [0, {_MAX_TOL:g}], got {tol!r}")
-    return tol
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    doc = {"version": __version__, "config": config.to_json_dict()}
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    config = {"command": args.command, "input": args.input, "output": args.output, "seed": args.seed,
+              "tol": args.tol, "params": dict(sorted(args.params.items())), "format": args.format}
+    doc = {"version": __version__, "config": config}
     doc.update(report)
-    if config.format == "json":
+    if args.format == "json":
         text = dumps(doc, indent=2) + "\n"
     else:
         lines = []
@@ -120,18 +97,19 @@ def _emit(report: dict, config: RunConfig) -> None:
 
         flat("", doc)
         text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_spectrum(config: RunConfig, params: dict) -> int:
-    g = read_edge_list(config.input)
-    s = spectral.spectrum(g, config.tol)
-    bounds = spectral.eigen_bound_report(g, config.tol)
-    main = spectral.verify_main_inequality(g, tol=config.tol)
+# Each handler turns the input graph (None for chowla and gen) into a report
+# and an exit code; main reads the input and emits the report.
+def _cmd_spectrum(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
+    s = spectral.spectrum(g, args.tol)
+    bounds = spectral.eigen_bound_report(g, args.tol)
+    main = spectral.verify_main_inequality(g, tol=args.tol)
     report = {
         "n": g.n,
         "m": g.m,
@@ -141,78 +119,68 @@ def _cmd_spectrum(config: RunConfig, params: dict) -> int:
         "bounds": bounds.to_json_dict(),
         "main_inequality": main.to_json_dict(),
     }
-    _emit(report, config)
-    return 0 if bounds.holds() and main.holds() else 2
+    return report, 0 if bounds.holds() and main.holds() else 2
 
 
-def _cmd_maxcut(config: RunConfig, params: dict) -> int:
-    g = read_edge_list(config.input)
+def _cmd_maxcut(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     cutoff = params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT)
     if g.n <= cutoff:
         rep = cuts.maxcut_exact(g, cutoff)
     else:
-        rep = cuts.maxcut_local_search(g, config.seed)
-    caps = cuts.spectral_surplus_caps(g, config.tol)
+        rep = cuts.maxcut_local_search(g, args.seed)
+    caps = cuts.spectral_surplus_caps(g, args.tol)
     doc = rep.to_json_dict()
     doc["certificates"]["surplus_cap"] = caps.ub_surp_quarter
-    _emit(doc, config)
-    return 0
+    return doc, 0
 
 
-def _cmd_clique(config: RunConfig, params: dict) -> int:
-    g = read_edge_list(config.input)
-    cert = densify.clique_pipeline(g, tol=config.tol, **params)
-    _emit(cert.to_json_dict(), config)
-    return 0 if cert.verified else 2
+def _cmd_clique(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
+    cert = densify.clique_pipeline(g, tol=args.tol, **params)
+    return cert.to_json_dict(), 0 if cert.verified else 2
 
 
-def _cmd_chowla(config: RunConfig, params: dict) -> int:
+def _cmd_chowla(g: None, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     try:
-        a = [int(x) for x in config.a_list.split(",") if x]
+        a = [int(x) for x in args.a_list.split(",") if x]
     except ValueError:
-        raise ToolkitError(f"could not parse A from {config.a_list!r}") from None
+        raise ToolkitError(f"could not parse A from {args.a_list!r}") from None
     report = chowla.chowla_certificate(a)
-    _emit(report.to_json_dict(), config)
-    tol = config.tol if config.tol is not None else 1e-8
-    return 0 if report.holds(tol) else 2
+    tol = args.tol if args.tol is not None else 1e-8
+    return report.to_json_dict(), 0 if report.holds(tol) else 2
 
 
-def _cmd_decompose(config: RunConfig, params: dict) -> int:
-    g = read_edge_list(config.input)
+def _cmd_decompose(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     kwargs = {"merge_threshold" if k == "threshold" else k: v for k, v in params.items()}
     decomp = structure.clique_union_decompose(g, **kwargs)
     doc = decomp.to_json_dict()
     doc["clique_union_like"] = decomp.clique_union_like
     doc["cherries"] = structure.cherry_count(g)
-    _emit(doc, config)
-    return 0
+    return doc, 0
 
 
-def _cmd_bisect(config: RunConfig, params: dict) -> int:
-    g = read_edge_list(config.input)
+def _cmd_bisect(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     rep = cuts.bisection_exact(g, params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT))
     disc = cuts.discrepancy(g)
     doc = rep.to_json_dict()
     doc.update({"disc_plus": float(disc.disc_plus), "disc_minus": float(disc.disc_minus)})
-    _emit(doc, config)
-    return 0
+    return doc, 0
 
 
-def _cmd_gen(config: RunConfig, params: dict) -> int:
+def _cmd_gen(g: None, args: argparse.Namespace, params: dict) -> tuple[None, int]:
     family = params.pop("family", None)
     if family is None:
         raise ToolkitError("gen requires --params family=...")
-    if not config.output:
+    if not args.output:
         raise ToolkitError("gen requires --output")
     if family == "Gnp":
-        params["seed"] = config.seed
-    write_edge_list(generate(family, **params), config.output)
-    return 0
+        params["seed"] = args.seed
+    write_edge_list(generate(family, **params), args.output)
+    return None, 0
 
 
 class _Command(NamedTuple):
     help: str
-    run: Callable[[RunConfig, dict], int]
+    run: Callable[[Graph | None, argparse.Namespace, dict], tuple[dict | None, int]]
     reads_input: bool
     params: dict  # --params key -> converter(key, raw value)
 
@@ -249,20 +217,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        config = RunConfig(
-            command=args.command,
-            input=args.input,
-            output=args.output,
-            seed=args.seed,
-            tol=_check_tol(args.tol),
-            params=_parse_params(args.command, args.params),
-            format=args.format,
-            a_list=getattr(args, "a_list", None),
-        )
-        if command.reads_input and not config.input:
+        _check_tol(args.tol)
+        args.params = _parse_params(args.command, args.params)  # raw strings, echoed in the report
+        if command.reads_input and not args.input:
             raise ToolkitError(f"{args.command} requires --input")
-        params = {k: command.params[k](k, v) for k, v in config.params.items()}
-        return command.run(config, params)
+        params = {k: command.params[k](k, v) for k, v in args.params.items()}
+        g = read_edge_list(args.input) if command.reads_input else None
+        report, code = command.run(g, args, params)
+        if report is not None:
+            _emit(report, args)
+        return code
     except ToolkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

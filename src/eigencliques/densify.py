@@ -103,21 +103,20 @@ def _phase0_search(g: Graph) -> PhaseTrace:
     d = max(1, int(g.average_degree))
     x = int(np.argmax(g.degrees))
     s_idx = g.neighbors(x)[:d]
+    e_s = int(g.adjacency[np.ix_(s_idx, s_idx)].sum()) // 2
     return PhaseTrace(
         phase=0,
         vertices_in=tuple(range(g.n)),
         vertices_out=tuple(int(v) for v in s_idx),
         density_in=g.density,
-        density_out=_density(g, s_idx),
-        params={"d": d, "apex": x},
+        density_out=_density_of(e_s, len(s_idx)),
+        params={"d": d, "apex": x, "edges": e_s},
     )
 
 
-def _certify_phase0(g: Graph, trace: PhaseTrace, lam_n: float) -> PhaseTrace:
-    """Fill in phase 0's edge guarantee d^2 / (4 |lambda_n|) from g's smallest eigenvalue."""
-    d = trace.params["d"]
-    s_idx = np.asarray(trace.vertices_out, dtype=int)
-    e_s = int(g.adjacency[np.ix_(s_idx, s_idx)].sum()) // 2
+def _certify_phase0(trace: PhaseTrace, lam_n: float) -> PhaseTrace:
+    """Fill in phase 0's edge guarantee d^2 / (4 |lambda_n|) from the input's smallest eigenvalue."""
+    d, e_s = trace.params["d"], trace.params["edges"]
     applicable = lam_n * lam_n <= d / 2.0
     claimed = d * d / (4.0 * abs(lam_n)) if lam_n != 0 else 0.0
     trace.params["lambda_n"] = lam_n
@@ -137,7 +136,7 @@ def phase0_neighborhood(g: Graph, tol: float | None = None) -> PhaseTrace:
     lambda_n^2 <= d/2; outside that regime the subgraph is still returned with
     the guarantee marked not applicable.
     """
-    return _certify_phase0(g, _phase0_search(g), spectrum(g, tol).lambda_min)
+    return _certify_phase0(_phase0_search(g), spectrum(g, tol).lambda_min)
 
 
 # -- phase 1 ------------------------------------------------------------------
@@ -257,9 +256,8 @@ def phase1_densify(
             padded = _pad_set(sub, heavy, rest, target)
             cand = current[padded]
             candidates.append((potential(cand), "heavy-keep", cand))
-            light = np.setdiff1d(np.arange(k), heavy)
-            if light.size:
-                cand2 = current[light]
+            if rest.size:
+                cand2 = current[rest]
                 candidates.append((potential(cand2), "heavy-drop", cand2))
         if not candidates:
             break
@@ -301,7 +299,7 @@ def phase2_dense_core(g: Graph, delta: float = 0.1) -> PhaseTrace:
     chosen: np.ndarray
     if not blocks:
         chosen = np.arange(g.n)
-        out_density = _density(g, chosen)
+        out_density = _density_of(g.m, g.n)
         note = "no blocks recovered; returning the input"
     else:
         inner = np.diagonal(block_edge_counts(g.adjacency, blocks)) // 2
@@ -500,11 +498,10 @@ def _clique_search(
         traces.append(t0)
         current = np.asarray(t0.vertices_out, dtype=int)
     h1 = induced_subgraph(g, current)
-    if h1.n >= 1:
-        t1 = phase1_densify(h1, gamma, eps, rho)
-        keep = np.asarray(t1.vertices_out, dtype=int)
-        traces.append(_remap(t1, current))
-        current = current[keep]
+    t1 = phase1_densify(h1, gamma, eps, rho)
+    keep = np.asarray(t1.vertices_out, dtype=int)
+    traces.append(_remap(t1, current))
+    current = current[keep]
     h2 = induced_subgraph(g, current)
     t2 = phase2_dense_core(h2, delta)
     keep = np.asarray(t2.vertices_out, dtype=int)
@@ -617,7 +614,7 @@ def clique_pipeline(
     cert = _clique_search(g, gamma, eps, rho, delta)
     used_phase0 = cert.phases[0].phase == 0
     if used_phase0:
-        _certify_phase0(g, cert.phases[0], lam_n)
+        _certify_phase0(cert.phases[0], lam_n)
     if mode == "eigen":
         if used_phase0:
             target_value = d_floor ** (1.0 - 4.0 * gamma)

@@ -448,11 +448,11 @@ def eigen_bound_report(g: Graph, tol: float | None = None) -> InequalityReport:
         high = (1.0 + 2.0 * comp.density + 2.0 / n) / sqrt_n
         report.records.append(_record("T", 0.0, float(v1.min()), low, tol, bound="principal_entry_lower"))
         report.records.append(_record("T", 0.0, high, float(v1.max()), tol, bound="principal_entry_upper"))
-    if g.is_regular() and n >= 1 and g.m > 0 and n <= _INDEPENDENCE_CUTOFF:
+    if g.is_regular() and g.m > 0 and n <= _INDEPENDENCE_CUTOFF:
         d = g.average_degree
         lam_n = abs(s.lambda_min)
         alpha = exact_independence_number(g)
-        hoffman = n * lam_n / (lam_n + d) if lam_n + d > 0 else float(n)
+        hoffman = n * lam_n / (lam_n + d)
         report.records.append(_record("T", 0.0, hoffman, float(alpha), tol, bound="hoffman"))
     mu = spectrum(comp, tol).eigenvalues if n >= 2 else np.zeros(0)
     for i in range(1, n):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,14 +136,19 @@ def regular_partition(
     r = max(int(idx.size), 1)
     if constants is None:
         constants = scaled_regularity_constants(n, r, delta)
-    beta, h, big_k = constants["beta"], int(constants["h"]), int(constants["K"])
+    beta, h, big_k = constants["beta"], constants["h"], constants["K"]
+    if not (isinstance(big_k, Integral) and big_k >= 1):
+        raise InputError(f"K={big_k!r} must be an integer >= 1")
     if big_k > n:
         raise InputError(
             f"K={big_k} exceeds n={n}; use scaled_regularity_constants for desk-scale runs"
         )
+    if not (isinstance(h, Integral) and h >= 0):
+        raise InputError(f"h={h!r} must be an integer >= 0")
+    if not (isinstance(beta, Real) and 0.0 < beta < math.inf):  # NaN fails too
+        raise InputError(f"beta={beta!r} must be a finite number > 0")
+    h, big_k = int(h), int(big_k)
     size = n // big_k
-    if size == 0:
-        raise InputError("K too large: parts would be empty")
     cells: dict[tuple, list[int]] = {}
     exceptional: list[int] = []
     if idx.size:

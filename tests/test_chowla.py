@@ -7,7 +7,7 @@ import pytest
 
 import eigencliques as ec
 from eigencliques import chowla
-from eigencliques.errors import InputError, NumericalError
+from eigencliques.errors import InputError, NumericalError, SizeError
 from oracles import cosine_grid_min, outer_product_cosine_min
 
 
@@ -176,8 +176,20 @@ def test_cosine_min_validation():
         chowla.cosine_min([])
     with pytest.raises(InputError):
         chowla.cosine_min([0, 1])
-    with pytest.raises(InputError):
-        chowla.cosine_min([5], resolution=10)
+
+
+@pytest.mark.parametrize("amax", [10**12, 2**16 + 1])
+def test_cosine_min_ceiling_fails_closed(amax):
+    # max(A) = 10^12 used to ask numpy for a 466 TiB grid and raise MemoryError;
+    # 2^16 + 1 allocated ~160 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=str(chowla.MAX_COSINE_DEGREE)):
+            chowla.cosine_min([amax])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_least_prime_above():

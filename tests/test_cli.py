@@ -289,6 +289,39 @@ def test_missing_input(capsys):
     assert code == 1 and "requires --input" in err
 
 
+# (bad value, the text naming it); spectrum reads no --params, so its bad value is --tol
+_BAD_VALUE = {
+    "spectrum": (["--tol", "nan"], "--tol"),
+    "maxcut": (["--params", "cutoff=1.5"], "cutoff='1.5'"),
+    "clique": (["--params", "gamma=abc"], "gamma='abc'"),
+    "decompose": (["--params", "floor=x"], "floor='x'"),
+    "bisect": (["--params", "cutoff=x"], "cutoff='x'"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BAD_VALUE))
+def test_error_order(tmp_path, capsys, command):
+    # --tol, then a malformed or unknown key, then a missing --input, then a
+    # bad value, and only then is the input file read
+    bad, names_bad = _BAD_VALUE[command]
+    missing = ["--input", str(tmp_path / "missing.txt")]
+    cases = [
+        (["--tol", "nan", "--params", "junk"], "error: --tol"),
+        (["--params", "junk"], "error: malformed --params entry 'junk'"),
+        (["--params", "bogus=1"], "error: unknown parameter 'bogus'"),
+        (bad, "error: --tol" if command == "spectrum" else f"error: {command} requires --input"),
+        (bad + missing, "error:"),
+        (missing, "io error:"),
+    ]
+    for extra, prefix in cases:
+        code, out, err = run(capsys, command, *extra)
+        lines = err.splitlines()
+        assert code == 1 and out == "", extra
+        assert len(lines) == 1 and lines[0].startswith(prefix), (extra, lines)
+        if extra == bad + missing:
+            assert names_bad in lines[0], lines
+
+
 def _flipped_union(sizes, seed, rate):
     """Clique union with every vertex pair flipped where pair_uniforms(seed, i, j) < rate."""
     g = ec.clique_union(sizes)

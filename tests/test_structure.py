@@ -79,6 +79,28 @@ def test_regular_partition_paper_constants_error():
     assert rp.profile["profile"] == "scaled" and rp.K == 11 and rp.irregular_count == 0
 
 
+@pytest.mark.parametrize(
+    "constants,bad",
+    [
+        # K=0 raised ZeroDivisionError; K=-2 returned an empty partition
+        ({"beta": 0.3, "h": 3, "K": 0}, "K=0"),
+        ({"beta": 0.3, "h": 3, "K": -2}, "K=-2"),
+        ({"beta": 0.3, "h": 3, "K": 2.5}, "K=2.5"),
+        ({"beta": 0.3, "h": 3, "K": 46}, "scaled_regularity_constants"),
+        ({"beta": 0.3, "h": -1, "K": 6}, "h=-1"),
+        ({"beta": 0.3, "h": 1.5, "K": 6}, "h=1.5"),
+        # beta=0 filled the buckets with garbage behind divide-by-zero warnings
+        ({"beta": 0.0, "h": 3, "K": 6}, "beta=0.0"),
+        ({"beta": -0.3, "h": 3, "K": 6}, "beta=-0.3"),
+        ({"beta": float("nan"), "h": 3, "K": 6}, "beta=nan"),
+        ({"beta": float("inf"), "h": 3, "K": 6}, "beta=inf"),
+    ],
+)
+def test_regular_partition_rejects_bad_constants(constants, bad):
+    with pytest.raises(InputError, match=bad):
+        structure.regular_partition(ec.gnp(45, 0.5, 2), 0.2, constants=constants)
+
+
 def test_regular_partition_parts_partition_vertices():
     g = ec.gnp(45, 0.5, 2)
     rp = structure.regular_partition(g, 0.2, constants={"beta": 0.3, "h": 3, "K": 6})
