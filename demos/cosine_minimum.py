@@ -6,6 +6,8 @@ minimum of f over the Fourier points. Subgroup-like sets keep the minimum
 bounded; spread-out sets push it down.
 """
 
+import numpy as np
+
 import eigencliques as ec
 from eigencliques import chowla
 
@@ -16,6 +18,19 @@ for a in ([1], [1, 2], [1, 2, 3, 4, 5], [2, 4, 6, 8], [1, 4, 9, 16, 25]):
         f"grid min f = {rep.grid_f:8.4f} at x = {rep.grid_x:.4f}, "
         f"residual = {rep.residual:.2e}, reference -|A|^0.1 = {rep.bound_target:.3f}"
     )
+
+# -min f against |A| up to the certificate's ceiling on max(A): progressions
+# 1..k (a Dirichlet kernel, -min f grows like k) and seeded random k-subsets of
+# 1..ceiling, next to the paper's lower bound |A|^(1/10)
+top = chowla.MAX_CHOWLA_DEGREE
+rng = np.random.default_rng(2025)
+print(f"\n{'|A|':>6} {'-min f, 1..k':>14} {'-min f, random':>15} {'|A|^(1/10)':>11}")
+for k in (10, 100, 1000, 4000, top // 2):
+    _, f_prog = chowla.cosine_min(range(1, k + 1))
+    _, f_rand = chowla.cosine_min(rng.choice(np.arange(1, top + 1), size=k, replace=False).tolist())
+    print(f"{k:>6} {-f_prog:>14.3f} {-f_rand:>15.3f} {k ** 0.1:>11.3f}")
+rep = chowla.chowla_certificate(range(1, top + 1))
+print(f"A = 1..{top}: certified over Z/{rep.n}Z by {', '.join(rep.checks)}; residual {rep.residual:.1e}")
 
 # inside a clique of a Cayley graph, some translate overlaps heavily
 grp = chowla.cyclic_group(23)

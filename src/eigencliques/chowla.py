@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, SizeError
-from .graphs import MAX_VERTICES, Graph, _check_vertex_count
+from .graphs import Graph, _check_vertex_count
 
 __all__ = [
     "FiniteGroup",
@@ -42,6 +42,10 @@ __all__ = [
 TABLE_LIMIT = 1024  # largest arithmetic group group_to_json writes out as a table
 ASSOC_EXHAUSTIVE_LIMIT = 64
 MAX_COSINE_DEGREE = 1 << 16  # largest max(A) cosine_min accepts: 64*max(A) grid points, ~40 B each
+# Largest max(A) chowla_certificate accepts. Its checks cost O(|A|^2) and
+# O(n |A|) with n ~ 4 max(A); A = 1..2^14 (n = 65537) certifies in ~3 s.
+MAX_CHOWLA_DEGREE = 1 << 14
+DENSE_CHECK_LIMIT = 1024  # largest n cross-checked by a dense eigvalsh (8 MB of float64)
 
 
 class FiniteGroup:
@@ -309,6 +313,13 @@ def least_prime_above(k: int) -> int:
 
 @dataclass
 class ChowlaReport:
+    """Certificate of chowla_certificate.
+
+    lambda_min and fourier_min both come from the one FFT spectrum, so
+    lambda_min == 2 * fourier_min exactly. residual is the largest normalised
+    error of the independent checks named in checks (see _check_spectrum).
+    """
+
     a_set: tuple[int, ...]
     n: int
     lambda_min: float
@@ -317,6 +328,7 @@ class ChowlaReport:
     fourier_min: float
     residual: float
     bound_target: float
+    checks: tuple[str, ...]
 
     def holds(self, tol: float = 1e-8) -> bool:
         return self.residual <= tol and self.fourier_min >= self.grid_f - 1e-9
@@ -329,38 +341,87 @@ class ChowlaReport:
             "grid_min": {"x": self.grid_x, "f": self.grid_f},
             "fourier_min": self.fourier_min,
             "residual": self.residual,
+            "checks": list(self.checks),
             "bound_target": self.bound_target,
         }
+
+
+def _triple_count(s: np.ndarray, n: int) -> int:
+    """#{(s1, s2, s3) in S^3 : s1 + s2 + s3 = 0 mod n}, by a boolean lookup of
+    -(s1 + s2) over all pairs, in row blocks of about 2^20 pairs."""
+    hit = np.zeros(2 * n, dtype=bool)  # hit[t] iff -t mod n lies in S, for 0 <= t < 2n
+    neg = (-s) % n
+    hit[neg] = True
+    hit[neg + n] = True
+    rows = max(1, (1 << 20) // s.size)
+    return sum(int(np.count_nonzero(hit[s[i : i + rows, None] + s[None, :]])) for i in range(0, s.size, rows))
+
+
+def _check_spectrum(spectrum: np.ndarray, s: np.ndarray) -> tuple[tuple[str, ...], float]:
+    """Check a claimed spectrum of Cay(Z/nZ, S), n = len(spectrum), without
+    reusing the DFT. Returns the names of the checks that ran and the largest
+    of their errors.
+
+    At every n: the moments sum lambda^k = n #{closed k-walks from 0} for
+    k = 1, 2, 3 (0, n|S| and n times the triples of S summing to 0), each error
+    divided by its scale n|S|^k; and the eigenpair residual max|Av - lambda v|
+    of the minimising real Fourier mode v(x) = cos(2 pi xi x / n), sup-norm 1,
+    with Av the shifted sum over s in S of v(x + s). For n up to
+    DENSE_CHECK_LIMIT also the largest gap between the sorted spectrum and the
+    dense eigvalsh of the Cayley graph. O(|S|^2 + n|S|) time and O(n) memory
+    above the cap.
+    """
+    n, k = spectrum.size, s.size
+    moments = [float(spectrum.sum()), float(spectrum @ spectrum), float((spectrum * spectrum) @ spectrum)]
+    expected = [0.0, float(n * k), float(n * _triple_count(s, n))]
+    errors = [abs(m - e) / (n * float(k) ** p) for p, (m, e) in enumerate(zip(moments, expected), start=1)]
+    xi = int(np.argmin(spectrum))
+    v = np.cos(2.0 * math.pi * ((xi * np.arange(n)) % n) / n)
+    v2 = np.concatenate([v, v])
+    av = np.zeros(n)
+    for shift in s:
+        av += v2[shift : shift + n]
+    errors.append(float(np.abs(av - spectrum[xi] * v).max()))
+    checks = ("moment1", "moment2", "moment3", "min_eigenpair")
+    if n <= DENSE_CHECK_LIMIT:
+        graph = cayley_graph(cyclic_group(n), s.tolist())
+        eigs = np.linalg.eigvalsh(graph.adjacency.astype(np.float64))
+        errors.append(float(np.abs(eigs - np.sort(spectrum)).max()))
+        checks += ("dense_eigvalsh",)
+    return checks, max(errors)
 
 
 def chowla_certificate(a_set: Sequence[int]) -> ChowlaReport:
     """Certify the eigenvalue/Fourier identity for Cay(Z/nZ, A u -A).
 
-    n is the least prime above 4*max(A). The adjacency spectrum must match the
-    multiset {2 sum_a cos(2 pi a xi / n)} and the minimum over Fourier points
-    (= lambda_min / 2) can be no smaller than the grid minimum of f. The
-    reference line -|A|^(1/10) is recorded for comparison only.
+    n is the least prime above 4*max(A). The spectrum is 2 f at the Fourier
+    points 2 pi xi / n, from one length-n FFT of A's indicator; lambda_min and
+    fourier_min are read from it, and _check_spectrum checks it independently
+    (moments and the minimising eigenpair at every n, plus a dense eigvalsh
+    for n <= DENSE_CHECK_LIMIT, so no n x n array exists above that). The
+    minimum over Fourier points can be no smaller than the grid minimum of f.
+    max(A) above MAX_CHOWLA_DEGREE is a SizeError, raised before the prime
+    search. The reference line -|A|^(1/10) is recorded for comparison only.
     """
     a = CosinePolynomial.of(a_set).a_set
-    if 4 * a[-1] >= MAX_VERTICES:  # n > 4*max(A): refuse before the prime search and any n-sized array
-        raise SizeError(f"n > 4*max(A) = {4 * a[-1]} exceeds the vertex ceiling {MAX_VERTICES} (dense n x n adjacency)")
+    if a[-1] > MAX_CHOWLA_DEGREE:  # refuse before the prime search and any n-sized array
+        raise SizeError(f"max(A) = {a[-1]} exceeds the chowla ceiling {MAX_CHOWLA_DEGREE}")
     n = least_prime_above(4 * a[-1])
-    group = cyclic_group(n)
-    sym = SymmetricSet.of(group, [x % n for x in a] + [(-x) % n for x in a])
-    graph = cayley_graph(group, sym)
-    eigs = np.linalg.eigvalsh(graph.adjacency.astype(np.float64))
-    fourier = 2.0 * _cosine_grid(a, n)
-    residual = float(np.abs(np.sort(eigs) - np.sort(fourier)).max())
+    fourier = _cosine_grid(a, n)
+    spectrum = 2.0 * fourier
+    a_arr = np.asarray(a, dtype=np.int64)
+    checks, residual = _check_spectrum(spectrum, np.union1d(a_arr % n, -a_arr % n))
     x_star, f_star = cosine_min(a)
     return ChowlaReport(
         a_set=a,
         n=n,
-        lambda_min=float(eigs.min()),
+        lambda_min=float(spectrum.min()),
         grid_x=x_star,
         grid_f=f_star,
-        fourier_min=float(fourier.min()) / 2.0,
+        fourier_min=float(fourier.min()),
         residual=residual,
         bound_target=-float(len(a)) ** 0.1,
+        checks=checks,
     )
 
 

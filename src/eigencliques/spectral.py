@@ -251,6 +251,17 @@ def _recursion_record(s: Spectrum, T: float, skipped: bool = False) -> tuple[dic
     return _record("T", T, 4.0 * s.n * low.S, st.S**2, s.tol, skipped, **extra), low
 
 
+def _finite_thresholds(thresholds: Sequence[float]) -> list[float]:
+    """The thresholds as floats. NaN or inf is an InputError: every comparison
+    against NaN is false, so a NaN threshold would pass the skip test and the
+    record would read "holds" with lhs = rhs = 0."""
+    out = [float(T) for T in thresholds]
+    for T in out:
+        if not math.isfinite(T):
+            raise InputError(f"threshold {T} is not finite")
+    return out
+
+
 def verify_main_inequality(g: Graph, thresholds: Sequence[float] | None = None, tol: float | None = None) -> InequalityReport:
     """Check 4n * S_{T^2/(2n)} >= S_T^2 at every admissible threshold.
 
@@ -259,6 +270,8 @@ def verify_main_inequality(g: Graph, thresholds: Sequence[float] | None = None, 
     the compression bound trace_W(A) <= S_K + K dim(W) for K = T^2/(2n) and the
     Hadamard lower bound sum lambda_i lambda_j |v_i o v_j|^2 >= S_T^2 / n.
     """
+    if thresholds is not None:
+        thresholds = _finite_thresholds(thresholds)
     s = spectrum(g, tol)
     tol = s.tol
     n = g.n
@@ -269,7 +282,6 @@ def verify_main_inequality(g: Graph, thresholds: Sequence[float] | None = None, 
     report.diagnostics["admissible_from"] = t_min
     a = g.adjacency.astype(np.float64)
     for T in thresholds:
-        T = float(T)
         skipped = T < t_min - tol * (1.0 + t_min) or T <= 0
         rec, low = _recursion_record(s, T, skipped)
         report.records.append(rec)
@@ -323,6 +335,8 @@ def verify_maxcut_main_inequality(
     """
     if gamma <= 0:
         raise InputError("gamma must be positive")
+    if thresholds is not None:
+        thresholds = _finite_thresholds(thresholds)
     s = spectrum(g, tol)
     tol = s.tol
     n = g.n
@@ -337,13 +351,12 @@ def verify_maxcut_main_inequality(
     neg = np.flatnonzero(s.eigenvalues < 0)
     e_diag = ((s.eigenvectors[:, neg] ** 2) * np.abs(s.eigenvalues[neg])).sum(axis=1) if neg.size else np.zeros(n)
     for T in thresholds:
-        T = float(T)
         skipped = T < t_min - tol * (1.0 + t_min) or T <= 0
         rec, _ = _recursion_record(s, T, skipped)
         report.records.append(rec)
         if skipped:
             continue
-        beta = q_upper ** 0.25 * n ** (7.0 / 8.0) / T if T > 0 else float("inf")
+        beta = q_upper ** 0.25 * n ** (7.0 / 8.0) / T
         j_count = int((e_diag > beta).sum())
         rec["beta"] = beta
         rec["J_size"] = j_count

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -223,8 +224,105 @@ def test_certificate_progression():
 
 def test_certificate_json_fields():
     doc = chowla.chowla_certificate([1, 3]).to_json_dict()
-    assert set(doc) >= {"A", "n", "lambda_min", "grid_min", "residual", "bound_target"}
+    assert set(doc) >= {"A", "n", "lambda_min", "grid_min", "residual", "checks", "bound_target"}
     assert set(doc["grid_min"]) == {"x", "f"}
+    assert doc["checks"] == list(FAST_CHECKS) + ["dense_eigvalsh"]
+
+
+FAST_CHECKS = ("moment1", "moment2", "moment3", "min_eigenpair")
+# the benchmark's seed-1 sets (bench/workloads.py, _chowla_set(1, amax)): n = 487, 1009, 2003
+BENCH_SETS = [
+    [11, 33, 41, 51, 74, 92, 116, 120],
+    [32, 38, 123, 129, 181, 213, 218, 250],
+    [19, 98, 193, 269, 406, 430, 458, 500],
+]
+
+
+def _criterion_09_sets():
+    rng = np.random.default_rng(99)  # as test_criterion_09_chowla_identity draws them
+    sets = []
+    for _ in range(50):
+        size = int(rng.integers(1, 31))
+        sets.append(sorted(int(x) for x in rng.choice(np.arange(1, 201), size=size, replace=False)))
+    return sets
+
+
+def _support(a, n):
+    a = np.asarray(a, dtype=np.int64)
+    return np.union1d(a % n, -a % n)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[1], [1, 2], [1, 3], [5, 10, 15, 20], [1, 2, 3, 4, 5], [2, 4, 6, 8], [1, 4, 9, 16, 25]]
+    + _criterion_09_sets()
+    + BENCH_SETS,
+)
+def test_fft_spectrum_matches_dense_eigvalsh(a):
+    n = chowla.least_prime_above(4 * max(a))
+    fft = np.sort(2.0 * chowla._cosine_grid(tuple(a), n))
+    graph = chowla.cayley_graph(chowla.cyclic_group(n), _support(a, n).tolist())
+    dense = np.linalg.eigvalsh(graph.adjacency.astype(np.float64))
+    assert np.abs(fft - dense).max() <= 1e-9
+    r = chowla.chowla_certificate(a)
+    assert r.lambda_min == 2.0 * r.fourier_min == fft[0]
+    assert r.holds()
+    assert r.checks == FAST_CHECKS + (("dense_eigvalsh",) if n <= chowla.DENSE_CHECK_LIMIT else ())
+
+
+@pytest.mark.parametrize("a", [[1, 2], [1, 4, 9, 16, 25], BENCH_SETS[2]])
+def test_spectrum_checks_fail_closed(a):
+    report = chowla.chowla_certificate(a)
+    n = report.n
+    s = _support(a, n)
+    spectrum = 2.0 * chowla._cosine_grid(tuple(a), n)
+    _, ok = chowla._check_spectrum(spectrum, s)
+    assert ok <= 1e-10
+    # the minimising mode moved down by 1e-6 fails the eigenpair check at every n;
+    # any other eigenvalue moved by 1e-6 fails the dense check below the cap
+    shifts = [(int(np.argmin(spectrum)), -1e-6)]
+    if n <= chowla.DENSE_CHECK_LIMIT:
+        shifts += [(i, d) for i in (int(np.argmax(spectrum)), n // 2) for d in (-1e-6, 1e-6)]
+    bad_spectra = []
+    for i, delta in shifts:
+        bad = spectrum.copy()
+        bad[i] += delta
+        bad_spectra.append((bad, s))
+    # a wrong S: +-max(A) replaced by +-(max(A) + 1), still symmetric and of the same size
+    wrong = np.union1d(np.setdiff1d(s, [max(a), n - max(a)]), [max(a) + 1, n - max(a) - 1])
+    assert wrong.size == s.size
+    bad_spectra.append((spectrum, wrong))
+    for bad, support in bad_spectra:
+        checks, residual = chowla._check_spectrum(bad, support)
+        assert checks == report.checks
+        assert residual > 1e-8
+        assert not dataclasses.replace(report, residual=residual).holds()
+
+
+@pytest.mark.parametrize("a", [range(1, 5001), [5000]])
+def test_certificate_above_dense_cap_is_linear_in_memory(a):
+    # n = 20011: the dense adjacency alone would be 400 MB as uint8 and 3.2 GB as float64
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        r = chowla.chowla_certificate(a)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.n == 20011 and r.checks == FAST_CHECKS and r.holds()
+    assert elapsed < 5.0
+    assert peak < 32 << 20
+
+
+def test_certificate_at_ceiling():
+    # the ceiling was chosen so that A = 1..ceiling (n = 65537) certifies in ~3 s on one core
+    start = time.perf_counter()
+    r = chowla.chowla_certificate(range(1, chowla.MAX_CHOWLA_DEGREE + 1))
+    assert time.perf_counter() - start < 10.0
+    assert r.n == 65537 and r.holds()
+    with pytest.raises(SizeError, match=str(chowla.MAX_CHOWLA_DEGREE)):
+        chowla.chowla_certificate([chowla.MAX_CHOWLA_DEGREE + 1])
 
 
 def test_translate_overlap_interval():

@@ -6,6 +6,7 @@ import pytest
 
 import eigencliques as ec
 from conftest import flip_edges, planted_noisy_union
+from eigencliques.chowla import MAX_CHOWLA_DEGREE
 from eigencliques.cli import main
 from eigencliques.graphs import MAX_VERTICES, pair_uniforms
 
@@ -203,12 +204,6 @@ def test_gen_bad_family_params_fail_closed(tmp_path, capsys, params, bad):
         "header:16385 0",
         "gen:family=Gnp,n=16385,p=0.5",
         "gen:family=Cycle,n=1000000000",
-        # Cay(Z/16411Z, A u -A); cayley_graph used to allocate the 16411^2 adjacency first
-        "chowla:4100",
-        # the prime search and the order-n group used to run before the ceiling:
-        # 645 MB RSS, and a 29 TiB allocation traceback
-        "chowla:10000000",
-        "chowla:1000000000000",
     ],
 )
 def test_vertex_ceiling_fails_closed(tmp_path, capsys, source):
@@ -220,10 +215,8 @@ def test_vertex_ceiling_fails_closed(tmp_path, capsys, source):
         path = tmp_path / "g.txt"
         path.write_text(arg + "\n")
         argv = ["spectrum", "--input", str(path), "--output", out]
-    elif kind == "gen":
-        argv = ["gen", "--params", arg, "--output", out]
     else:
-        argv = ["chowla", arg, "--output", out]
+        argv = ["gen", "--params", arg, "--output", out]
     tracemalloc.start()
     try:
         code, _, err = run(capsys, *argv)
@@ -234,6 +227,24 @@ def test_vertex_ceiling_fails_closed(tmp_path, capsys, source):
     assert peak < 1 << 20
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(MAX_VERTICES) in lines[0]
+
+
+# the prime search and the order-n group used to run before any ceiling:
+# 645 MB RSS at 10^7, and a 29 TiB allocation traceback at 10^12
+@pytest.mark.parametrize("amax", [MAX_CHOWLA_DEGREE + 1, 10**7, 10**12])
+def test_chowla_ceiling_fails_closed(tmp_path, capsys, amax):
+    # max(A) above chowla.MAX_CHOWLA_DEGREE is refused before the prime search
+    # and before any n-sized array exists
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "chowla", f"1,{amax}", "--output", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1 << 20
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(MAX_CHOWLA_DEGREE) in lines[0]
 
 
 def test_gen_checks_output_before_building(capsys):

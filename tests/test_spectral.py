@@ -208,6 +208,16 @@ def test_verify_maxcut_inequality_reports():
     assert r2.verdict == "holds"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_verify_inequalities_reject_nonfinite_thresholds(bad):
+    # a NaN threshold passed both skip tests and read "holds" with lhs = rhs = 0
+    g = ec.gnp(30, 0.5, 1)
+    with pytest.raises(InputError, match="not finite"):
+        spectral.verify_main_inequality(g, thresholds=[10.0, bad])
+    with pytest.raises(InputError, match="not finite"):
+        spectral.verify_maxcut_main_inequality(g, gamma=0.1, C=1.0, thresholds=[bad])
+
+
 def test_verify_maxcut_empty_graph():
     r = spectral.verify_maxcut_main_inequality(ec.from_edge_list(6, []), gamma=0.1, C=1.0)
     assert r.verdict == "holds"
