@@ -364,17 +364,25 @@ def _check_spectrum(spectrum: np.ndarray, s: np.ndarray) -> tuple[tuple[str, ...
 
     At every n: the moments sum lambda^k = n #{closed k-walks from 0} for
     k = 1, 2, 3 (0, n|S| and n times the triples of S summing to 0), each error
-    divided by its scale n|S|^k; and the eigenpair residual max|Av - lambda v|
-    of the minimising real Fourier mode v(x) = cos(2 pi xi x / n), sup-norm 1,
-    with Av the shifted sum over s in S of v(x + s). For n up to
-    DENSE_CHECK_LIMIT also the largest gap between the sorted spectrum and the
-    dense eigvalsh of the Cayley graph. O(|S|^2 + n|S|) time and O(n) memory
-    above the cap.
+    divided by its scale n|S|^k; the mirror gap max|lambda_xi - lambda_(n-xi)|
+    over all xi (S = -S makes the spectrum symmetric); the eigenpair residual
+    max|Av - lambda v| of the minimising real Fourier mode
+    v(x) = cos(2 pi xi x / n), sup-norm 1, with Av the shifted sum over s in S
+    of v(x + s); and at xi and n - xi the gap to the direct sum over s in S of
+    cos(2 pi s xi / n). For n up to DENSE_CHECK_LIMIT also the largest gap
+    between the sorted spectrum and the dense eigvalsh of the Cayley graph.
+    O(|S|^2 + n|S|) time and O(n) memory above the cap.
+
+    Above the cap, raising both mirrors lambda_xi and lambda_(n-xi) of a pair
+    equally is still seen only through the moments: the spectrum stays
+    symmetric, and the minimising pair is then either another pair or, if the
+    raised pair is still the minimum, caught by the eigenpair and direct sums.
     """
     n, k = spectrum.size, s.size
     moments = [float(spectrum.sum()), float(spectrum @ spectrum), float((spectrum * spectrum) @ spectrum)]
     expected = [0.0, float(n * k), float(n * _triple_count(s, n))]
     errors = [abs(m - e) / (n * float(k) ** p) for p, (m, e) in enumerate(zip(moments, expected), start=1)]
+    errors.append(float(np.abs(spectrum[1:] - spectrum[:0:-1]).max()))
     xi = int(np.argmin(spectrum))
     v = np.cos(2.0 * math.pi * ((xi * np.arange(n)) % n) / n)
     v2 = np.concatenate([v, v])
@@ -382,7 +390,10 @@ def _check_spectrum(spectrum: np.ndarray, s: np.ndarray) -> tuple[tuple[str, ...
     for shift in s:
         av += v2[shift : shift + n]
     errors.append(float(np.abs(av - spectrum[xi] * v).max()))
-    checks = ("moment1", "moment2", "moment3", "min_eigenpair")
+    for x in (xi, -xi % n):
+        direct = float(np.cos(2.0 * math.pi * ((x * s) % n) / n).sum())
+        errors.append(abs(direct - float(spectrum[x])))
+    checks = ("moment1", "moment2", "moment3", "mirror", "min_eigenpair", "min_direct_sum")
     if n <= DENSE_CHECK_LIMIT:
         graph = cayley_graph(cyclic_group(n), s.tolist())
         eigs = np.linalg.eigvalsh(graph.adjacency.astype(np.float64))
@@ -397,11 +408,12 @@ def chowla_certificate(a_set: Sequence[int]) -> ChowlaReport:
     n is the least prime above 4*max(A). The spectrum is 2 f at the Fourier
     points 2 pi xi / n, from one length-n FFT of A's indicator; lambda_min and
     fourier_min are read from it, and _check_spectrum checks it independently
-    (moments and the minimising eigenpair at every n, plus a dense eigvalsh
-    for n <= DENSE_CHECK_LIMIT, so no n x n array exists above that). The
-    minimum over Fourier points can be no smaller than the grid minimum of f.
-    max(A) above MAX_CHOWLA_DEGREE is a SizeError, raised before the prime
-    search. The reference line -|A|^(1/10) is recorded for comparison only.
+    (moments, mirror symmetry, the minimising eigenpair and direct cosine sums
+    at every n, plus a dense eigvalsh for n <= DENSE_CHECK_LIMIT, so no n x n
+    array exists above that). The minimum over Fourier points can be no
+    smaller than the grid minimum of f. max(A) above MAX_CHOWLA_DEGREE is a
+    SizeError, raised before the prime search. The reference line
+    -|A|^(1/10) is recorded for comparison only.
     """
     a = CosinePolynomial.of(a_set).a_set
     if a[-1] > MAX_CHOWLA_DEGREE:  # refuse before the prime search and any n-sized array

@@ -529,7 +529,8 @@ def peel_cliques(
     size floor (default sqrt(n)). The cliques and the leftover vertices (as
     1-cliques) become nodes of an auxiliary graph joining pairs with crossing
     density >= 1 - merge_threshold (default n^(-1/6)), all read off one k x k
-    block edge-count matrix; its connected components are the blocks.
+    block edge-count matrix; its connected components are the blocks. A
+    non-finite floor or a merge_threshold outside [0, 1] is an InputError.
     Returns (cliques in peel order, sorted blocks, sorted leftover vertices).
 
     The extractor picks each peeled clique. "pipeline" runs _clique_search,
@@ -540,6 +541,10 @@ def peel_cliques(
     """
     if extractor not in ("pipeline", "greedy"):
         raise InputError(f"unknown extractor {extractor!r}")
+    if floor is not None and not math.isfinite(floor):
+        raise InputError(f"floor={floor!r} must be a finite number")
+    if merge_threshold is not None and not 0.0 <= merge_threshold <= 1.0:
+        raise InputError(f"merge_threshold={merge_threshold!r} must lie in [0, 1]")
     n = g.n
     if floor is None:
         floor = math.sqrt(n)

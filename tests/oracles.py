@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from eigencliques.errors import InputError
+
 
 def brute_maxcut(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
     """Maximum cut by plain itertools enumeration; first optimal assignment wins."""
@@ -141,6 +143,21 @@ def brute_neighbor_masks(n: int, edges) -> list[int]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
+
+
+def loop_edge_adjacency(n: int, edges) -> np.ndarray:
+    """Adjacency set edge by edge with from_edge_list's checks, in its order:
+    per edge the range error, then the self-loop error."""
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"self-loop at vertex {u}")
+        adj[u, v] = 1
+        adj[v, u] = 1
+    return adj
 
 
 def brute_independence(adj: np.ndarray) -> int:

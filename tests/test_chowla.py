@@ -229,7 +229,7 @@ def test_certificate_json_fields():
     assert doc["checks"] == list(FAST_CHECKS) + ["dense_eigvalsh"]
 
 
-FAST_CHECKS = ("moment1", "moment2", "moment3", "min_eigenpair")
+FAST_CHECKS = ("moment1", "moment2", "moment3", "mirror", "min_eigenpair", "min_direct_sum")
 # the benchmark's seed-1 sets (bench/workloads.py, _chowla_set(1, amax)): n = 487, 1009, 2003
 BENCH_SETS = [
     [11, 33, 41, 51, 74, 92, 116, 120],
@@ -297,6 +297,23 @@ def test_spectrum_checks_fail_closed(a):
         assert checks == report.checks
         assert residual > 1e-8
         assert not dataclasses.replace(report, residual=residual).holds()
+
+
+def test_raised_minimum_fails_closed_above_dense_cap():
+    # n = 2003 is above the dense cap. Raising the minimum at xi = 1852 by 1e-6
+    # makes its mirror xi = 151 the argmin, whose eigenpair is exact, and moves
+    # the moments by far less than their tolerance: only the mirror gap and the
+    # direct sum at n - xi see it.
+    a = BENCH_SETS[2]
+    report = chowla.chowla_certificate(a)
+    spectrum = 2.0 * chowla._cosine_grid(tuple(a), report.n)
+    assert report.n == 2003 and int(np.argmin(spectrum)) == 1852
+    bad = spectrum.copy()
+    bad[1852] += 1e-6
+    checks, residual = chowla._check_spectrum(bad, _support(a, report.n))
+    assert checks == report.checks == FAST_CHECKS
+    assert residual == pytest.approx(1e-6, rel=1e-6)
+    assert not dataclasses.replace(report, residual=residual).holds()
 
 
 @pytest.mark.parametrize("a", [range(1, 5001), [5000]])

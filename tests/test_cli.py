@@ -161,6 +161,9 @@ def test_unknown_param_rejected(tmp_path, capsys):
         (["spectrum", "--tol", "1e6"], "--tol"),
         (["chowla", "1,2", "--tol=-1e-9"], "--tol"),
         (["decompose", "--params", "extractor=bogus"], "extractor 'bogus'"),
+        # threshold=7 merged at crossing density >= -6 and exited 0
+        (["decompose", "--params", "threshold=7"], "merge_threshold=7.0 must lie in [0, 1]"),
+        (["decompose", "--params", "threshold=-0.5"], "merge_threshold=-0.5 must lie in [0, 1]"),
     ],
 )
 def test_bad_param_value_fails_closed(tmp_path, capsys, argv, bad):

@@ -1,9 +1,14 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import eigencliques as ec
-from eigencliques.errors import InputError
+from eigencliques import graphs
+from eigencliques.errors import InputError, ToolkitError
 from eigencliques.graphs import format_edge_list, parse_edge_list
+from oracles import loop_edge_adjacency
 
 
 def test_from_edge_list_triangle():
@@ -141,31 +146,31 @@ def test_edge_list_comments_and_errors():
         parse_edge_list("3 2\n0 1\n")  # missing edge line
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ("", "line 1: empty input, expected header 'n m'"),
-        ("# only a comment\n\n", "line 1: empty input, expected header 'n m'"),
-        ("# c\n\n3\n", "line 3: expected header 'n m'"),
-        ("3 x\n", "line 1: expected integers in header"),
-        ("3 -1\n", "line 1: negative header values"),
-        ("-3 1\n", "line 1: negative header values"),
-        ("3 1\n0\n", "line 2: expected edge 'u v'"),
-        ("3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
-        ("3 1\n0 x\n", "line 2: expected integer endpoints"),
-        ("3 2\n0 1\n", "header declares m=2 but 1 edge lines found"),
-        ("3 0\n0 1\n", "header declares m=0 but 1 edge lines found"),
-        ("3 1\n0 3\n", "edge (0,3) out of range for n=3"),
-        ("3 1\n-1 0\n", "edge (-1,0) out of range for n=3"),
-        ("3 1\n1 1\n", "self-loop at vertex 1"),
-        # which error wins: a malformed line beats an earlier out-of-range edge,
-        ("3 2\n0 9\n0 x\n", "line 3: expected integer endpoints"),
-        # the m-count check comes before the range checks,
-        ("3 2\n0 9\n", "header declares m=2 but 1 edge lines found"),
-        # and on one edge the range error beats the self-loop error
-        ("3 1\n5 5\n", "edge (5,5) out of range for n=3"),
-    ],
-)
+ERROR_TEXTS = [
+    ("", "line 1: empty input, expected header 'n m'"),
+    ("# only a comment\n\n", "line 1: empty input, expected header 'n m'"),
+    ("# c\n\n3\n", "line 3: expected header 'n m'"),
+    ("3 x\n", "line 1: expected integers in header"),
+    ("3 -1\n", "line 1: negative header values"),
+    ("-3 1\n", "line 1: negative header values"),
+    ("3 1\n0\n", "line 2: expected edge 'u v'"),
+    ("3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
+    ("3 1\n0 x\n", "line 2: expected integer endpoints"),
+    ("3 2\n0 1\n", "header declares m=2 but 1 edge lines found"),
+    ("3 0\n0 1\n", "header declares m=0 but 1 edge lines found"),
+    ("3 1\n0 3\n", "edge (0,3) out of range for n=3"),
+    ("3 1\n-1 0\n", "edge (-1,0) out of range for n=3"),
+    ("3 1\n1 1\n", "self-loop at vertex 1"),
+    # which error wins: a malformed line beats an earlier out-of-range edge,
+    ("3 2\n0 9\n0 x\n", "line 3: expected integer endpoints"),
+    # the m-count check comes before the range checks,
+    ("3 2\n0 9\n", "header declares m=2 but 1 edge lines found"),
+    # and on one edge the range error beats the self-loop error
+    ("3 1\n5 5\n", "edge (5,5) out of range for n=3"),
+]
+
+
+@pytest.mark.parametrize("text,message", ERROR_TEXTS)
 def test_edge_list_error_texts(text, message):
     with pytest.raises(InputError) as err:
         parse_edge_list(text)
@@ -179,12 +184,152 @@ def test_edge_list_error_texts(text, message):
         (3, [(0, 3)], "edge (0,3) out of range for n=3"),
         (3, [(2, 2)], "self-loop at vertex 2"),
         (3, [(5, 5)], "edge (5,5) out of range for n=3"),
+        # beyond int64: still a range error, not an OverflowError
+        (3, [(0, 10**30)], f"edge (0,{10**30}) out of range for n=3"),
+        (3, [(-(10**30), 1)], f"edge ({-(10**30)},1) out of range for n=3"),
+        # the first offending pair in input order wins
+        (3, [(1, 1), (0, 10**30)], "self-loop at vertex 1"),
+        (3, [(0, 1), (0, 7), (2, 2)], "edge (0,7) out of range for n=3"),
+        (3, [(np.int32(2), np.int64(2))], "self-loop at vertex 2"),
+        (3, [(0, 1, 2)], "edges must be (u, v) pairs of integers"),
+        (3, [(0, 1), (2,)], "edges must be (u, v) pairs of integers"),
+        (3, [(0, float("nan"))], "edges must be (u, v) pairs of integers"),
     ],
 )
 def test_from_edge_list_error_texts(n, edges, message):
     with pytest.raises(InputError) as err:
         ec.from_edge_list(n, edges)
     assert str(err.value) == message
+
+
+def test_from_edge_list_takes_numpy_pairs_and_generators():
+    triangle = ec.complete(3)
+    assert ec.from_edge_list(3, [(np.int64(0), np.int32(1)), (np.uint8(1), 2), (0, np.int16(2))]) == triangle
+    assert ec.from_edge_list(3, np.array([[0, 1], [1, 2], [2, 0]], dtype=np.uint16)) == triangle
+    assert ec.from_edge_list(3, ((i, (i + 1) % 3) for i in range(3))) == triangle
+    assert ec.from_edge_list(0, np.zeros((0, 2), dtype=np.int64)).n == 0
+
+
+# Layouts for the differential test, each with whether it is canonical (read in
+# one numpy pass) or goes through the line loop.
+LAYOUTS = [
+    ("3 1\n0 1\n", True),
+    ("3 3\n0 1\n1 0\n0 1\n", True),  # duplicates collapse
+    ("3 0\n", True),
+    ("0 0\n", True),
+    ("03 1\n00 002\n", True),  # leading zeros
+    ("3 1\n-0 1\n", True),
+    ("3 2\n1 1\n0 5\n", True),  # self-loop before a later range error
+    ("3 2\n0 5\n1 1\n", True),
+    ("3 1\n0 999999999999999999\n", True),  # 18 digits
+    ("100000000000000000 0\n", True),  # over the vertex ceiling
+    ("3 1\n0 1234567890123456789\n", False),  # 19 digits
+    ("3 1\n0 99999999999999999999\n", False),  # beyond int64
+    ("3 1\n-99999999999999999999 1\n", False),
+    ("1000000000000000000 0\n", False),
+    ("# c\n3 1\n0 1\n", False),
+    ("3 1\n# mid\n0 1\n", False),
+    ("3 1\n0 1\n# end\n", False),
+    ("\n3 1\n0 1\n", False),
+    ("3 1\n\n0 1\n", False),
+    ("3 1\n0 1\n\n", False),
+    ("3\t1\n0\t1\n", False),
+    ("3 1\r\n0 1\r\n", False),
+    ("3 1\n0 1", False),  # no final newline
+    ("3 0", False),
+    ("3 1\n- 1\n", False),
+    ("3 1\n+0 1\n", False),
+    ("3 1\n0 1_0\n", False),
+    ("3 1\n0 \u0661\n", False),  # Arabic-Indic digit one
+    ("\uff13 1\n0 1\n", False),  # fullwidth three
+    (" 3 1\n0 1\n", False),
+    ("3 1 \n0 1\n", False),
+    ("3 1\n0 1 \n", False),
+    ("3 1\n0  1\n", False),
+    ("3  1\n0 1\n", False),
+    ("3 1\u20280 1\n", False),  # a line separator splitlines() honours
+    ("3 1\n0 1\n\x0c", False),
+    ("3 1\n0\n1\n", False),
+    ("3 2\n0 1\n1 2", False),
+] + [(text, text in ("3 1\n0 3\n", "3 1\n-1 0\n", "3 1\n1 1\n", "3 1\n5 5\n")) for text, _ in ERROR_TEXTS]
+
+
+def _outcome(parse, text):
+    try:
+        return "graph", parse(text).adjacency.tobytes()
+    except ToolkitError as err:
+        return type(err).__name__, str(err)
+
+
+def _loop_reference(text):
+    return ec.Graph(loop_edge_adjacency(*graphs._parse_lines(text)))
+
+
+def _perturbations(text: str, seed: int) -> list[str]:
+    """One changed character, a swapped space and newline, a deleted and an added line."""
+    rng = random.Random(seed)
+    i = rng.randrange(len(text))
+    changed = text[:i] + rng.choice("0123456789 -\n\t\r#x+") + text[i + 1 :]
+    spaces = [k for k, c in enumerate(text) if c == " "]
+    newlines = [k for k, c in enumerate(text) if c == "\n"]
+    a, b = sorted((rng.choice(spaces), rng.choice(newlines)))
+    swapped = text[:a] + text[b] + text[a + 1 : b] + text[a] + text[b + 1 :]
+    lines = text.splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    deleted = "".join(lines[:k] + lines[k + 1 :])
+    extra = f"{rng.randint(-2, 12)} {rng.randint(-2, 12)}\n"
+    added = "".join(lines[:k] + [extra] + lines[k:])
+    return [changed, swapped, deleted, added]
+
+
+@pytest.mark.parametrize("text,canonical", LAYOUTS)
+def test_edge_list_layouts_match_line_loop(text, canonical):
+    assert (graphs._parse_canonical(text) is not None) == canonical
+    assert _outcome(parse_edge_list, text) == _outcome(_loop_reference, text)
+
+
+def test_edge_list_perturbations_match_line_loop():
+    texts = [
+        text for seed in range(40) for text in _perturbations(format_edge_list(ec.gnp(10, 0.4, seed % 4)), seed)
+    ]
+    canonical = 0
+    for text in texts:
+        canonical += graphs._parse_canonical(text) is not None
+        assert _outcome(parse_edge_list, text) == _outcome(_loop_reference, text), repr(text)
+    assert 0 < canonical < len(texts)  # both paths are exercised
+
+
+def test_formatted_edge_lists_skip_the_line_loop(monkeypatch):
+    def refuse(text):
+        raise AssertionError("line loop used for a formatted edge list")
+
+    graph_list = [ec.gnp(60, 0.5, 3), ec.complete(1), ec.from_edge_list(4, []), ec.Graph(np.zeros((0, 0)))]
+    texts = [format_edge_list(g) for g in graph_list]
+    monkeypatch.setattr(graphs, "_parse_lines", refuse)
+    for g, text in zip(graph_list, texts):
+        assert parse_edge_list(text) == g
+
+
+def test_format_edge_list_empty_graphs():
+    # byte-identical to the per-edge f-string format for m = 0 and n = 0
+    assert format_edge_list(ec.from_edge_list(4, [])) == "4 0\n"
+    assert format_edge_list(ec.Graph(np.zeros((0, 0)))) == "0 0\n"
+    assert format_edge_list(ec.path(3)) == "3 2\n0 1\n1 2\n"
+
+
+def test_canonical_read_memory():
+    # G(500, 1/2) as the dense_random benchmark writes it: 62k edges, ~0.5 MB of text.
+    # The line loop peaked at about 9 MiB (a tuple and two ints per edge).
+    g = ec.gnp(500, 0.5, 1)
+    text = format_edge_list(g)
+    tracemalloc.start()
+    try:
+        again = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == g and g.m > 60000
+    assert peak < 4 * 2**20
 
 
 def test_petersen_shape():
