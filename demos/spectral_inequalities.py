@@ -18,7 +18,7 @@ for name, g in [
     s = ec.spectrum(g)
     print(f"== {name}: n={g.n}, m={g.m}")
     print(f"   lambda_1 = {s.lambda_max:.3f}, lambda_n = {s.lambda_min:.3f}")
-    rep = spectral.verify_main_inequality(g)
+    rep = spectral.verify_main_inequality(g, s)
     print(f"   admissible from T = {rep.diagnostics['admissible_from']:.2f}")
     for rec in rep.records:
         print(
@@ -35,6 +35,7 @@ for rec in rep.records:
     print(f"   kappa = {rec['kappa']:.2f}: tail = {rec['rhs']:8.1f} <= bound = {rec['lhs']:8.1f}  [{rec['verdict']}]")
 
 # eigenvector bounds, including Hoffman on a regular bipartite graph
-rep = spectral.eigen_bound_report(ec.turan(2, 6))
+g = ec.turan(2, 6)
+rep = spectral.eigen_bound_report(g, ec.spectrum(g))
 hoffman = next(r for r in rep.records if r.get("bound") == "hoffman")
 print(f"== K(3,3): Hoffman bound {hoffman['lhs']:.1f} vs independence number {hoffman['rhs']:.0f}")

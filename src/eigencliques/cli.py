@@ -19,10 +19,6 @@ from .errors import ToolkitError
 from .graphs import Graph, generate, read_edge_list, write_edge_list
 from .serialize import dumps
 
-# Loosest accepted --tol: the default is 1e-9 (1e-7 above n = 500), and a
-# larger tolerance would pass eigensolver output that is plainly wrong.
-_MAX_TOL = 1e-3
-
 
 def _parse_params(command: str, raw: str | None) -> dict:
     if not raw:
@@ -72,8 +68,8 @@ def _strict(key: str, value: str) -> bool:
 
 def _check_tol(tol: float | None) -> None:
     # written so that NaN fails the comparison too
-    if tol is not None and not 0.0 <= tol <= _MAX_TOL:
-        raise ToolkitError(f"--tol must be a finite number in [0, {_MAX_TOL:g}], got {tol!r}")
+    if tol is not None and not 0.0 <= tol <= spectral._MAX_TOL:
+        raise ToolkitError(f"--tol must be a finite number in [0, {spectral._MAX_TOL:g}], got {tol!r}")
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
@@ -108,8 +104,8 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 # and an exit code; main reads the input and emits the report.
 def _cmd_spectrum(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     s = spectral.spectrum(g, args.tol)
-    bounds = spectral.eigen_bound_report(g, args.tol)
-    main = spectral.verify_main_inequality(g, tol=args.tol)
+    bounds = spectral.eigen_bound_report(g, s)
+    main = spectral.verify_main_inequality(g, s)
     report = {
         "n": g.n,
         "m": g.m,

@@ -211,13 +211,13 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
         pairing = -float((a * x1).sum())
         diagnostics["linear_pairing"] = pairing
         diag_ok = diag_ok and abs(pairing - lb_linear) <= tol * max(1.0, lb_linear)
-    caps = spectral_surplus_caps(g, tol)
+    lam_n = abs(s.lambda_min)  # the caps of spectral_surplus_caps, from the same spectrum
     return SurplusBounds(
         lb_linear=lb_linear,
         lb_quadratic=lb_quadratic,
         lb_cubic=lb_cubic,
-        ub_lambda=caps.ub_lambda,
-        ub_surp_quarter=caps.ub_surp_quarter,
+        ub_lambda=lam_n * n,
+        ub_surp_quarter=lam_n * n / 4.0,
         c=_SURPLUS_C,
         certificate_diag_ok=diag_ok,
         diagnostics=diagnostics,
@@ -225,7 +225,10 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
 
 
 def spectral_surplus_caps(g: Graph, tol: float | None = None) -> SurplusBounds:
-    """Upper caps |lambda_n| n / 4 on the surplus and |lambda_n| n on surp*."""
+    """Upper caps |lambda_n| n / 4 on the surplus and |lambda_n| n on surp*.
+
+    An edgeless graph (n = 0 included, which spectrum refuses) gets zero caps.
+    """
     if g.n == 0 or g.m == 0:
         return SurplusBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, True)
     lam_n = abs(spectrum(g, tol).lambda_min)

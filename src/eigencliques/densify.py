@@ -162,19 +162,17 @@ _PHASE1_MAX_STEPS = 1000
 _SPARSE_THRESHOLD = 0.125
 
 
-def default_parameters(g: Graph, tol: float | None = None) -> tuple[float, float, float]:
-    """Infer (gamma, eps, rho) from the measured smallest eigenvalue.
+def default_parameters(g: Graph, lam_n: float) -> tuple[float, float, float]:
+    """Infer (gamma, eps, rho) from g's smallest eigenvalue lam_n.
 
     gamma is log_d |lambda_n| clamped into [0.01, 0.08] (_FALLBACK_GAMMA when
-    the spectrum gives no logarithm); with eps = 2 gamma and rho = 1.2 gamma
-    the phase-1 parameter constraints hold on the whole range.
+    d or |lambda_n| is at most 1, so there is no logarithm); with eps = 2 gamma
+    and rho = 1.2 gamma the phase-1 parameter constraints hold on the whole range.
     """
     gamma = _FALLBACK_GAMMA
-    if g.m > 0:
-        d = g.average_degree
-        lam = abs(spectrum(g, tol).lambda_min)
-        if d > 1.0 and lam > 1.0:
-            gamma = math.log(lam) / math.log(d)
+    d, lam = g.average_degree, abs(lam_n)
+    if d > 1.0 and lam > 1.0:
+        gamma = math.log(lam) / math.log(d)
     gamma = min(max(gamma, 0.01), 0.08)
     return gamma, 2.0 * gamma, 1.2 * gamma
 
@@ -606,14 +604,17 @@ def clique_pipeline(
         raise InputError("empty vertex set")
     if g.m == 0:
         return CliqueCertificate(clique=(0,), size=1, phases=[], verified=True, target={"note": "edgeless input"})
+    lam_n = None
     if gamma is None:
-        gamma, _, _ = default_parameters(g, tol)
+        lam_n = spectrum(g, tol).lambda_min
+        gamma, _, _ = default_parameters(g, lam_n)
     if eps is None:
         eps = 2.0 * gamma
     if rho is None:
         rho = 1.2 * gamma
-    check_phase1_parameters(gamma, eps, rho)
-    lam_n = spectrum(g, tol).lambda_min
+    check_phase1_parameters(gamma, eps, rho)  # before any eigh when gamma is given
+    if lam_n is None:
+        lam_n = spectrum(g, tol).lambda_min
     lam = abs(lam_n)
     d_floor = max(1, int(g.average_degree))
     cert = _clique_search(g, gamma, eps, rho, delta)

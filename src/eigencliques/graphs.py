@@ -7,7 +7,6 @@ after construction and safe to share.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -55,7 +54,7 @@ def _check_vertex_count(n: int) -> None:
 class Graph:
     """Immutable dense graph. Use :func:`from_edge_list` or a generator to build one."""
 
-    __slots__ = ("n", "adjacency", "m", "_degrees", "_memo")
+    __slots__ = ("n", "adjacency", "m", "_degrees")
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency, dtype=np.uint8)
@@ -74,7 +73,6 @@ class Graph:
         self._degrees = adj.sum(axis=1, dtype=np.int64) if self.n else np.zeros(0, dtype=np.int64)
         self._degrees.setflags(write=False)
         self.m: int = int(self._degrees.sum()) // 2
-        self._memo: dict = {}
 
     # -- basic quantities ---------------------------------------------------
 
@@ -116,16 +114,6 @@ class Graph:
         sub = self.adjacency[np.ix_(idx, idx)]
         return int(sub.sum()) == k * (k - 1)
 
-    def fingerprint(self) -> str:
-        key = self._memo.get("fingerprint")
-        if key is None:
-            h = hashlib.sha256()
-            h.update(str(self.n).encode())
-            h.update(np.packbits(self.adjacency).tobytes())
-            key = h.hexdigest()[:16]
-            self._memo["fingerprint"] = key
-        return key
-
     def stats(self) -> "GraphStats":
         comp_max = (self.n - 1 - int(self._degrees.min())) if self.n else 0
         return GraphStats(
@@ -140,9 +128,6 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
-
-    def __hash__(self):
-        return hash(self.fingerprint())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

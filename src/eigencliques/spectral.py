@@ -36,6 +36,9 @@ __all__ = [
 
 # Largest n for which the independence number is computed exactly.
 _INDEPENDENCE_CUTOFF = 30
+# Loosest accepted tol: the default is 1e-9 (1e-7 above n = 500), and a
+# larger tolerance would pass eigensolver output that is plainly wrong.
+_MAX_TOL = 1e-3
 
 
 def default_tol(n: int) -> float:
@@ -86,16 +89,18 @@ def _orient_columns(vecs: np.ndarray) -> np.ndarray:
 def spectrum(g: Graph, tol: float | None = None) -> Spectrum:
     """Eigendecompose g's adjacency matrix and verify the decomposition invariants.
 
-    Raises NumericalError with the offending residual if the eigensolver output
-    fails the residual, orthonormality, or trace-identity checks at tol.
+    Each call runs one eigh; nothing is cached. Raises InputError unless tol is
+    finite and in [0, _MAX_TOL], and NumericalError with the offending residual
+    if the eigensolver output fails the residual, orthonormality, or
+    trace-identity checks at tol.
     """
     if g.n < 1:
         raise InputError("spectrum requires n >= 1")
     if tol is None:
         tol = default_tol(g.n)
-    cached = g._memo.get(("spectrum", tol))
-    if cached is not None:
-        return cached
+    # written so that NaN fails the comparison too
+    if not 0.0 <= tol <= _MAX_TOL:
+        raise InputError(f"tol must be a finite number in [0, {_MAX_TOL:g}], got {tol!r}")
     a = g.adjacency.astype(np.float64)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")
@@ -105,7 +110,6 @@ def spectrum(g: Graph, tol: float | None = None) -> Spectrum:
     _validate_spectrum(s, a, g.m)
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    g._memo[("spectrum", tol)] = s
     return s
 
 
@@ -262,21 +266,17 @@ def _finite_thresholds(thresholds: Sequence[float]) -> list[float]:
     return out
 
 
-def verify_main_inequality(g: Graph, thresholds: Sequence[float] | None = None, tol: float | None = None) -> InequalityReport:
-    """Check 4n * S_{T^2/(2n)} >= S_T^2 at every admissible threshold.
+def verify_main_inequality(g: Graph, s: Spectrum, thresholds: Sequence[float] | None = None) -> InequalityReport:
+    """Check 4n * S_{T^2/(2n)} >= S_T^2 at every admissible threshold; s is spectrum(g).
 
     A threshold is admissible when T >= 2|lambda_n|sqrt(n); below that the
     record is marked skipped, not failed. Each admissible record also carries
     the compression bound trace_W(A) <= S_K + K dim(W) for K = T^2/(2n) and the
     Hadamard lower bound sum lambda_i lambda_j |v_i o v_j|^2 >= S_T^2 / n.
     """
-    if thresholds is not None:
-        thresholds = _finite_thresholds(thresholds)
-    s = spectrum(g, tol)
     tol = s.tol
     n = g.n
-    if thresholds is None:
-        thresholds = auto_threshold_grid(s)
+    thresholds = auto_threshold_grid(s) if thresholds is None else _finite_thresholds(thresholds)
     report = InequalityReport(name="main_spectral_inequality", tol=tol)
     t_min = 2.0 * abs(s.lambda_min) * math.sqrt(n)
     report.diagnostics["admissible_from"] = t_min
@@ -431,8 +431,8 @@ def exact_independence_number(g: Graph) -> int:
     return best
 
 
-def eigen_bound_report(g: Graph, tol: float | None = None) -> InequalityReport:
-    """Bundle of eigenvector and eigenvalue bounds with measured slack.
+def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
+    """Bundle of eigenvector and eigenvalue bounds with measured slack; s is spectrum(g).
 
     Covers: the sup-norm bound |v|_inf <= sqrt(n)/|lambda| for every eigenpair;
     the principal-eigenvector entry bounds when the complement is sparse
@@ -440,7 +440,6 @@ def eigen_bound_report(g: Graph, tol: float | None = None) -> InequalityReport:
     graphs with alpha computed exactly for n <= 30; and the Weyl chain
     1 + mu_{i+1} <= -lambda_{n+1-i} against the complement's spectrum.
     """
-    s = spectrum(g, tol)
     tol = s.tol
     n = g.n
     report = InequalityReport(name="eigen_bounds", tol=tol)

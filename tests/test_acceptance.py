@@ -51,7 +51,7 @@ def test_criterion_02_main_inequality(corpus):
         s = ec.spectrum(g)
         t0 = 2.0 * abs(s.lambda_min) * math.sqrt(g.n)
         thresholds = sorted(set(spectral.auto_threshold_grid(s)) | {float(x) for x in s.eigenvalues if x >= t0 > 0})
-        rep = spectral.verify_main_inequality(g, thresholds)
+        rep = spectral.verify_main_inequality(g, s, thresholds)
         for rec in rep.records:
             assert rec["verdict"] != "fails", (name, rec)
             if rec["verdict"] == "holds":

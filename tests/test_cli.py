@@ -58,6 +58,29 @@ def test_reports_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("command, calls", [("spectrum", 2), ("clique", 1), ("maxcut", 1)])
+def test_one_spectrum_per_eigh(tmp_path, monkeypatch, command, calls):
+    # each command computes a spectrum once and passes it on; spectrum caches
+    # nothing, so every call pays one eigh (spectrum's second is the complement's)
+    from eigencliques import cuts, densify, spectral, structure
+
+    counts = {"spectrum": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    spectrum = counted("spectrum", spectral.spectrum)
+    for mod in (spectral, densify, cuts, structure):
+        monkeypatch.setattr(mod, "spectrum", spectrum)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    path = write_graph(tmp_path, "g.txt", ec.gnp(30, 0.5, 1))
+    assert main([command, "--input", path, "--output", str(tmp_path / "out.json")]) == 0
+    assert counts == {"spectrum": calls, "eigh": calls}
+
+
 def test_clique_planted(tmp_path, capsys):
     path = write_graph(tmp_path, "cu.txt", ec.clique_union([16, 16, 16]))
     code, out, _ = run(capsys, "clique", "--input", path)

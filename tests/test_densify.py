@@ -242,8 +242,19 @@ def test_triple_hadamard_identity_and_psd():
 
 def test_default_parameters_satisfy_constraints():
     for g in (ec.gnp(50, 0.3, 1), ec.clique_union([20, 20]), ec.petersen(), ec.cycle(12)):
-        gamma, eps, rho = densify.default_parameters(g)
+        gamma, eps, rho = densify.default_parameters(g, ec.spectrum(g).lambda_min)
         densify.check_phase1_parameters(gamma, eps, rho)
+
+
+def test_bad_explicit_gamma_fails_before_eigh(monkeypatch):
+    # lambda_n is read after the parameter check when gamma is given
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called before the parameter check")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(InputError) as err:
+        densify.clique_pipeline(ec.gnp(30, 0.5, 1), gamma=0.5)
+    assert str(err.value) == "need rho < 1/2"
 
 
 def test_densify_imports_nothing_from_structure():

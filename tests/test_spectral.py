@@ -4,11 +4,35 @@ import numpy as np
 import pytest
 
 import eigencliques as ec
-from eigencliques import spectral
+from eigencliques import cuts, densify, spectral
 from eigencliques.errors import InputError
 from oracles import brute_independence, loop_orient_columns
 
 TOL = 1e-8
+
+
+# every eigen-consumer reads tol through spectrum or s.tol, so spectrum's check covers them all
+_TOL_ENTRY_POINTS = {
+    "spectrum": lambda g, tol: ec.spectrum(g, tol),
+    "clique_pipeline": lambda g, tol: densify.clique_pipeline(g, tol=tol),
+    "spectral_surplus_caps": lambda g, tol: cuts.spectral_surplus_caps(g, tol),
+    "surplus_lb_spectral": lambda g, tol: cuts.surplus_lb_spectral(g, tol),
+    "verify_maxcut_main_inequality": lambda g, tol: spectral.verify_maxcut_main_inequality(g, 0.1, 1.0, tol=tol),
+    "triple_hadamard_diagnostic": lambda g, tol: densify.triple_hadamard_diagnostic(g, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 1e6])
+@pytest.mark.parametrize("entry", sorted(_TOL_ENTRY_POINTS))
+def test_bad_tol_fails_closed_at_library_boundary(entry, tol):
+    # NaN switched every spectrum check off (clique_pipeline read verified: True),
+    # and -1 raised a misleading eigenpair-residual NumericalError
+    with pytest.raises(InputError, match=r"^tol must be a finite number in \[0, 0.001\], got "):
+        _TOL_ENTRY_POINTS[entry](ec.gnp(30, 0.5, 1), tol)
+
+
+def test_loosest_tol_is_accepted():
+    assert ec.spectrum(ec.gnp(30, 0.5, 1), spectral._MAX_TOL).tol == 1e-3
 
 
 def test_complete_graph_spectrum():
@@ -170,7 +194,8 @@ def test_schur_product_psd():
 
 
 def test_verify_main_inequality_k10():
-    r = spectral.verify_main_inequality(ec.complete(10), [7.0])
+    g = ec.complete(10)
+    r = spectral.verify_main_inequality(g, ec.spectrum(g), [7.0])
     rec = r.records[0]
     assert rec["verdict"] == "holds"
     assert rec["lhs"] == pytest.approx(360.0, abs=1e-6)
@@ -180,21 +205,23 @@ def test_verify_main_inequality_k10():
 
 
 def test_verify_main_inequality_empty_graph():
-    r = spectral.verify_main_inequality(ec.from_edge_list(5, []), [1.0, 2.0])
+    g = ec.from_edge_list(5, [])
+    r = spectral.verify_main_inequality(g, ec.spectrum(g), [1.0, 2.0])
     assert r.verdict == "holds"
     assert all(rec["lhs"] >= rec["rhs"] for rec in r.records)
 
 
 def test_verify_main_inequality_skips_inadmissible():
     g = ec.petersen()  # lambda_n = -2, so admissible from 4*sqrt(10) ~ 12.6
-    r = spectral.verify_main_inequality(g, [1.0, 20.0])
+    r = spectral.verify_main_inequality(g, ec.spectrum(g), [1.0, 20.0])
     assert r.records[0]["verdict"] == "skipped"
     assert r.records[1]["verdict"] == "holds"
 
 
 def test_verify_main_inequality_gnp_samples():
     for seed in range(10):
-        r = spectral.verify_main_inequality(ec.gnp(60, 0.5, seed))
+        g = ec.gnp(60, 0.5, seed)
+        r = spectral.verify_main_inequality(g, ec.spectrum(g))
         assert r.verdict == "holds"
 
 
@@ -213,7 +240,7 @@ def test_verify_inequalities_reject_nonfinite_thresholds(bad):
     # a NaN threshold passed both skip tests and read "holds" with lhs = rhs = 0
     g = ec.gnp(30, 0.5, 1)
     with pytest.raises(InputError, match="not finite"):
-        spectral.verify_main_inequality(g, thresholds=[10.0, bad])
+        spectral.verify_main_inequality(g, ec.spectrum(g), thresholds=[10.0, bad])
     with pytest.raises(InputError, match="not finite"):
         spectral.verify_maxcut_main_inequality(g, gamma=0.1, C=1.0, thresholds=[bad])
 
@@ -229,7 +256,7 @@ def test_threshold_exactly_at_eigenvalue():
     s = ec.spectrum(g)
     ts = spectral.threshold_summary(s, 49.0)
     assert ts.N == 2 and ts.S == pytest.approx(98.0, abs=1e-6)
-    r = spectral.verify_main_inequality(g, [49.0])
+    r = spectral.verify_main_inequality(g, s, [49.0])
     assert r.records[0]["verdict"] == "holds"
 
 
@@ -273,7 +300,7 @@ def test_tail_second_moment_bad_parameters():
 def test_eigen_bound_report_hoffman_k33():
     g = ec.turan(2, 6)
     assert brute_independence(g.adjacency) == 3
-    r = spectral.eigen_bound_report(g)
+    r = spectral.eigen_bound_report(g, ec.spectrum(g))
     rec = next(x for x in r.records if x.get("bound") == "hoffman")
     assert rec["lhs"] == pytest.approx(3.0, abs=1e-9)
     assert rec["rhs"] == 3.0
@@ -282,13 +309,14 @@ def test_eigen_bound_report_hoffman_k33():
 
 def test_eigen_bound_report_sup_norm_gnp():
     g = ec.gnp(50, 0.5, 6)
-    r = spectral.eigen_bound_report(g)
+    r = spectral.eigen_bound_report(g, ec.spectrum(g))
     sup = [x for x in r.records if x.get("bound") == "sup_norm"]
     assert sup and all(x["verdict"] == "holds" for x in sup)
 
 
 def test_eigen_bound_report_weyl_on_c5():
-    r = spectral.eigen_bound_report(ec.cycle(5))
+    g = ec.cycle(5)
+    r = spectral.eigen_bound_report(g, ec.spectrum(g))
     weyl = [x for x in r.records if x.get("bound") == "weyl_complement"]
     assert len(weyl) == 4
     assert all(x["verdict"] == "holds" for x in weyl)
@@ -297,7 +325,7 @@ def test_eigen_bound_report_weyl_on_c5():
 def test_eigen_bound_report_principal_entry():
     g = ec.complement(ec.gnp(40, 0.95, 3))  # dense graph, sparse complement
     g = ec.complement(g) if g.density < 0.5 else g
-    r = spectral.eigen_bound_report(g)
+    r = spectral.eigen_bound_report(g, ec.spectrum(g))
     if g.n > 10 and ec.complement(g).density <= 0.1:
         kinds = {x.get("bound") for x in r.records}
         assert "principal_entry_lower" in kinds and "principal_entry_upper" in kinds
@@ -365,7 +393,8 @@ def test_hadamard_sum_lower_bound_any_threshold():
 
 
 def test_report_json_fields():
-    r = spectral.verify_main_inequality(ec.complete(10), [7.0])
+    g = ec.complete(10)
+    r = spectral.verify_main_inequality(g, ec.spectrum(g), [7.0])
     doc = r.to_json_dict()
     assert set(doc) >= {"name", "tol", "records", "verdict"}
     assert set(doc["records"][0]) >= {"T", "lhs", "rhs", "slack", "verdict"}
