@@ -346,10 +346,7 @@ def discrepancy(g: Graph, cutoff: int = EXHAUSTIVE_SUBSET_LIMIT) -> DiscrepancyR
         # 276^2 for n <= 24, so int32 holds it
         score = _subset_edge_counts(g.adjacency).astype(np.int32)
         score *= denom
-        sizes = np.zeros(1 << n, dtype=np.uint8)  # |U|, by doubling like the table
-        for v in range(n):
-            half = 1 << v
-            sizes[half : 2 * half] = sizes[:half] + 1
+        sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))  # |U|
         k = np.arange(n + 1, dtype=np.int32)
         score -= (g.m * (k * (k - 1) // 2))[sizes]
         plus_mask = int(np.argmax(score))

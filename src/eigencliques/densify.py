@@ -88,8 +88,14 @@ def _density_of(edges: int, k: int) -> float:
     return edges / (k * (k - 1) / 2)
 
 
-def _density(g: Graph, idx: np.ndarray) -> float:
-    return _density_of(int(g.adjacency[np.ix_(idx, idx)].sum()) // 2, len(idx))
+def _inner_degrees(g: Graph, idx: np.ndarray) -> np.ndarray:
+    """Degree of each vertex of idx inside G[idx]."""
+    return g.adjacency[np.ix_(idx, idx)].sum(axis=1, dtype=np.int64)
+
+
+def _density(deg: np.ndarray) -> float:
+    """Edge density of a vertex set from its inner degrees."""
+    return _density_of(int(deg.sum()) // 2, len(deg))
 
 
 # -- phase 0 ------------------------------------------------------------------
@@ -103,7 +109,7 @@ def _phase0_search(g: Graph) -> PhaseTrace:
     d = max(1, int(g.average_degree))
     x = int(np.argmax(g.degrees))
     s_idx = g.neighbors(x)[:d]
-    e_s = int(g.adjacency[np.ix_(s_idx, s_idx)].sum()) // 2
+    e_s = int(_inner_degrees(g, s_idx).sum()) // 2
     return PhaseTrace(
         phase=0,
         vertices_in=tuple(range(g.n)),
@@ -212,7 +218,7 @@ def phase1_densify(
     steps: list[dict] = []
 
     def potential(idx: np.ndarray) -> float:
-        return len(idx) ** expo * _density(g, idx)
+        return len(idx) ** expo * _density(_inner_degrees(g, idx))
 
     phi = potential(current)
     for _ in range(_PHASE1_MAX_STEPS):
@@ -222,7 +228,7 @@ def phase1_densify(
             break
         deg = sub.sum(axis=1, dtype=np.int64)
         d_avg = deg.mean()
-        p_cur = _density(g, current)
+        p_cur = _density(deg)
         candidates: list[tuple[float, str, np.ndarray]] = []
         # (b) closed-neighbourhood step. The triangle count guarantees some
         # vertex has a dense neighbourhood; score them all by the potential of
@@ -265,11 +271,12 @@ def phase1_densify(
         steps.append({"move": move, "size": int(len(best)), "potential": best_phi})
         current = best
         phi = best_phi
+    p_out = _density(_inner_degrees(g, current))
     guarantee = {
         "claimed_size": n0 ** (1.0 - eps),
         "measured_size": int(len(current)),
         "met": bool(len(current) >= n0 ** (1.0 - eps)),
-        "measured_density": _density(g, current),
+        "measured_density": p_out,
         "potential_monotone": True,
     }
     return PhaseTrace(
@@ -277,7 +284,7 @@ def phase1_densify(
         vertices_in=tuple(range(n0)),
         vertices_out=tuple(int(v) for v in current),
         density_in=g.density,
-        density_out=_density(g, current),
+        density_out=p_out,
         params={"gamma": gamma, "eps": eps, "rho": rho, "steps": steps},
         guarantee=guarantee,
     )
@@ -300,8 +307,7 @@ def phase2_dense_core(g: Graph, delta: float = 0.1) -> PhaseTrace:
         out_density = _density_of(g.m, g.n)
         note = "no blocks recovered; returning the input"
     else:
-        inner = np.diagonal(block_edge_counts(g.adjacency, blocks)) // 2
-        dens = [_density_of(int(e), len(b)) for e, b in zip(inner, blocks)]
+        dens = [_density(_inner_degrees(g, b)) for b in blocks]
         floor_size = p * g.n / 2.0
         qualifying = [i for i, b in enumerate(blocks) if len(b) >= floor_size]
         dense_enough = [i for i in qualifying if dens[i] >= 1.0 - delta]
@@ -347,37 +353,24 @@ def balanced_subgraph(g: Graph) -> PhaseTrace:
     p0 = g.density
     if p0 > 0.2:
         raise InputError(f"balanced_subgraph needs density <= 1/5, got {p0:.3f}")
-    current = np.arange(g.n)
-    rounds = 0
-    while True:
-        k = len(current)
-        p_cur = _density(g, current)
-        if p_cur <= 0.0 or k <= 2:
+    # deg: the degrees inside G[current]. The density stays at most 1/5, so
+    # log2(1/p) > 2 and a trim of r vertices leaves some.
+    current, deg, rounds = np.arange(g.n), g.degrees, 0
+    while len(current) > 2 and (p_cur := _density(deg)) > 0.0:
+        r = int(math.ceil(len(current) / math.log2(1.0 / p_cur)))
+        trimmed = np.sort(current[np.lexsort((current, -deg))[r:]])
+        trimmed_deg = _inner_degrees(g, trimmed)
+        if _density(trimmed_deg) >= p_cur / 2.0:
             break
-        r = int(math.ceil(k / math.log2(1.0 / p_cur)))
-        if r >= k:
-            break
-        sub_deg = g.adjacency[np.ix_(current, current)].sum(axis=1).astype(np.int64)
-        order = np.lexsort((current, -sub_deg))
-        trimmed = np.sort(current[order[r:]])
-        if _density(g, trimmed) < p_cur / 2.0:
-            current = trimmed
-            rounds += 1
-            continue
-        break
-    k = len(current)
-    p_k = _density(g, current)
-    if p_k > 0.0 and k > 1:
-        cutoff = (k - 1) * p_k * math.log2(1.0 / p_k)
-        sub_deg = g.adjacency[np.ix_(current, current)].sum(axis=1).astype(np.int64)
-        keep = sub_deg < cutoff
+        current, deg, rounds = trimmed, trimmed_deg, rounds + 1
+    p_k = _density(deg)
+    if p_k > 0.0 and len(current) > 1:
+        keep = deg < (len(current) - 1) * p_k * math.log2(1.0 / p_k)
         if keep.any():
             current = current[keep]
-    out_p = _density(g, current)
-    sub_deg = g.adjacency[np.ix_(current, current)].sum(axis=1).astype(np.int64) if len(current) else np.zeros(0, dtype=np.int64)
-    d_out = float(sub_deg.mean()) if len(current) else 0.0
-    delta_out = int(sub_deg.max()) if len(current) else 0
-    measured_c = delta_out / d_out if d_out > 0 else None
+            deg = _inner_degrees(g, current)
+    out_p = _density(deg)
+    measured_c = float(deg.max() / deg.mean()) if deg.any() else None
     claimed_c = 4.0 * math.log2(1.0 / out_p) if out_p > 0 else None
     guarantee = {
         "claimed_balance": claimed_c,
@@ -438,21 +431,15 @@ def phase3_clique(g: Graph) -> CliqueCertificate:
     found has size at least n3 / (dbar3 + 1), where n3 and dbar3 are the core's
     size and the core's average complement degree.
     """
-    comp = complement(g)
-    note = None
-    if comp.density <= 0.2:
-        bal = balanced_subgraph(comp)
-        core = np.asarray(bal.vertices_out, dtype=int)
-        if len(core) == 0:
-            core = np.arange(g.n)
-            note = "balanced core empty; using the whole graph"
+    n = g.n
+    # the complement's Graph.density (0 for n <= 1); a nonempty graph's balanced core is nonempty
+    if n <= 1 or (n * (n - 1) // 2 - g.m) / (n * (n - 1) / 2) <= 0.2:
+        core, note = np.asarray(balanced_subgraph(complement(g)).vertices_out, dtype=int), None
     else:
-        core = np.arange(g.n)
-        note = "complement density above 1/5; balancing skipped, guarantee informational"
+        core, note = np.arange(n), "complement density above 1/5; balancing skipped, guarantee informational"
     clique = greedy_clique(g, core)
     n3 = len(core)
-    comp_deg = comp.adjacency[np.ix_(core, core)].sum(axis=1).astype(np.int64) if n3 else np.zeros(0)
-    dbar3 = float(comp_deg.mean()) if n3 else 0.0
+    dbar3 = float((n3 - 1 - _inner_degrees(g, core)).mean()) if n3 else 0.0
     claimed = math.ceil(n3 / (dbar3 + 1.0)) if n3 else 0
     verified = g.is_clique(clique)
     trace = PhaseTrace(
@@ -534,8 +521,9 @@ def peel_cliques(
     The extractor picks each peeled clique. "pipeline" runs _clique_search,
     the four-phase search of clique_pipeline without its spectral
     certificate, so no peel eigendecomposes its residual graph. "greedy"
-    maximalises (extend_clique) the clique that greedy_clique grows by
-    repeatedly taking the candidate with most neighbours among the others.
+    takes the clique that greedy_clique grows by repeatedly taking the
+    candidate with most neighbours among the others; it stops only when no
+    vertex is adjacent to every pick, so that clique is already maximal.
     """
     if extractor not in ("pipeline", "greedy"):
         raise InputError(f"unknown extractor {extractor!r}")
@@ -553,7 +541,7 @@ def peel_cliques(
     while len(residual):
         sub = induced_subgraph(g, residual)
         if extractor == "greedy":
-            local = extend_clique(sub, greedy_clique(sub))
+            local = greedy_clique(sub)
         else:
             local = list(_clique_search(sub).clique) if sub.m else [0]
         if len(local) < floor:

@@ -46,6 +46,12 @@ def default_tol(n: int) -> float:
     return 1e-9 if n <= 500 else 1e-7
 
 
+def _check_tol(tol: float) -> None:
+    # written so that NaN fails the comparison too
+    if not 0.0 <= tol <= _MAX_TOL:
+        raise InputError(f"tol must be a finite number in [0, {_MAX_TOL:g}], got {tol!r}")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Full eigendecomposition of an adjacency matrix.
@@ -98,9 +104,7 @@ def spectrum(g: Graph, tol: float | None = None) -> Spectrum:
         raise InputError("spectrum requires n >= 1")
     if tol is None:
         tol = default_tol(g.n)
-    # written so that NaN fails the comparison too
-    if not 0.0 <= tol <= _MAX_TOL:
-        raise InputError(f"tol must be a finite number in [0, {_MAX_TOL:g}], got {tol!r}")
+    _check_tol(tol)
     a = g.adjacency.astype(np.float64)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")
@@ -128,6 +132,14 @@ def _validate_spectrum(s: Spectrum, a: np.ndarray, m: int) -> None:
         raise NumericalError("trace identity sum(lambda)=0 violated", float(s.eigenvalues.sum()))
     if abs(float((s.eigenvalues**2).sum()) - 2.0 * m) > tol * scale:
         raise NumericalError("trace identity sum(lambda^2)=2m violated")
+
+
+def _check_spectrum_of(g: Graph, s: Spectrum) -> None:
+    """InputError unless s has g's n and meets _validate_spectrum's sum(lambda^2) = 2m (no eigh)."""
+    if s.n != g.n:
+        raise InputError(f"spectrum has n={s.n} but the graph has n={g.n}")
+    if not abs(float((s.eigenvalues**2).sum()) - 2.0 * g.m) <= s.tol * (1.0 + 2.0 * g.m):
+        raise InputError(f"spectrum is not the graph's: sum(lambda^2) is not 2m = {2 * g.m}")
 
 
 @dataclass(frozen=True)
@@ -195,6 +207,7 @@ def subspace_from_hadamard(s: Spectrum, T: float) -> Subspace:
 
 def w_trace(m: np.ndarray, w: Subspace, tol: float = 1e-9) -> float:
     """trace of the W-compression Pi_W M Pi_W, as sum_i w_i^T M w_i."""
+    _check_tol(tol)
     m = np.asarray(m, dtype=np.float64)
     if m.shape[0] != m.shape[1]:
         raise InputError("matrix must be square")
@@ -267,13 +280,14 @@ def _finite_thresholds(thresholds: Sequence[float]) -> list[float]:
 
 
 def verify_main_inequality(g: Graph, s: Spectrum, thresholds: Sequence[float] | None = None) -> InequalityReport:
-    """Check 4n * S_{T^2/(2n)} >= S_T^2 at every admissible threshold; s is spectrum(g).
+    """Check 4n * S_{T^2/(2n)} >= S_T^2 at every admissible threshold; s must be spectrum(g).
 
     A threshold is admissible when T >= 2|lambda_n|sqrt(n); below that the
     record is marked skipped, not failed. Each admissible record also carries
     the compression bound trace_W(A) <= S_K + K dim(W) for K = T^2/(2n) and the
     Hadamard lower bound sum lambda_i lambda_j |v_i o v_j|^2 >= S_T^2 / n.
     """
+    _check_spectrum_of(g, s)
     tol = s.tol
     n = g.n
     thresholds = auto_threshold_grid(s) if thresholds is None else _finite_thresholds(thresholds)
@@ -432,7 +446,7 @@ def exact_independence_number(g: Graph) -> int:
 
 
 def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
-    """Bundle of eigenvector and eigenvalue bounds with measured slack; s is spectrum(g).
+    """Bundle of eigenvector and eigenvalue bounds with measured slack; s must be spectrum(g).
 
     Covers: the sup-norm bound |v|_inf <= sqrt(n)/|lambda| for every eigenpair;
     the principal-eigenvector entry bounds when the complement is sparse
@@ -440,6 +454,7 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
     graphs with alpha computed exactly for n <= 30; and the Weyl chain
     1 + mu_{i+1} <= -lambda_{n+1-i} against the complement's spectrum.
     """
+    _check_spectrum_of(g, s)
     tol = s.tol
     n = g.n
     report = InequalityReport(name="eigen_bounds", tol=tol)

@@ -129,10 +129,11 @@ def regular_partition(
     eps_target = delta * delta / 100.0 * n * n
     for kappa in [0.5 / 2**i for i in range(12)]:
         # low_rank_approx's residual, without building its n x n matrix
-        if float((s.eigenvalues[~(s.eigenvalues >= kappa * n)] ** 2).sum()) <= eps_target:
+        keep = s.eigenvalues >= kappa * n
+        residual = float((s.eigenvalues[~keep] ** 2).sum())
+        if residual <= eps_target:
             break
-    _, residual = low_rank_approx(s, kappa)
-    idx = np.flatnonzero(s.eigenvalues >= kappa * n)
+    idx = np.flatnonzero(keep)
     r = max(int(idx.size), 1)
     if constants is None:
         constants = scaled_regularity_constants(n, r, delta)
@@ -234,7 +235,6 @@ class CliqueUnionDecomposition:
     closeness: float
     cliques: list[tuple[int, ...]] = field(default_factory=list)
     clique_union_like: bool = True
-    model_adjacency: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,20 +255,20 @@ def clique_union_decompose(
 
     The peeling and merging live in densify.peel_cliques, beside the clique
     search they call; floor, merge_threshold and extractor are passed to it.
-    The edit distance counts exact edge flips between the input and the block
-    clique-union model; it upper-bounds the distance to the nearest clique
-    union. The two extractors can peel different cliques and so disagree: on
-    clique_union([30, 20, 10]) with the pairs where pair_uniforms(102, i, j)
-    < 0.03 flipped, "pipeline" returns blocks of 50 and 10 vertices at edit
-    distance 621, "greedy" the planted 30/20/10 blocks at edit distance 59.
+    The edit distance, the exact edge flips to the blocks' clique union, comes
+    from block sizes and inner edge counts; it upper-bounds the distance to
+    the nearest clique union. The two extractors can peel different cliques
+    and so disagree: on clique_union([30, 20, 10]) with the pairs where
+    pair_uniforms(102, i, j) < 0.03 flipped, "pipeline" returns blocks of 50
+    and 10 vertices at edit distance 621, "greedy" the planted 30/20/10
+    blocks at edit distance 59.
     """
     n = g.n
     cliques, blocks, leftover = peel_cliques(g, extractor, floor, merge_threshold)
-    model = np.zeros((n, n), dtype=np.uint8)
-    for b in blocks:
-        model[np.ix_(b, b)] = 1
-    np.fill_diagonal(model, 0)
-    edit = int((g.adjacency != model).sum()) // 2
+    # |E xor M| = m + |M| - 2 |E and M| for the model M of one clique per block
+    model_edges = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+    inner_edges = sum(int(g.adjacency[np.ix_(b, b)].sum()) for b in blocks) // 2
+    edit = g.m + model_edges - 2 * inner_edges
     closeness = edit / (n * n) if n else 0.0
     return CliqueUnionDecomposition(
         blocks=blocks,
@@ -277,7 +277,6 @@ def clique_union_decompose(
         closeness=closeness,
         cliques=cliques,
         clique_union_like=closeness <= _CLIQUE_UNION_LIKE,
-        model_adjacency=model,
     )
 
 

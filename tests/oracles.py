@@ -125,6 +125,15 @@ def union_find_blocks(adj: np.ndarray, cliques, merge_threshold: float):
     return [b for b in merged if len(b) > 1], tuple(b[0] for b in merged if len(b) == 1)
 
 
+def clique_union_model(n: int, blocks) -> np.ndarray:
+    """Adjacency of the clique union with one clique per block, set pair by pair."""
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for b in blocks:
+        for u, v in itertools.combinations(b, 2):
+            adj[u, v] = adj[v, u] = 1
+    return adj
+
+
 def brute_triangles_per_vertex(adj: np.ndarray) -> list[int]:
     """Triangles through each vertex by direct triple enumeration."""
     n = adj.shape[0]

@@ -13,6 +13,7 @@ from oracles import (
     brute_maxcut,
     brute_neighbor_masks,
     brute_triangles_per_vertex,
+    clique_union_model,
     cosine_grid_min,
 )
 
@@ -79,9 +80,10 @@ def test_decompose_edit_zero_iff_cherry_free_random():
         g = ec.gnp(n, float(rng.uniform(0.05, 0.95)), int(rng.integers(0, 10_000)))
         d = structure.clique_union_decompose(g)
         assert (structure.cherry_count(g) == 0) == (d.edit_distance == 0)
-        # the reported model is itself a clique union at the stated distance
-        assert structure.cherry_count(ec.Graph(d.model_adjacency)) == 0
-        assert int((g.adjacency != d.model_adjacency).sum()) // 2 == d.edit_distance
+        # the blocks' clique union is cherry-free and at the stated distance
+        model = clique_union_model(g.n, d.blocks)
+        assert structure.cherry_count(ec.Graph(model)) == 0
+        assert int((g.adjacency != model).sum()) // 2 == d.edit_distance
 
 
 def test_cosine_min_random_sets_vs_dense_grid():

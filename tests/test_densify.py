@@ -53,6 +53,42 @@ def test_phase1_parameter_validation():
         densify.phase1_densify(g, 0.08, 0.16, 0.15)  # combined constraint
 
 
+def test_phase1_edgeless_has_no_candidates():
+    # no vertex has a neighbour and none is heavy, so the first round stops
+    t = densify.phase1_densify(ec.from_edge_list(6, []), 0.05, 0.1, 0.06)
+    assert t.params["steps"] == []
+    assert t.vertices_out == tuple(range(6))
+
+
+def _hubs_on_a_path(n: int = 200, hubs: int = 4) -> ec.Graph:
+    # the hubs have degree n - 1 = 199 against an average degree of 9.85
+    edges = [(h, v) for h in range(hubs) for v in range(h + 1, n)]
+    return ec.from_edge_list(n, edges + [(v, v + 1) for v in range(hubs, n - 1)])
+
+
+def test_phase1_high_degree_split_keeps_the_hubs():
+    # rho/eps = 0.9 favours size: the hubs padded to n/5 = 40 vertices beat
+    # every closed neighbourhood, and nothing in them improves further
+    t = densify.phase1_densify(_hubs_on_a_path(), 0.01, 0.1, 0.09)
+    assert [(s["move"], s["size"]) for s in t.params["steps"]] == [("heavy-keep", 40)]
+    assert t.vertices_out == tuple(range(40))
+    assert t.density_out == (6 + 4 * 36 + 35) / (40 * 39 / 2)
+
+
+def test_phase1_high_degree_split_scores_both_sides(monkeypatch):
+    scored = []
+    inner_degrees = densify._inner_degrees
+
+    def recording(g, idx):
+        scored.append(tuple(int(v) for v in idx))
+        return inner_degrees(g, idx)
+
+    monkeypatch.setattr(densify, "_inner_degrees", recording)
+    densify.phase1_densify(_hubs_on_a_path(), 0.05, 0.1, 0.06)
+    assert tuple(range(40)) in scored  # heavy-keep
+    assert tuple(range(4, 200)) in scored  # heavy-drop
+
+
 def test_phase1_planted_blocks_with_noise():
     g = planted_noisy_union(30, 10, seed=7, p_noise=0.01)
     t = densify.phase1_densify(g, 0.05, 0.1, 0.06)

@@ -172,6 +172,33 @@ def test_w_trace_errors():
         spectral.w_trace(np.array([[0.0, 1.0], [0.0, 0.0]]), spectral.Subspace(basis=np.eye(2), rank_tol=0.0))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("m", [np.eye(5), np.arange(25.0).reshape(5, 5)], ids=["symmetric", "nonsymmetric"])
+def test_w_trace_rejects_bad_tol(m, tol):
+    # a NaN tol would turn the symmetry test into a comparison against NaN, which passes
+    w = spectral.Subspace(basis=np.eye(5), rank_tol=0.0)
+    with pytest.raises(InputError, match=r"^tol must be a finite number in \[0, 0.001\], got "):
+        spectral.w_trace(m, w, tol)
+
+
+_SPECTRUM_CONSUMERS = {
+    "verify_main_inequality": spectral.verify_main_inequality,
+    "eigen_bound_report": spectral.eigen_bound_report,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPECTRUM_CONSUMERS))
+def test_spectrum_of_another_graph_is_rejected(name):
+    # K5's spectrum read with another graph would make up a verdict
+    f = _SPECTRUM_CONSUMERS[name]
+    s = ec.spectrum(ec.complete(5))
+    with pytest.raises(InputError, match=r"^spectrum has n=5 but the graph has n=6$"):
+        f(ec.cycle(6), s)
+    with pytest.raises(InputError, match=r"^spectrum is not the graph's: sum\(lambda\^2\) is not 2m = 10$"):
+        f(ec.cycle(5), s)
+    f(ec.complete(5), s)
+
+
 def test_hadamard_identities():
     g = ec.gnp(15, 0.5, 9)
     a = g.adjacency.astype(float)

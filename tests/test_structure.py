@@ -7,7 +7,7 @@ import eigencliques as ec
 from eigencliques import structure
 from eigencliques.errors import InputError
 from conftest import flip_edges, planted_noisy_union
-from oracles import brute_cherries
+from oracles import brute_cherries, clique_union_model
 
 
 def test_low_rank_k10():
@@ -155,7 +155,7 @@ def test_decompose_interior_deletion_merges_back():
 def test_decompose_model_is_clique_union():
     g = ec.gnp(20, 0.5, 5)
     d = structure.clique_union_decompose(g)
-    model = d.model_adjacency
+    model = clique_union_model(g.n, d.blocks)
     mg = ec.Graph(model)
     assert structure.cherry_count(mg) == 0
     recount = int((g.adjacency != model).sum()) // 2
