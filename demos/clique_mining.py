@@ -9,7 +9,7 @@ block back out and certifies it pairwise.
 import numpy as np
 
 import eigencliques as ec
-from eigencliques import densify
+from eigencliques import densify, spectral
 from eigencliques.graphs import pair_uniforms
 
 SIZE, BLOCKS, SEED = 64, 5, 11
@@ -25,7 +25,7 @@ adj[ju[cross & noise], iu[cross & noise]] = 1
 g = ec.Graph(adj)
 
 print(f"planted instance: n={g.n}, m={g.m}, density={g.density:.3f}")
-print(f"lambda_n = {ec.spectrum(g).lambda_min:.2f}")
+print(f"lambda_n = {spectral.lambda_min(g):.2f}")
 
 cert = densify.clique_pipeline(g)
 print(f"\npipeline found a verified clique of size {cert.size} (planted {SIZE})")

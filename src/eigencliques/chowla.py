@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, SizeError
 from .graphs import Graph, _check_vertex_count
+from .spectral import lambda_min
 
 __all__ = [
     "FiniteGroup",
@@ -468,23 +469,23 @@ def translate_overlap(s_set: Sequence[int], g: Graph) -> tuple[int, int]:
 
 
 def m_gamma(group: FiniteGroup, a_set: SymmetricSet | Iterable[int]) -> float:
-    """max(0, max of -lambda) over the Cayley spectrum of A.
+    """max(0, -lambda_min) over the Cayley spectrum of A.
 
-    When the identity belongs to A it is stripped before building the loopless
-    graph and the eigenvalues are shifted back by +1, so the reported value
-    matches the convention in which A keeps the identity. Vanishes when A is a
-    subgroup.
+    lambda_min comes from spectral.lambda_min, so it carries that function's
+    inertia certificate. When the identity belongs to A it is stripped before
+    building the loopless graph and lambda_min is shifted back by +1, so the
+    reported value matches the convention in which A keeps the identity.
+    Vanishes when A is a subgroup.
     """
     if not isinstance(a_set, SymmetricSet):
         a_set = SymmetricSet.of(group, a_set)
     gens = a_set.without_identity()
     if not gens:
         return 0.0
-    graph = cayley_graph(group, a_set)
-    eigs = np.linalg.eigvalsh(graph.adjacency.astype(np.float64))
+    lam = lambda_min(cayley_graph(group, a_set))
     if a_set.contains_identity:
-        eigs = eigs + 1.0
-    return float(max(0.0, float((-eigs).max())))
+        lam += 1.0
+    return max(0.0, -lam)
 
 
 def subgroup_recover(group: FiniteGroup, elements: Iterable[int]) -> dict:

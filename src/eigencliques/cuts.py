@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, SizeError
 from .graphs import Graph, block_edge_counts, neighbor_masks, pair_uniforms
-from .spectral import spectrum
+from .spectral import lambda_min, spectrum
 
 __all__ = [
     "CutReport",
@@ -227,11 +227,11 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
 def spectral_surplus_caps(g: Graph, tol: float | None = None) -> SurplusBounds:
     """Upper caps |lambda_n| n / 4 on the surplus and |lambda_n| n on surp*.
 
-    An edgeless graph (n = 0 included, which spectrum refuses) gets zero caps.
+    An edgeless graph (n = 0 included, which lambda_min refuses) gets zero caps.
     """
     if g.n == 0 or g.m == 0:
         return SurplusBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, True)
-    lam_n = abs(spectrum(g, tol).lambda_min)
+    lam_n = abs(lambda_min(g, tol))
     return SurplusBounds(0.0, 0.0, 0.0, lam_n * g.n, lam_n * g.n / 4.0, 0.0, True)
 
 

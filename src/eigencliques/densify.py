@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InputError
 from .graphs import Graph, block_edge_counts, complement, induced_subgraph, triangles_per_vertex
-from .spectral import spectrum
+from .spectral import lambda_min, spectrum
 
 __all__ = [
     "PhaseTrace",
@@ -142,7 +142,7 @@ def phase0_neighborhood(g: Graph, tol: float | None = None) -> PhaseTrace:
     lambda_n^2 <= d/2; outside that regime the subgraph is still returned with
     the guarantee marked not applicable.
     """
-    return _certify_phase0(_phase0_search(g), spectrum(g, tol).lambda_min)
+    return _certify_phase0(_phase0_search(g), lambda_min(g, tol))
 
 
 # -- phase 1 ------------------------------------------------------------------
@@ -594,15 +594,15 @@ def clique_pipeline(
         return CliqueCertificate(clique=(0,), size=1, phases=[], verified=True, target={"note": "edgeless input"})
     lam_n = None
     if gamma is None:
-        lam_n = spectrum(g, tol).lambda_min
+        lam_n = lambda_min(g, tol)
         gamma, _, _ = default_parameters(g, lam_n)
     if eps is None:
         eps = 2.0 * gamma
     if rho is None:
         rho = 1.2 * gamma
-    check_phase1_parameters(gamma, eps, rho)  # before any eigh when gamma is given
+    check_phase1_parameters(gamma, eps, rho)  # before any eigensolver call when gamma is given
     if lam_n is None:
-        lam_n = spectrum(g, tol).lambda_min
+        lam_n = lambda_min(g, tol)
     lam = abs(lam_n)
     d_floor = max(1, int(g.average_degree))
     cert = _clique_search(g, gamma, eps, rho, delta)

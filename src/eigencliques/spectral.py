@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, complement, induced_subgraph, neighbor_masks
+from .graphs import Graph, complement, induced_subgraph, neighbor_masks, triangles_per_vertex
 
 __all__ = [
     "Spectrum",
@@ -24,6 +24,7 @@ __all__ = [
     "InequalityReport",
     "default_tol",
     "spectrum",
+    "lambda_min",
     "threshold_summary",
     "subspace_from_hadamard",
     "w_trace",
@@ -132,6 +133,58 @@ def _validate_spectrum(s: Spectrum, a: np.ndarray, m: int) -> None:
         raise NumericalError("trace identity sum(lambda)=0 violated", float(s.eigenvalues.sum()))
     if abs(float((s.eigenvalues**2).sum()) - 2.0 * m) > tol * scale:
         raise NumericalError("trace identity sum(lambda^2)=2m violated")
+
+
+def lambda_min(g: Graph, tol: float | None = None) -> float:
+    """Smallest adjacency eigenvalue from eigvalsh, certified without eigenvectors.
+
+    By Sylvester's law of inertia, lambda_n lies in [lam - delta, lam + delta]
+    exactly when A - (lam - delta) I is positive definite and A - (lam + delta) I
+    is not; two Cholesky factorisations of one shifted copy decide both sides,
+    with delta = tol (1 + |lam|). Raises InputError as spectrum does, and
+    NumericalError naming the side that fails, or when Cholesky's rounding
+    term n eps (maxdeg + |lam| + delta) reaches delta, so tol = 0 fails closed.
+    """
+    if g.n < 1:
+        raise InputError("lambda_min requires n >= 1")
+    if tol is None:
+        tol = default_tol(g.n)
+    _check_tol(tol)
+    shifted = g.adjacency.astype(np.float64)
+    lam = float(np.linalg.eigvalsh(shifted)[0])
+    delta = tol * (1.0 + abs(lam))
+    rounding = g.n * np.finfo(np.float64).eps * (g.max_degree + abs(lam) + delta)
+    if rounding >= delta:
+        raise NumericalError(f"inertia bracket cannot decide at tol={tol:g}: rounding {rounding:.3g} >= delta", delta)
+    np.fill_diagonal(shifted, delta - lam)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise NumericalError("lambda_n bracket: A - (lambda - delta) I is not positive definite", lam) from None
+    np.fill_diagonal(shifted, -lam - delta)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return lam
+    raise NumericalError("lambda_n bracket: A - (lambda + delta) I is positive definite", lam)
+
+
+def _trace_checked_eigenvalues(h: Graph, tol: float) -> np.ndarray:
+    """h's eigenvalues (descending) from eigvalsh alone, checked by the trace
+    identities sum(mu) = 0, sum(mu^2) = 2m and sum(mu^3) = 6 triangles."""
+    mu = np.linalg.eigvalsh(h.adjacency.astype(np.float64))[::-1]
+    two_m = 2.0 * h.m
+    six_t = 2.0 * float(triangles_per_vertex(h.adjacency).sum())  # each triangle is counted at its 3 vertices
+    checks = (
+        ("sum(mu)=0", float(mu.sum()), 0.0, 1.0 + two_m),
+        ("sum(mu^2)=2m", float((mu**2).sum()), two_m, 1.0 + two_m),
+        # |sum(mu^3)| <= max|mu| sum(mu^2) <= maxdeg 2m
+        ("sum(mu^3)=6 triangles", float((mu**3).sum()), six_t, 1.0 + two_m * h.max_degree),
+    )
+    for name, value, expected, scale in checks:
+        if abs(value - expected) > tol * scale:
+            raise NumericalError(f"trace identity {name} violated", value - expected)
+    return mu
 
 
 def _check_spectrum_of(g: Graph, s: Spectrum) -> None:
@@ -452,7 +505,9 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
     the principal-eigenvector entry bounds when the complement is sparse
     (density <= 1/10, n > 10); the Hoffman independence bound for regular
     graphs with alpha computed exactly for n <= 30; and the Weyl chain
-    1 + mu_{i+1} <= -lambda_{n+1-i} against the complement's spectrum.
+    1 + mu_{i+1} <= -lambda_{n+1-i} against the complement's spectrum, which
+    comes from eigvalsh alone and is checked by the trace identities
+    sum(mu^k) for k = 1, 2, 3 (NumericalError if one misses).
     """
     _check_spectrum_of(g, s)
     tol = s.tol
@@ -481,7 +536,7 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
         alpha = exact_independence_number(g)
         hoffman = n * lam_n / (lam_n + d)
         report.records.append(_record("T", 0.0, hoffman, float(alpha), tol, bound="hoffman"))
-    mu = spectrum(comp, tol).eigenvalues if n >= 2 else np.zeros(0)
+    mu = _trace_checked_eigenvalues(comp, tol) if n >= 2 else np.zeros(0)
     for i in range(1, n):
         lhs = -float(s.eigenvalues[n - i])  # -lambda_{n+1-i} in 1-based notation
         rhs = 1.0 + float(mu[i])
@@ -490,13 +545,16 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
 
 
 def interlacing_check(g: Graph, tol: float | None = None) -> bool:
-    """Deleting any single vertex cannot lower the smallest eigenvalue."""
+    """Deleting any single vertex cannot lower the smallest eigenvalue.
+
+    One verified spectrum for g; each vertex deletion takes only lambda_min.
+    """
     s = spectrum(g, tol)
     tol = s.tol
     for v in range(g.n):
         if g.n == 1:
             return True
         sub = induced_subgraph(g, [u for u in range(g.n) if u != v])
-        if spectrum(sub, tol).lambda_min < s.lambda_min - tol * (1.0 + abs(s.lambda_min)):
+        if lambda_min(sub, tol) < s.lambda_min - tol * (1.0 + abs(s.lambda_min)):
             return False
     return True

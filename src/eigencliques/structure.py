@@ -15,7 +15,7 @@ import numpy as np
 from .densify import peel_cliques
 from .errors import InputError, NumericalError
 from .graphs import Graph, block_edge_counts, triangles_per_vertex
-from .spectral import Spectrum, spectrum
+from .spectral import Spectrum, lambda_min, spectrum
 
 __all__ = [
     "RegularPartition",
@@ -307,7 +307,7 @@ def pair_classify(
     if not g.is_clique(xs) or not g.is_clique(ys):
         raise InputError("X and Y must both be cliques")
     if lambda_n is None:
-        lambda_n = abs(spectrum(g, tol).lambda_min)
+        lambda_n = abs(lambda_min(g, tol))
     k_base = 2.0 * lambda_n * lambda_n
     k_eff = _PAIR_SLACK * k_base
     size = len(xs)

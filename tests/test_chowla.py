@@ -430,3 +430,25 @@ def test_subgroup_recover_large_perturbed():
     assert out["ok"]
     assert out["sym_diff"] == 2
     assert out["sym_diff"] <= 6 * math.sqrt(2 * out["epsilon"]) * len(a)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_m_gamma_cycle_matches_known_spectrum(n):
+    # C_n = Cay(Z/nZ, {1, -1}) has lambda_min = 2 cos(2 pi floor(n/2) / n); with the
+    # identity in A the value shifts by +1 (it stays -lambda_min - 1 >= 0 here)
+    grp = chowla.cyclic_group(n)
+    lam = 2.0 * math.cos(2.0 * math.pi * (n // 2) / n)
+    assert chowla.m_gamma(grp, [1, n - 1]) == pytest.approx(-lam, abs=1e-9)
+    assert chowla.m_gamma(grp, [0, 1, n - 1]) == pytest.approx(max(0.0, -lam - 1.0), abs=1e-9)
+
+
+def test_m_gamma_subgroups_still_zero_and_certified(monkeypatch):
+    # a subgroup's Cayley graph is a union of cliques (lambda_min = -1), so with
+    # the identity shift m_gamma is 0; a wrong eigvalsh is refused, not reported
+    for grp, sub in ((chowla.cyclic_group(24), [0, 6, 12, 18]), (chowla.cyclic_group(24), list(range(0, 24, 2))),
+                     (chowla.dihedral_group(5), list(range(5)))):
+        assert chowla.m_gamma(grp, sub) == pytest.approx(0.0, abs=1e-9)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1e-3)
+    with pytest.raises(NumericalError, match="bracket"):
+        chowla.m_gamma(chowla.cyclic_group(24), [0, 6, 12, 18])

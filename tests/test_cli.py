@@ -58,13 +58,24 @@ def test_reports_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+# eigensolver calls per command: spectrum takes one verified eigh and the
+# complement's eigenvalues from one trace-checked eigvalsh; clique and maxcut
+# read only lambda_n, from one lambda_min (one eigvalsh)
+_SOLVER_CALLS = {
+    "spectrum": {"spectrum": 1, "eigh": 1, "lambda_min": 0, "eigvalsh": 1},
+    "clique": {"spectrum": 0, "eigh": 0, "lambda_min": 1, "eigvalsh": 1},
+    "maxcut": {"spectrum": 0, "eigh": 0, "lambda_min": 1, "eigvalsh": 1},
+}
+
+
 @pytest.mark.parametrize("command, calls", [("spectrum", 2), ("clique", 1), ("maxcut", 1)])
 def test_one_spectrum_per_eigh(tmp_path, monkeypatch, command, calls):
-    # each command computes a spectrum once and passes it on; spectrum caches
-    # nothing, so every call pays one eigh (spectrum's second is the complement's)
+    # each command computes what it reads once and passes it on; nothing is
+    # cached, so every spectrum call pays one eigh and every lambda_min one
+    # eigvalsh; calls is the command's total of eigensolver calls
     from eigencliques import cuts, densify, spectral, structure
 
-    counts = {"spectrum": 0, "eigh": 0}
+    counts = dict.fromkeys(_SOLVER_CALLS[command], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -72,13 +83,16 @@ def test_one_spectrum_per_eigh(tmp_path, monkeypatch, command, calls):
             return fn(*args, **kwargs)
         return wrapper
 
-    spectrum = counted("spectrum", spectral.spectrum)
-    for mod in (spectral, densify, cuts, structure):
-        monkeypatch.setattr(mod, "spectrum", spectrum)
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for name in ("spectrum", "lambda_min"):
+        wrapped = counted(name, getattr(spectral, name))
+        for mod in (spectral, densify, cuts, structure):
+            monkeypatch.setattr(mod, name, wrapped)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     path = write_graph(tmp_path, "g.txt", ec.gnp(30, 0.5, 1))
     assert main([command, "--input", path, "--output", str(tmp_path / "out.json")]) == 0
-    assert counts == {"spectrum": calls, "eigh": calls}
+    assert counts == _SOLVER_CALLS[command]
+    assert counts["eigh"] + counts["eigvalsh"] == calls
 
 
 def test_clique_planted(tmp_path, capsys):

@@ -128,3 +128,24 @@ def test_local_search_meets_half_degree_condition():
             nbrs = g.adjacency[v].astype(bool)
             cross = int((sides[nbrs] != sides[v]).sum())
             assert 2 * cross >= int(nbrs.sum())
+
+
+def test_lambda_min_matches_verified_spectrum():
+    # the inertia-certified lambda_n from eigvalsh agrees with the verified
+    # eigh spectrum to within the bracket's half-width delta
+    from eigencliques import spectral
+
+    graphs = [
+        ec.from_edge_list(1, []),
+        ec.from_edge_list(6, []),
+        ec.cycle(5),
+        ec.turan(2, 6),  # K_{3,3}
+        ec.petersen(),
+        *(ec.complete(n) for n in (2, 7, 40)),
+        *(ec.clique_union(sizes) for sizes in ([3, 3], [5, 3, 1], [20, 12, 8])),
+        *(ec.gnp(n, 0.5, seed) for n, seed in ((30, 1), (64, 2), (200, 3), (500, 4), (500, 5))),
+    ]
+    for g in graphs:
+        lam = ec.spectrum(g).lambda_min
+        delta = spectral.default_tol(g.n) * (1.0 + abs(lam))
+        assert abs(spectral.lambda_min(g) - lam) <= delta

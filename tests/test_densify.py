@@ -285,9 +285,10 @@ def test_default_parameters_satisfy_constraints():
 def test_bad_explicit_gamma_fails_before_eigh(monkeypatch):
     # lambda_n is read after the parameter check when gamma is given
     def refuse(*args, **kwargs):
-        raise AssertionError("eigh called before the parameter check")
+        raise AssertionError("eigensolver called before the parameter check")
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     with pytest.raises(InputError) as err:
         densify.clique_pipeline(ec.gnp(30, 0.5, 1), gamma=0.5)
     assert str(err.value) == "need rho < 1/2"

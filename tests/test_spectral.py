@@ -5,15 +5,16 @@ import pytest
 
 import eigencliques as ec
 from eigencliques import cuts, densify, spectral
-from eigencliques.errors import InputError
+from eigencliques.errors import InputError, NumericalError
 from oracles import brute_independence, loop_orient_columns
 
 TOL = 1e-8
 
 
-# every eigen-consumer reads tol through spectrum or s.tol, so spectrum's check covers them all
+# every eigen-consumer reads tol through spectrum, lambda_min or s.tol, so their shared check covers them all
 _TOL_ENTRY_POINTS = {
     "spectrum": lambda g, tol: ec.spectrum(g, tol),
+    "lambda_min": lambda g, tol: spectral.lambda_min(g, tol),
     "clique_pipeline": lambda g, tol: densify.clique_pipeline(g, tol=tol),
     "spectral_surplus_caps": lambda g, tol: cuts.spectral_surplus_caps(g, tol),
     "surplus_lb_spectral": lambda g, tol: cuts.surplus_lb_spectral(g, tol),
@@ -359,9 +360,81 @@ def test_eigen_bound_report_principal_entry():
     assert r.verdict == "holds"
 
 
+def test_lambda_min_needs_a_vertex():
+    with pytest.raises(InputError, match="n >= 1"):
+        spectral.lambda_min(ec.from_edge_list(0, []))
+
+
+@pytest.mark.parametrize("g", [ec.from_edge_list(1, []), ec.from_edge_list(4, []), ec.cycle(5), ec.gnp(30, 0.5, 1)])
+def test_lambda_min_zero_tol_fails_closed(g):
+    # delta = 0 leaves no room for Cholesky's rounding, so the bracket cannot decide
+    with pytest.raises(NumericalError, match="cannot decide at tol=0"):
+        spectral.lambda_min(g, 0.0)
+
+
+@pytest.mark.parametrize(
+    "offset, side",
+    [(10.0, r"\(lambda - delta\) I is not positive definite"), (-10.0, r"\(lambda \+ delta\) I is positive definite")],
+)
+def test_lambda_min_bracket_rejects_a_wrong_eigvalsh(monkeypatch, offset, side):
+    # an eigensolver that is off by 10 delta in either direction is caught by
+    # the side of the bracket it crosses
+    g = ec.gnp(40, 0.5, 2)
+    true = ec.spectrum(g).lambda_min
+    tol = spectral.default_tol(g.n)
+    eigvalsh = np.linalg.eigvalsh
+
+    def off(a):
+        vals = eigvalsh(a)
+        vals[0] += offset * tol * (1.0 + abs(vals[0]))
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", off)
+    with pytest.raises(NumericalError, match=side):
+        spectral.lambda_min(g)
+    monkeypatch.undo()
+    assert abs(spectral.lambda_min(g) - true) <= tol * (1.0 + abs(true))
+
+
+@pytest.mark.parametrize(
+    "perturb, identity",
+    [
+        (lambda mu: mu + np.eye(len(mu))[0] * 1e-3, r"sum\(mu\)=0"),  # one eigenvalue moved
+        (lambda mu: mu + (np.eye(len(mu))[-1] - np.eye(len(mu))[0]) * 1e-3, r"sum\(mu\^2\)=2m"),  # sum kept
+        (lambda mu: -mu[::-1], r"sum\(mu\^3\)=6 triangles"),  # first two moments kept
+    ],
+)
+def test_eigen_bound_report_checks_the_complement_eigenvalues(monkeypatch, perturb, identity):
+    # the complement's eigenvalues come from eigvalsh alone; each trace identity
+    # catches a perturbation that the ones before it let through
+    g = ec.gnp(20, 0.5, 1)
+    s = ec.spectrum(g)
+    assert spectral.eigen_bound_report(g, s).records
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: perturb(eigvalsh(a)))
+    with pytest.raises(NumericalError, match=identity):
+        spectral.eigen_bound_report(g, s)
+
+
 def test_interlacing_vertex_deletion():
     for g in (ec.petersen(), ec.gnp(18, 0.4, 8), ec.clique_union([4, 3])):
         assert spectral.interlacing_check(g)
+
+
+def test_interlacing_takes_one_verified_spectrum(monkeypatch):
+    # one eigh for g; each of the n vertex deletions takes lambda_min's eigvalsh
+    counts = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(a):
+            counts[name] += 1
+            return fn(a)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assert spectral.interlacing_check(ec.petersen())
+    assert counts == {"eigh": 1, "eigvalsh": 10}
 
 
 def test_induced_lambda_min_monotone():

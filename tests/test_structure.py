@@ -209,10 +209,11 @@ def test_decompose_pipeline_peels_read_no_spectrum(monkeypatch):
     from eigencliques import densify, spectral
 
     def refuse(*args, **kwargs):
-        raise AssertionError("spectrum called during the peels")
+        raise AssertionError("spectrum or lambda_min called during the peels")
 
     for mod in (spectral, densify, structure):
         monkeypatch.setattr(mod, "spectrum", refuse)
+        monkeypatch.setattr(mod, "lambda_min", refuse)
     g = planted_noisy_union(40, 5, 11)
     d = structure.clique_union_decompose(g)
     planted = [tuple(range(40 * i, 40 * (i + 1))) for i in range(5)]
