@@ -9,7 +9,6 @@ to arbitrary finite groups through the adjacency spectrum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -26,11 +25,6 @@ __all__ = [
     "CosinePolynomial",
     "ChowlaReport",
     "cyclic_group",
-    "dihedral_group",
-    "symmetric_group",
-    "group_from_table",
-    "group_to_json",
-    "group_from_json",
     "cayley_graph",
     "cosine_min",
     "chowla_certificate",
@@ -40,7 +34,6 @@ __all__ = [
     "least_prime_above",
 ]
 
-TABLE_LIMIT = 1024  # largest arithmetic group group_to_json writes out as a table
 ASSOC_EXHAUSTIVE_LIMIT = 64
 MAX_COSINE_DEGREE = 1 << 16  # largest max(A) cosine_min accepts: 64*max(A) grid points, ~40 B each
 # Largest max(A) chowla_certificate accepts. Its checks cost O(|A|^2) and
@@ -104,11 +97,6 @@ class FiniteGroup:
         self.identity = int(ident)
         self.inverse = inv.astype(np.int64)
 
-    def mul(self, i: int, j: int) -> int:
-        if self.table is None:
-            return (i + j) % self._modulus
-        return int(self.table[i, j])
-
     def mul_row(self, i: int, js: np.ndarray) -> np.ndarray:
         """Products i * j for a vector of j's."""
         if self.table is None:
@@ -117,11 +105,6 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         return int(self.inverse[i])
-
-    def is_abelian(self) -> bool:
-        if self.table is None:
-            return True
-        return bool((self.table == self.table.T).all())
 
     def __repr__(self) -> str:
         kind = "arithmetic" if self.table is None else "table"
@@ -132,58 +115,6 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("order must be positive")
     return FiniteGroup(None, modulus=n)
-
-
-def dihedral_group(m: int) -> FiniteGroup:
-    """Dihedral group of order 2m; element a + m*b stands for r^a s^b."""
-    if m < 1:
-        raise InputError("m must be positive")
-    n = 2 * m
-    t = np.zeros((n, n), dtype=np.int64)
-    for a1 in range(m):
-        for b1 in range(2):
-            for a2 in range(m):
-                for b2 in range(2):
-                    a = (a1 + (a2 if b1 == 0 else -a2)) % m
-                    b = (b1 + b2) % 2
-                    t[a1 + m * b1, a2 + m * b2] = a + m * b
-    return FiniteGroup(t)
-
-
-def symmetric_group(k: int) -> FiniteGroup:
-    """Symmetric group on k letters via composition (p*q)(x) = p(q(x))."""
-    if k < 1 or math.factorial(k) > 256:
-        raise InputError("symmetric group supported for factorial(k) <= 256")
-    perms = sorted(itertools.permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    t = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            t[i, j] = index[tuple(p[q[x]] for x in range(k))]
-    return FiniteGroup(t)
-
-
-def group_from_table(table) -> FiniteGroup:
-    return FiniteGroup(np.asarray(table))
-
-
-def group_to_json(g: FiniteGroup) -> dict:
-    if g.table is None:
-        if g.order > TABLE_LIMIT:
-            raise InputError("group too large to serialise as an explicit table")
-    i = np.arange(g.order)
-    table = g.table if g.table is not None else (i[:, None] + i[None, :]) % g.order
-    return {"order": g.order, "table": table.tolist()}
-
-
-def group_from_json(doc: dict) -> FiniteGroup:
-    if "table" not in doc:
-        raise InputError("group document needs a 'table' field")
-    g = group_from_table(doc["table"])
-    if "order" in doc and int(doc["order"]) != g.order:
-        raise InputError("declared order does not match the table")
-    return g
 
 
 @dataclass(frozen=True)
@@ -263,9 +194,6 @@ class CosinePolynomial:
         if x == 0.0:
             return float(len(self.a_set))
         return float(np.cos(self._arr * x).sum())
-
-    def minimum(self) -> tuple[float, float]:
-        return cosine_min(self.a_set)
 
 
 def _cosine_grid(a_set: tuple[int, ...], r: int) -> np.ndarray:

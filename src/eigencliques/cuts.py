@@ -31,7 +31,6 @@ __all__ = [
     "unbalanced_cut",
     "bisection_exact",
     "discrepancy",
-    "edwards_floor",
     "cut_size",
 ]
 
@@ -79,10 +78,6 @@ def cut_size(g: Graph, partition: Sequence[int]) -> int:
 
 def _surplus(g: Graph, cut: int) -> Fraction:
     return Fraction(cut) - Fraction(g.m, 2)
-
-
-def edwards_floor(m: int) -> float:
-    return m / 2.0 + (math.sqrt(8.0 * m + 1.0) - 1.0) / 8.0
 
 
 def _subset_edge_counts(adj: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InputError
 from .graphs import Graph, block_edge_counts, complement, induced_subgraph, triangles_per_vertex
-from .spectral import lambda_min, spectrum
+from .spectral import lambda_min
 
 __all__ = [
     "PhaseTrace",
@@ -31,7 +31,6 @@ __all__ = [
     "extend_clique",
     "peel_cliques",
     "default_parameters",
-    "triple_hadamard_diagnostic",
 ]
 
 
@@ -633,39 +632,3 @@ def clique_pipeline(
     }
     return cert
 
-
-# -- triple Hadamard diagnostic ---------------------------------------------------
-
-
-def triple_hadamard_diagnostic(g: Graph, tol: float | None = None) -> dict:
-    """Quadratic form of (B + |lambda_n| I)^{o3} at the all-ones vector.
-
-    B is the adjacency matrix with the principal component removed, so
-    B + |lambda_n| I is positive semidefinite and the Schur product theorem
-    makes the whole cube PSD: the form must be nonnegative. Also returns the
-    four-term expansion, which must reproduce the total exactly.
-    """
-    s = spectrum(g, tol)
-    a = g.adjacency.astype(np.float64)
-    v1 = s.eigenvectors[:, 0]
-    b = a - s.lambda_max * np.outer(v1, v1)
-    c = abs(s.lambda_min)
-    shifted = b + c * np.eye(g.n)
-    total = float((shifted**3).sum())
-    diag = np.diagonal(b)
-    terms = {
-        "cubic": float((b**3).sum()),
-        "mixed_square": 3.0 * c * float((diag**2).sum()),
-        "mixed_linear": 3.0 * c * c * float(diag.sum()),
-        "identity": c**3 * g.n,
-    }
-    expansion = sum(terms.values())
-    min_eig = float(np.linalg.eigvalsh(shifted)[0])
-    return {
-        "total": total,
-        "terms": terms,
-        "expansion": expansion,
-        "expansion_residual": abs(total - expansion),
-        "shift_min_eig": min_eig,
-        "lambda_n_abs": c,
-    }

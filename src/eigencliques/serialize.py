@@ -19,22 +19,13 @@ def _format_float(x: float) -> str:
     return out
 
 
+# JSON escapes: quote, backslash, \n and \t by name, other controls as \u00XX
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\t"): "\\t"})
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def dumps(obj, indent: int = 0, _level: int = 0) -> str:

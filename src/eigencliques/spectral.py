@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, complement, induced_subgraph, neighbor_masks, triangles_per_vertex
+from .graphs import Graph, complement, neighbor_masks, triangles_per_vertex
 
 __all__ = [
     "Spectrum",
@@ -29,7 +29,6 @@ __all__ = [
     "subspace_from_hadamard",
     "w_trace",
     "verify_main_inequality",
-    "verify_maxcut_main_inequality",
     "tail_second_moment_check",
     "eigen_bound_report",
     "exact_independence_number",
@@ -229,12 +228,6 @@ class Subspace:
     def ambient(self) -> int:
         return self.basis.shape[0]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ x)
-
 
 def subspace_from_hadamard(s: Spectrum, T: float) -> Subspace:
     """Orthonormal basis of span{v_i o v_j : lambda_i, lambda_j >= T}.
@@ -321,14 +314,14 @@ def _recursion_record(s: Spectrum, T: float, skipped: bool = False) -> tuple[dic
     return _record("T", T, 4.0 * s.n * low.S, st.S**2, s.tol, skipped, **extra), low
 
 
-def _finite_thresholds(thresholds: Sequence[float]) -> list[float]:
-    """The thresholds as floats. NaN or inf is an InputError: every comparison
-    against NaN is false, so a NaN threshold would pass the skip test and the
-    record would read "holds" with lhs = rhs = 0."""
-    out = [float(T) for T in thresholds]
-    for T in out:
-        if not math.isfinite(T):
-            raise InputError(f"threshold {T} is not finite")
+def _finite_values(values: Sequence[float], name: str) -> list[float]:
+    """The values as floats. NaN or inf is an InputError: every comparison
+    against NaN is false, so a NaN threshold or kappa would pass the skip or
+    range tests and the record would read "holds" with lhs = rhs = 0."""
+    out = [float(x) for x in values]
+    for x in out:
+        if not math.isfinite(x):
+            raise InputError(f"{name} {x} is not finite")
     return out
 
 
@@ -343,7 +336,7 @@ def verify_main_inequality(g: Graph, s: Spectrum, thresholds: Sequence[float] | 
     _check_spectrum_of(g, s)
     tol = s.tol
     n = g.n
-    thresholds = auto_threshold_grid(s) if thresholds is None else _finite_thresholds(thresholds)
+    thresholds = auto_threshold_grid(s) if thresholds is None else _finite_values(thresholds, "threshold")
     report = InequalityReport(name="main_spectral_inequality", tol=tol)
     t_min = 2.0 * abs(s.lambda_min) * math.sqrt(n)
     report.diagnostics["admissible_from"] = t_min
@@ -386,52 +379,6 @@ def auto_threshold_grid(s: Spectrum) -> list[float]:
     return grid
 
 
-def verify_maxcut_main_inequality(
-    g: Graph,
-    gamma: float,
-    C: float,
-    thresholds: Sequence[float] | None = None,
-    tol: float | None = None,
-) -> InequalityReport:
-    """Surplus-side variant: same inequality, admissible for T >= C n^{1 - 1/24 + gamma/4}.
-
-    The semidefinite surplus relaxation is bounded by the spectral cap
-    surp_star_upper = |lambda_n| n. Records carry the heavy-diagonal
-    cut-off beta = Q^{1/4} n^{7/8} / T and the count |J| of indices above it,
-    together with its bound Q / beta.
-    """
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
-    if thresholds is not None:
-        thresholds = _finite_thresholds(thresholds)
-    s = spectrum(g, tol)
-    tol = s.tol
-    n = g.n
-    q_upper = abs(s.lambda_min) * n
-    t_min = C * n ** (1.0 - 1.0 / 24.0 + gamma / 4.0)
-    if thresholds is None:
-        thresholds = [t_min * 2.0**i for i in range(4)]
-    report = InequalityReport(name="maxcut_spectral_inequality", tol=tol)
-    report.diagnostics["admissible_from"] = t_min
-    report.diagnostics["surp_star_upper"] = q_upper
-    report.diagnostics["hypothesis_surp_star_leq_n^{1+gamma}"] = bool(q_upper <= n ** (1.0 + gamma))
-    neg = np.flatnonzero(s.eigenvalues < 0)
-    e_diag = ((s.eigenvectors[:, neg] ** 2) * np.abs(s.eigenvalues[neg])).sum(axis=1) if neg.size else np.zeros(n)
-    for T in thresholds:
-        skipped = T < t_min - tol * (1.0 + t_min) or T <= 0
-        rec, _ = _recursion_record(s, T, skipped)
-        report.records.append(rec)
-        if skipped:
-            continue
-        beta = q_upper ** 0.25 * n ** (7.0 / 8.0) / T
-        j_count = int((e_diag > beta).sum())
-        rec["beta"] = beta
-        rec["J_size"] = j_count
-        rec["J_bound"] = (q_upper / beta) if beta > 0 else float("inf")
-        rec["J_bound_ok"] = bool(beta <= 0 or j_count <= q_upper / beta + tol)
-    return report
-
-
 def tail_second_moment_check(
     s: Spectrum,
     gamma: float,
@@ -443,10 +390,12 @@ def tail_second_moment_check(
     The two hypotheses (positive spectral mass at most n^{1+gamma}; recursive
     inequality at every T >= 2 n^{1-q}, checked at each distinct eigenvalue in
     range, which dominates all intermediate thresholds) are tested first;
-    per-kappa verdicts are issued only when both hold.
+    per-kappa verdicts are issued only when both hold. A NaN or infinite
+    kappa is an InputError.
     """
     if not (0.0 < gamma < q < 1.0):
         raise InputError("need 0 < gamma < q < 1")
+    kappas = _finite_values(kappas, "kappa")
     tol = s.tol
     n = s.n
     report = InequalityReport(name="tail_second_moment", tol=tol)
@@ -464,7 +413,6 @@ def tail_second_moment_check(
     applicable = hyp_mass and hyp_rec
     lam2 = s.eigenvalues**2
     for kappa in kappas:
-        kappa = float(kappa)
         mask = (s.eigenvalues >= -tol) & (s.eigenvalues <= kappa * n + tol)
         lhs_sum = float(lam2[mask].sum())
         bound = 50.0 * kappa ** (1.0 - gamma / q) * n * n if kappa > 0 else 0.0
@@ -543,18 +491,3 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
         report.records.append(_record("T", float(i), lhs, rhs, tol, bound="weyl_complement", index=i))
     return report
 
-
-def interlacing_check(g: Graph, tol: float | None = None) -> bool:
-    """Deleting any single vertex cannot lower the smallest eigenvalue.
-
-    One verified spectrum for g; each vertex deletion takes only lambda_min.
-    """
-    s = spectrum(g, tol)
-    tol = s.tol
-    for v in range(g.n):
-        if g.n == 1:
-            return True
-        sub = induced_subgraph(g, [u for u in range(g.n) if u != v])
-        if lambda_min(sub, tol) < s.lambda_min - tol * (1.0 + abs(s.lambda_min)):
-            return False
-    return True

@@ -1,6 +1,5 @@
-"""Structure recovery: low-rank spectral approximation, regularity partitions,
-cherry counting, clique-union decomposition with exact edit distance,
-bipartite pair classification, and rank-1 Boolean rounding.
+"""Structure recovery: regularity partitions, cherry counting, clique-union
+decomposition with exact edit distance, and bipartite pair classification.
 """
 
 from __future__ import annotations
@@ -8,56 +7,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .densify import peel_cliques
 from .errors import InputError, NumericalError
 from .graphs import Graph, block_edge_counts, triangles_per_vertex
-from .spectral import Spectrum, lambda_min, spectrum
+from .spectral import lambda_min, spectrum
 
 __all__ = [
     "RegularPartition",
     "CliqueUnionDecomposition",
-    "BooleanRank1",
-    "low_rank_approx",
     "regular_partition",
     "scaled_regularity_constants",
-    "asymptotic_regularity_constants",
     "cherry_count",
     "triangle_count",
     "clique_union_decompose",
     "pair_classify",
-    "rank1_boolean_round",
 ]
 
 # Largest closeness (edit distance / n^2) reported as clique-union-like.
 _CLIQUE_UNION_LIKE = 0.05
 # Factor on 2 lambda_n^2 in pair_classify's Sparse and Dense thresholds.
 _PAIR_SLACK = 3.0
-
-
-# -- low-rank approximation -----------------------------------------------------
-
-
-def low_rank_approx(s: Spectrum, kappa: float) -> tuple[np.ndarray, float]:
-    """Keep the spectral components with eigenvalue >= kappa*n.
-
-    Returns (B, residual) with residual = sum of the squared dropped
-    eigenvalues, computed exactly from the spectrum. The rank of B is at most
-    kappa^-2 since each kept eigenvalue contributes (kappa n)^2 to |A|_F^2 <= n^2.
-    """
-    if not (0.0 < kappa <= 1.0):
-        raise InputError("kappa must lie in (0, 1]")
-    n = s.n
-    keep = s.eigenvalues >= kappa * n
-    idx = np.flatnonzero(keep)
-    vs = s.eigenvectors[:, idx]
-    b = (vs * s.eigenvalues[idx]) @ vs.T if idx.size else np.zeros((n, n))
-    residual = float((s.eigenvalues[~keep] ** 2).sum())
-    assert idx.size <= 1.0 / kappa**2 + 1e-9
-    return b, residual
 
 
 # -- regularity partition ---------------------------------------------------------
@@ -71,7 +44,6 @@ class RegularPartition:
     pairs: list[dict]
     irregular_count: int
     profile: dict
-    remainder_policy: str = "floor equipartition; n mod (n//K) trailing vertices unassigned"
 
     @property
     def K(self) -> int:
@@ -85,13 +57,6 @@ class RegularPartition:
             "remainder": list(self.remainder),
             "profile": self.profile,
         }
-
-
-def asymptotic_regularity_constants(r: int, delta: float) -> dict:
-    beta = 1e-3 * math.sqrt(delta) * r**-1.5
-    h = int(math.ceil(1e4 * r * r / delta))
-    big_i = (2 * h + 1) ** r
-    return {"profile": "asymptotic", "beta": beta, "h": h, "K": int(math.ceil(big_i / (8.0 * delta)))}
 
 
 # Bucket width of the scaled profile; unit eigenvectors have typical coordinate
@@ -118,9 +83,8 @@ def regular_partition(
     over the window {-h..h}; vertices sharing all r bucket indices form cells,
     cells are chopped into K equal parts (spill goes to the exceptional set,
     which is chopped last). constants default to
-    scaled_regularity_constants(n, r, delta); the paper's
-    asymptotic_regularity_constants give K far above n at desk scale and
-    raise. The profile used is recorded in the output.
+    scaled_regularity_constants(n, r, delta); given constants with K above n
+    raise InputError. The profile used is recorded in the output.
     """
     if not (0.0 < delta < 1.0):
         raise InputError("delta must lie in (0,1)")
@@ -128,7 +92,7 @@ def regular_partition(
     s = spectrum(g, tol)
     eps_target = delta * delta / 100.0 * n * n
     for kappa in [0.5 / 2**i for i in range(12)]:
-        # low_rank_approx's residual, without building its n x n matrix
+        # Frobenius error of keeping the eigenvalues >= kappa n: the sum of the dropped ones squared
         keep = s.eigenvalues >= kappa * n
         residual = float((s.eigenvalues[~keep] ** 2).sum())
         if residual <= eps_target:
@@ -296,8 +260,11 @@ def pair_classify(
     lambda_n defaults to the measured smallest eigenvalue; pass the hypothesis
     value instead to probe a graph that is expected to violate it. A Mixed
     verdict reports a witness vertex with between 2*lambda_n^2 and
-    |X| - 2*lambda_n^2 neighbours on the other side when one exists.
+    |X| - 2*lambda_n^2 neighbours on the other side when one exists. A given
+    lambda_n that is not a finite number is an InputError.
     """
+    if lambda_n is not None and not (isinstance(lambda_n, Real) and math.isfinite(lambda_n)):
+        raise InputError(f"lambda_n={lambda_n!r} must be a finite number")
     xs = sorted(set(int(v) for v in x_set))
     ys = sorted(set(int(v) for v in y_set))
     if set(xs) & set(ys):
@@ -339,60 +306,3 @@ def pair_classify(
         "witness": witness,
     }
 
-
-# -- rank-1 Boolean rounding ----------------------------------------------------------
-
-
-@dataclass
-class BooleanRank1:
-    x: np.ndarray
-    y: np.ndarray
-    eta: float
-    residual: float
-    delta: float
-    delta_raised: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x.astype(int).tolist(),
-            "y": self.y.astype(int).tolist(),
-            "eta": self.eta,
-            "residual": self.residual,
-            "delta": self.delta,
-            "delta_raised": self.delta_raised,
-        }
-
-
-def rank1_boolean_round(u: Sequence[float], v: Sequence[float], a: np.ndarray, delta: float) -> BooleanRank1:
-    """Round a real rank-1 approximation of a Boolean matrix to a combinatorial
-    rectangle by thresholding at eta = delta^(1/6).
-
-    Entries are replaced by absolute values and u, v rescaled to equal norms
-    before thresholding. If |A - u v^T|_F^2 exceeds delta n^2 the measured
-    value replaces delta and the result is flagged.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise InputError("A must be square")
-    if ((a != 0) & (a != 1)).any():
-        raise InputError("A must be Boolean")
-    u = np.abs(np.asarray(u, dtype=np.float64))
-    v = np.abs(np.asarray(v, dtype=np.float64))
-    if u.shape != (n,) or v.shape != (n,):
-        raise InputError("u, v must be length-n vectors")
-    measured = float(((a - np.outer(u, v)) ** 2).sum())
-    raised = False
-    if measured > delta * n * n:
-        delta = measured / (n * n) if n else 0.0
-        raised = True
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu > 0 and nv > 0:
-        s = math.sqrt(nu * nv)
-        u = u * (s / nu)
-        v = v * (s / nv)
-    eta = delta ** (1.0 / 6.0)
-    x = (u >= eta).astype(np.uint8)
-    y = (v >= eta).astype(np.uint8)
-    residual = float(((a - np.outer(x, y)) ** 2).sum())
-    return BooleanRank1(x=x, y=y, eta=eta, residual=residual, delta=delta, delta_raised=raised)

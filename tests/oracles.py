@@ -1,14 +1,21 @@
-"""Independent brute-force oracles. Everything here recomputes from first
-principles (itertools enumeration, bitmask tables) and never calls the code
-path it is used to check."""
+"""Independent brute-force oracles and test fixtures. Every oracle recomputes
+from first principles (itertools enumeration, bitmask tables) and never calls
+the code path it is used to check. The fixtures at the end are what the
+acceptance criteria call and the package does not ship: the Edwards floor,
+two non-abelian groups, rank-1 Boolean rounding and the triple Hadamard
+diagnostic."""
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from eigencliques import spectrum
+from eigencliques.chowla import FiniteGroup
 from eigencliques.errors import InputError
 
 
@@ -257,3 +264,129 @@ class SevenVertexTables:
             if v not in (a, b):
                 keep |= 1 << idx
         return keep
+
+
+def loop_escape(s: str) -> str:
+    """The former serialize._escape: JSON string escaping one character at a time."""
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+# -- fixtures -----------------------------------------------------------------
+
+
+def edwards_floor(m: int) -> float:
+    """Edwards' lower bound m/2 + (sqrt(8m + 1) - 1)/8 on the maximum cut of an m-edge graph."""
+    return m / 2.0 + (math.sqrt(8.0 * m + 1.0) - 1.0) / 8.0
+
+
+def dihedral_group(m: int) -> FiniteGroup:
+    """Dihedral group of order 2m; element a + m*b stands for r^a s^b."""
+    n = 2 * m
+    t = np.zeros((n, n), dtype=np.int64)
+    for a1 in range(m):
+        for b1 in range(2):
+            for a2 in range(m):
+                for b2 in range(2):
+                    a = (a1 + (a2 if b1 == 0 else -a2)) % m
+                    b = (b1 + b2) % 2
+                    t[a1 + m * b1, a2 + m * b2] = a + m * b
+    return FiniteGroup(t)
+
+
+def symmetric_group(k: int) -> FiniteGroup:
+    """Symmetric group on k letters via composition (p*q)(x) = p(q(x)); element
+    i is the i-th permutation in lexicographic order."""
+    perms = sorted(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+    t = np.zeros((n, n), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            t[i, j] = index[tuple(p[q[x]] for x in range(k))]
+    return FiniteGroup(t)
+
+
+@dataclass
+class BooleanRank1:
+    x: np.ndarray
+    y: np.ndarray
+    eta: float
+    residual: float
+    delta: float
+    delta_raised: bool
+
+
+def rank1_boolean_round(u, v, a: np.ndarray, delta: float) -> BooleanRank1:
+    """Round a real rank-1 approximation of a Boolean matrix to a combinatorial
+    rectangle by thresholding at eta = delta^(1/6).
+
+    Entries are replaced by absolute values and u, v rescaled to equal norms
+    before thresholding. If |A - u v^T|_F^2 exceeds delta n^2 the measured
+    value replaces delta and the result is flagged.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    u = np.abs(np.asarray(u, dtype=np.float64))
+    v = np.abs(np.asarray(v, dtype=np.float64))
+    measured = float(((a - np.outer(u, v)) ** 2).sum())
+    raised = False
+    if measured > delta * n * n:
+        delta = measured / (n * n) if n else 0.0
+        raised = True
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu > 0 and nv > 0:
+        s = math.sqrt(nu * nv)
+        u = u * (s / nu)
+        v = v * (s / nv)
+    eta = delta ** (1.0 / 6.0)
+    x = (u >= eta).astype(np.uint8)
+    y = (v >= eta).astype(np.uint8)
+    residual = float(((a - np.outer(x, y)) ** 2).sum())
+    return BooleanRank1(x=x, y=y, eta=eta, residual=residual, delta=delta, delta_raised=raised)
+
+
+def triple_hadamard_diagnostic(g) -> dict:
+    """Quadratic form of (B + |lambda_n| I)^{o3} at the all-ones vector.
+
+    B is the adjacency matrix with the principal component removed, so
+    B + |lambda_n| I is positive semidefinite and the Schur product theorem
+    makes the whole cube PSD: the form must be nonnegative. Also returns the
+    four-term expansion, which must reproduce the total exactly.
+    """
+    s = spectrum(g)
+    a = g.adjacency.astype(np.float64)
+    v1 = s.eigenvectors[:, 0]
+    b = a - s.lambda_max * np.outer(v1, v1)
+    c = abs(s.lambda_min)
+    shifted = b + c * np.eye(g.n)
+    total = float((shifted**3).sum())
+    diag = np.diagonal(b)
+    terms = {
+        "cubic": float((b**3).sum()),
+        "mixed_square": 3.0 * c * float((diag**2).sum()),
+        "mixed_linear": 3.0 * c * c * float(diag.sum()),
+        "identity": c**3 * g.n,
+    }
+    expansion = sum(terms.values())
+    return {
+        "total": total,
+        "terms": terms,
+        "expansion": expansion,
+        "expansion_residual": abs(total - expansion),
+        "shift_min_eig": float(np.linalg.eigvalsh(shifted)[0]),
+        "lambda_n_abs": c,
+    }

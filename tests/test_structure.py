@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,42 +8,7 @@ import eigencliques as ec
 from eigencliques import structure
 from eigencliques.errors import InputError
 from conftest import flip_edges, planted_noisy_union
-from oracles import brute_cherries, clique_union_model
-
-
-def test_low_rank_k10():
-    s = ec.spectrum(ec.complete(10))
-    b, residual = structure.low_rank_approx(s, 0.5)
-    assert residual == pytest.approx(9.0, abs=1e-7)
-    v1 = s.eigenvectors[:, 0]
-    assert np.abs(b - 9.0 * np.outer(v1, v1)).max() < 1e-8
-
-
-def test_low_rank_empty():
-    s = ec.spectrum(ec.from_edge_list(6, []))
-    b, residual = structure.low_rank_approx(s, 0.3)
-    assert residual == 0.0 and np.abs(b).max() < 1e-12
-
-
-def test_low_rank_two_blocks():
-    s = ec.spectrum(ec.clique_union([20, 20]))
-    b, residual = structure.low_rank_approx(s, 0.4)
-    assert residual == pytest.approx(38.0, abs=1e-6)
-    assert np.linalg.matrix_rank(b, tol=1e-6) == 2
-
-
-def test_low_rank_residual_is_frobenius_gap():
-    g = ec.gnp(25, 0.5, 7)
-    s = ec.spectrum(g)
-    b, residual = structure.low_rank_approx(s, 0.2)
-    direct = float(((g.adjacency - b) ** 2).sum())
-    assert residual == pytest.approx(direct, rel=1e-9)
-
-
-def test_low_rank_kappa_validation():
-    s = ec.spectrum(ec.cycle(4))
-    with pytest.raises(InputError):
-        structure.low_rank_approx(s, 0.0)
+from oracles import brute_cherries, clique_union_model, rank1_boolean_round
 
 
 def test_regular_partition_two_blocks():
@@ -71,10 +37,11 @@ def test_regular_partition_empty_all_empty():
 
 
 def test_regular_partition_paper_constants_error():
-    # the paper's constants ask for K = 250002 parts of n = 60 vertices
+    # the paper's constants at r = 1, delta = 0.1 ask for K = 250002 parts of n = 60 vertices
     g = ec.clique_union([30, 30])
+    paper = {"profile": "asymptotic", "beta": 1e-3 * 0.1**0.5, "h": 100000, "K": 250002}
     with pytest.raises(InputError, match="scaled"):
-        structure.regular_partition(g, 0.1, constants=structure.asymptotic_regularity_constants(1, 0.1))
+        structure.regular_partition(g, 0.1, constants=paper)
     rp = structure.regular_partition(g, 0.1)
     assert rp.profile["profile"] == "scaled" and rp.K == 11 and rp.irregular_count == 0
 
@@ -212,8 +179,9 @@ def test_decompose_pipeline_peels_read_no_spectrum(monkeypatch):
         raise AssertionError("spectrum or lambda_min called during the peels")
 
     for mod in (spectral, densify, structure):
-        monkeypatch.setattr(mod, "spectrum", refuse)
-        monkeypatch.setattr(mod, "lambda_min", refuse)
+        for name in ("spectrum", "lambda_min"):
+            if hasattr(mod, name):  # densify imports lambda_min only
+                monkeypatch.setattr(mod, name, refuse)
     g = planted_noisy_union(40, 5, 11)
     d = structure.clique_union_decompose(g)
     planted = [tuple(range(40 * i, 40 * (i + 1))) for i in range(5)]
@@ -249,6 +217,14 @@ def test_pair_classify_half_join_mixed_with_witness():
     assert int(g.adjacency[v, other].sum()) == out["witness"]["neighbors_across"]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2"])
+def test_pair_classify_rejects_nonfinite_lambda_n(bad):
+    # NaN read "Mixed" and inf read "Sparse" on two disjoint 20-cliques
+    g = ec.clique_union([20, 20])
+    with pytest.raises(InputError, match="lambda_n=.* must be a finite number"):
+        structure.pair_classify(g, range(20), range(20, 40), lambda_n=bad)
+
+
 def test_pair_classify_validation():
     g = ec.clique_union([5, 5])
     with pytest.raises(InputError):
@@ -262,7 +238,7 @@ def test_rank1_round_exact():
     x = (rng.random(30) < 0.5).astype(float)
     y = (rng.random(30) < 0.5).astype(float)
     a = np.outer(x, y)
-    res = structure.rank1_boolean_round(x, y, a, 0.01)
+    res = rank1_boolean_round(x, y, a, 0.01)
     assert res.residual == 0.0
 
 
@@ -274,21 +250,21 @@ def test_rank1_round_allones_with_flips():
         i, j = rng.integers(0, n, 2)
         a[i, j] = 0.0
     ones = np.ones(n)
-    res = structure.rank1_boolean_round(ones, ones, a, 10 / (n * n))
+    res = rank1_boolean_round(ones, ones, a, 10 / (n * n))
     assert res.residual <= 10
 
 
 def test_rank1_round_zero_vectors():
     a = (np.random.default_rng(3).random((20, 20)) < 0.5).astype(float)
     np.fill_diagonal(a, 0)
-    res = structure.rank1_boolean_round(np.zeros(20), np.zeros(20), a, 1.0)
+    res = rank1_boolean_round(np.zeros(20), np.zeros(20), a, 1.0)
     assert not res.x.any() and not res.y.any()
     assert res.residual == float((a**2).sum())
 
 
 def test_rank1_round_delta_raised_flag():
     a = np.eye(10)
-    res = structure.rank1_boolean_round(np.zeros(10), np.zeros(10), a, 1e-9)
+    res = rank1_boolean_round(np.zeros(10), np.zeros(10), a, 1e-9)
     assert res.delta_raised
     assert res.delta == pytest.approx(10 / 100)
 
