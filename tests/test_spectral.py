@@ -148,7 +148,7 @@ def test_w_trace_full_space_and_rank_one():
     w = spectral.subspace_from_hadamard(s, 1.0)
     rng = np.random.default_rng(0)
     u = rng.normal(size=12)
-    assert spectral.w_trace(np.outer(u, u), w) == pytest.approx(np.linalg.norm(w.basis.T @ u) ** 2, abs=1e-9)
+    assert spectral.w_trace(np.outer(u, u), w) == pytest.approx(np.linalg.norm(w.basis @ (w.basis.T @ u)) ** 2, abs=1e-9)
     # trace_W(I) = dim W
     assert spectral.w_trace(np.eye(12), w) == pytest.approx(w.dim, abs=1e-9)
 
