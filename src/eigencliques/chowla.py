@@ -36,10 +36,9 @@ __all__ = [
 
 ASSOC_EXHAUSTIVE_LIMIT = 64
 MAX_COSINE_DEGREE = 1 << 16  # largest max(A) cosine_min accepts: 64*max(A) grid points, ~40 B each
-# Largest max(A) chowla_certificate accepts. Its checks cost O(|A|^2) and
-# O(n |A|) with n ~ 4 max(A); A = 1..2^14 (n = 65537) certifies in ~3 s.
+# Largest max(A) chowla_certificate accepts. Its checks cost O(n |A|) with
+# n ~ 4 max(A); A = 1..2^14 (n = 65537) certifies in ~3.5 s.
 MAX_CHOWLA_DEGREE = 1 << 14
-DENSE_CHECK_LIMIT = 1024  # largest n cross-checked by a dense eigvalsh (8 MB of float64)
 
 
 class FiniteGroup:
@@ -48,6 +47,8 @@ class FiniteGroup:
     Element i*j is table[i][j]. On construction the table is verified to be a
     Latin square with a two-sided identity and inverses; associativity is
     checked exhaustively up to order 64 and on seeded random triples above.
+    An arithmetic group stores no table and no inverse array (inverse is
+    None), so building one takes O(1) memory at every order.
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "_modulus")
@@ -60,7 +61,7 @@ class FiniteGroup:
             self.table = None
             self._modulus = modulus
             self.identity = 0
-            self.inverse = (-np.arange(modulus)) % modulus
+            self.inverse = None
             return
         self._modulus = None
         t = np.asarray(table, dtype=np.int64)
@@ -104,6 +105,8 @@ class FiniteGroup:
         return self.table[i, js]
 
     def inv(self, i: int) -> int:
+        if self.table is None:
+            return int(-i % self._modulus)
         return int(self.inverse[i])
 
     def __repr__(self) -> str:
@@ -245,8 +248,9 @@ class ChowlaReport:
     """Certificate of chowla_certificate.
 
     lambda_min and fourier_min both come from the one FFT spectrum, so
-    lambda_min == 2 * fourier_min exactly. residual is the largest normalised
-    error of the independent checks named in checks (see _check_spectrum).
+    lambda_min == 2 * fourier_min exactly. residual is the largest absolute
+    error of the checks named in checks, the same three at every n (see
+    _check_spectrum).
     """
 
     a_set: tuple[int, ...]
@@ -275,60 +279,44 @@ class ChowlaReport:
         }
 
 
-def _triple_count(s: np.ndarray, n: int) -> int:
-    """#{(s1, s2, s3) in S^3 : s1 + s2 + s3 = 0 mod n}, by a boolean lookup of
-    -(s1 + s2) over all pairs, in row blocks of about 2^20 pairs."""
-    hit = np.zeros(2 * n, dtype=bool)  # hit[t] iff -t mod n lies in S, for 0 <= t < 2n
-    neg = (-s) % n
-    hit[neg] = True
-    hit[neg + n] = True
-    rows = max(1, (1 << 20) // s.size)
-    return sum(int(np.count_nonzero(hit[s[i : i + rows, None] + s[None, :]])) for i in range(0, s.size, rows))
+def _check_spectrum(spectrum: np.ndarray, a: np.ndarray) -> tuple[tuple[str, ...], float]:
+    """Check a claimed spectrum of Cay(Z/nZ, A u -A), n = len(spectrum) >
+    2 max(A), point by point and without reusing the DFT. Returns the names
+    of the checks and the largest of their errors.
 
-
-def _check_spectrum(spectrum: np.ndarray, s: np.ndarray) -> tuple[tuple[str, ...], float]:
-    """Check a claimed spectrum of Cay(Z/nZ, S), n = len(spectrum), without
-    reusing the DFT. Returns the names of the checks that ran and the largest
-    of their errors.
-
-    At every n: the moments sum lambda^k = n #{closed k-walks from 0} for
-    k = 1, 2, 3 (0, n|S| and n times the triples of S summing to 0), each error
-    divided by its scale n|S|^k; the mirror gap max|lambda_xi - lambda_(n-xi)|
-    over all xi (S = -S makes the spectrum symmetric); the eigenpair residual
-    max|Av - lambda v| of the minimising real Fourier mode
-    v(x) = cos(2 pi xi x / n), sup-norm 1, with Av the shifted sum over s in S
-    of v(x + s); and at xi and n - xi the gap to the direct sum over s in S of
-    cos(2 pi s xi / n). For n up to DENSE_CHECK_LIMIT also the largest gap
-    between the sorted spectrum and the dense eigvalsh of the Cayley graph.
-    O(|S|^2 + n|S|) time and O(n) memory above the cap.
-
-    Above the cap, raising both mirrors lambda_xi and lambda_(n-xi) of a pair
-    equally is still seen only through the moments: the spectrum stays
-    symmetric, and the minimising pair is then either another pair or, if the
-    raised pair is still the minimum, caught by the eigenpair and direct sums.
+    direct_sum: at every xi <= n/2 the gap between lambda_xi and its direct
+    sum 2 sum_{a in A} cos(2 pi a xi / n), the circulant eigenvalue itself
+    (A and -A are disjoint because n > 2 max(A)). mirror: the largest gap
+    |lambda_xi - lambda_(n-xi)|, so every eigenvalue lies within twice the
+    residual of its direct sum. min_eigenpair: the residual max|Av - lambda v|
+    of the minimising real Fourier mode v(x) = cos(2 pi xi x / n), sup-norm 1,
+    with Av the sum over s in A u -A of v(x + s), a numerical check that the
+    mode is an eigenvector of the shift operator. Every cosine is read from
+    one table at index (a xi mod n). O(n |A|) time and O(n) memory.
     """
-    n, k = spectrum.size, s.size
-    moments = [float(spectrum.sum()), float(spectrum @ spectrum), float((spectrum * spectrum) @ spectrum)]
-    expected = [0.0, float(n * k), float(n * _triple_count(s, n))]
-    errors = [abs(m - e) / (n * float(k) ** p) for p, (m, e) in enumerate(zip(moments, expected), start=1)]
+    n = spectrum.size
+    table = np.cos(2.0 * math.pi * np.arange(2 * n) / n)  # two periods: a sum of two residues indexes it
+    # xi = q width + r for q, r < width, so a xi mod n is (a q width mod n) + (a r mod n): one mod per
+    # row and per column of the width x width grid of points, not one per point. idx < 2n, so
+    # mode="clip" only skips take's bounds check.
+    width = math.isqrt(n // 2) + 1
+    direct = np.zeros(width * width)
+    rows = max(1, (1 << 18) // direct.size)
+    for i in range(0, a.size, rows):
+        block = a[i : i + rows, None]
+        idx = ((block * (width * np.arange(width))) % n)[:, :, None] + ((block * np.arange(width)) % n)[:, None, :]
+        direct += table.take(idx.reshape(block.size, -1), mode="clip").sum(axis=0)
+    half = n // 2 + 1
+    errors = [float(np.abs(2.0 * direct[:half] - spectrum[:half]).max())]
     errors.append(float(np.abs(spectrum[1:] - spectrum[:0:-1]).max()))
     xi = int(np.argmin(spectrum))
-    v = np.cos(2.0 * math.pi * ((xi * np.arange(n)) % n) / n)
+    v = table[(xi * np.arange(n)) % n]
     v2 = np.concatenate([v, v])
     av = np.zeros(n)
-    for shift in s:
+    for shift in np.concatenate([a, n - a]):
         av += v2[shift : shift + n]
     errors.append(float(np.abs(av - spectrum[xi] * v).max()))
-    for x in (xi, -xi % n):
-        direct = float(np.cos(2.0 * math.pi * ((x * s) % n) / n).sum())
-        errors.append(abs(direct - float(spectrum[x])))
-    checks = ("moment1", "moment2", "moment3", "mirror", "min_eigenpair", "min_direct_sum")
-    if n <= DENSE_CHECK_LIMIT:
-        graph = cayley_graph(cyclic_group(n), s.tolist())
-        eigs = np.linalg.eigvalsh(graph.adjacency.astype(np.float64))
-        errors.append(float(np.abs(eigs - np.sort(spectrum)).max()))
-        checks += ("dense_eigvalsh",)
-    return checks, max(errors)
+    return ("direct_sum", "mirror", "min_eigenpair"), max(errors)
 
 
 def chowla_certificate(a_set: Sequence[int]) -> ChowlaReport:
@@ -336,13 +324,12 @@ def chowla_certificate(a_set: Sequence[int]) -> ChowlaReport:
 
     n is the least prime above 4*max(A). The spectrum is 2 f at the Fourier
     points 2 pi xi / n, from one length-n FFT of A's indicator; lambda_min and
-    fourier_min are read from it, and _check_spectrum checks it independently
-    (moments, mirror symmetry, the minimising eigenpair and direct cosine sums
-    at every n, plus a dense eigvalsh for n <= DENSE_CHECK_LIMIT, so no n x n
-    array exists above that). The minimum over Fourier points can be no
-    smaller than the grid minimum of f. max(A) above MAX_CHOWLA_DEGREE is a
-    SizeError, raised before the prime search. The reference line
-    -|A|^(1/10) is recorded for comparison only.
+    fourier_min are read from it, and _check_spectrum compares every
+    eigenvalue with its own direct cosine sum and checks the minimising
+    eigenpair, with no graph, eigensolver or n x n array. The minimum over
+    Fourier points can be no smaller than the grid minimum of f. max(A) above
+    MAX_CHOWLA_DEGREE is a SizeError, raised before the prime search. The
+    reference line -|A|^(1/10) is recorded for comparison only.
     """
     a = CosinePolynomial.of(a_set).a_set
     if a[-1] > MAX_CHOWLA_DEGREE:  # refuse before the prime search and any n-sized array
@@ -350,8 +337,7 @@ def chowla_certificate(a_set: Sequence[int]) -> ChowlaReport:
     n = least_prime_above(4 * a[-1])
     fourier = _cosine_grid(a, n)
     spectrum = 2.0 * fourier
-    a_arr = np.asarray(a, dtype=np.int64)
-    checks, residual = _check_spectrum(spectrum, np.union1d(a_arr % n, -a_arr % n))
+    checks, residual = _check_spectrum(spectrum, np.asarray(a, dtype=np.int64))
     x_star, f_star = cosine_min(a)
     return ChowlaReport(
         a_set=a,
@@ -473,7 +459,8 @@ def subgroup_recover(group: FiniteGroup, elements: Iterable[int]) -> dict:
         if not h_member[group.mul_row(int(x), h_arr)].all():
             closed = False
             break
-    closed = closed and bool(h_member[group.inverse[h_arr]].all()) and bool(h_member[group.identity])
+    h_inv = -h_arr % group.order if group.table is None else group.inverse[h_arr]
+    closed = closed and bool(h_member[h_inv].all()) and bool(h_member[group.identity])
     diag["subgroup_ok"] = bool(closed)
     if not closed:
         return {"ok": False, "reason": "candidate B.B is not a subgroup", **diag}

@@ -158,6 +158,11 @@ def check_phase1_parameters(gamma: float, eps: float, rho: float) -> None:
         raise InputError("need rho/eps + 2*gamma/(1-eps-4*gamma) < 1")
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:  # NaN fails too
+        raise InputError(f"delta={delta!r} must lie in (0, 1)")
+
+
 _FALLBACK_GAMMA = 0.05
 # Phase 1 stops when no move improves the potential by a factor above
 # 1 + _PHASE1_TOL_POTENTIAL, or after _PHASE1_MAX_STEPS moves.
@@ -298,6 +303,7 @@ def phase2_dense_core(g: Graph, delta: float = 0.1) -> PhaseTrace:
     The blocks come from peel_cliques with the greedy extractor, so the
     peeling does not recurse back into the four-phase search.
     """
+    _check_delta(delta)
     p = g.density
     blocks = [np.asarray(b, dtype=int) for b in peel_cliques(g, "greedy")[1]]
     chosen: np.ndarray
@@ -589,6 +595,7 @@ def clique_pipeline(
         raise InputError("mode must be 'eigen' or 'surplus'")
     if g.n == 0:
         raise InputError("empty vertex set")
+    _check_delta(delta)
     if g.m == 0:
         return CliqueCertificate(clique=(0,), size=1, phases=[], verified=True, target={"note": "edgeless input"})
     lam_n = None

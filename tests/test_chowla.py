@@ -26,7 +26,20 @@ def test_cyclic_arithmetic_matches_table():
     assert table.table is not None and arith.table is None
     for a in range(12):
         assert np.array_equal(table.mul_row(a, i), arith.mul_row(a, i))
-    assert np.array_equal(table.inverse, arith.inverse)
+        assert table.inv(a) == arith.inv(a)
+    assert arith.inverse is None
+
+
+def test_huge_cyclic_group_allocates_no_table():
+    # the arithmetic group used to build an order-sized inverse array: 7.28 TiB here
+    tracemalloc.start()
+    try:
+        g = chowla.cyclic_group(10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g.inv(1) == 10**12 - 1 and g.inv(0) == 0
 
 
 def test_large_cyclic_group_is_arithmetic():
@@ -195,6 +208,7 @@ def test_certificate_singleton():
     assert r.n == 5
     assert r.lambda_min == pytest.approx(2 * math.cos(4 * math.pi / 5), abs=1e-9)
     assert r.residual < 1e-10
+    assert r.checks == CHECKS
     assert r.holds()
 
 
@@ -217,10 +231,10 @@ def test_certificate_json_fields():
     doc = chowla.chowla_certificate([1, 3]).to_json_dict()
     assert set(doc) >= {"A", "n", "lambda_min", "grid_min", "residual", "checks", "bound_target"}
     assert set(doc["grid_min"]) == {"x", "f"}
-    assert doc["checks"] == list(FAST_CHECKS) + ["dense_eigvalsh"]
+    assert doc["checks"] == list(CHECKS)
 
 
-FAST_CHECKS = ("moment1", "moment2", "moment3", "mirror", "min_eigenpair", "min_direct_sum")
+CHECKS = ("direct_sum", "mirror", "min_eigenpair")  # the same at every n
 # the benchmark's seed-1 sets (bench/workloads.py, _chowla_set(1, amax)): n = 487, 1009, 2003
 BENCH_SETS = [
     [11, 33, 41, 51, 74, 92, 116, 120],
@@ -258,53 +272,73 @@ def test_fft_spectrum_matches_dense_eigvalsh(a):
     r = chowla.chowla_certificate(a)
     assert r.lambda_min == 2.0 * r.fourier_min == fft[0]
     assert r.holds()
-    assert r.checks == FAST_CHECKS + (("dense_eigvalsh",) if n <= chowla.DENSE_CHECK_LIMIT else ())
+    assert r.checks == CHECKS
 
 
-@pytest.mark.parametrize("a", [[1, 2], [1, 4, 9, 16, 25], BENCH_SETS[2]])
+@pytest.mark.parametrize("a", [[1, 2], [1, 4, 9, 16, 25], BENCH_SETS[2], [300, 5000]])
 def test_spectrum_checks_fail_closed(a):
     report = chowla.chowla_certificate(a)
     n = report.n
-    s = _support(a, n)
+    a_arr = np.asarray(a, dtype=np.int64)
     spectrum = 2.0 * chowla._cosine_grid(tuple(a), n)
-    _, ok = chowla._check_spectrum(spectrum, s)
+    _, ok = chowla._check_spectrum(spectrum, a_arr)
     assert ok <= 1e-10
-    # the minimising mode moved down by 1e-6 fails the eigenpair check at every n;
-    # any other eigenvalue moved by 1e-6 fails the dense check below the cap
+    # the minimum moved down, or the maximum or lambda_(n//2) moved either way, by 1e-6
     shifts = [(int(np.argmin(spectrum)), -1e-6)]
-    if n <= chowla.DENSE_CHECK_LIMIT:
-        shifts += [(i, d) for i in (int(np.argmax(spectrum)), n // 2) for d in (-1e-6, 1e-6)]
+    shifts += [(i, d) for i in (int(np.argmax(spectrum)), n // 2) for d in (-1e-6, 1e-6)]
     bad_spectra = []
     for i, delta in shifts:
         bad = spectrum.copy()
         bad[i] += delta
-        bad_spectra.append((bad, s))
-    # a wrong S: +-max(A) replaced by +-(max(A) + 1), still symmetric and of the same size
-    wrong = np.union1d(np.setdiff1d(s, [max(a), n - max(a)]), [max(a) + 1, n - max(a) - 1])
-    assert wrong.size == s.size
+        bad_spectra.append((bad, a_arr))
+    # a wrong A: max(A) replaced by max(A) + 1, of the same size
+    wrong = np.append(a_arr[:-1], max(a) + 1)
+    assert max(a) + 1 not in a
     bad_spectra.append((spectrum, wrong))
-    for bad, support in bad_spectra:
-        checks, residual = chowla._check_spectrum(bad, support)
+    for bad, generators in bad_spectra:
+        checks, residual = chowla._check_spectrum(bad, generators)
         assert checks == report.checks
         assert residual > 1e-8
         assert not dataclasses.replace(report, residual=residual).holds()
 
 
 def test_raised_minimum_fails_closed_above_dense_cap():
-    # n = 2003 is above the dense cap. Raising the minimum at xi = 1852 by 1e-6
-    # makes its mirror xi = 151 the argmin, whose eigenpair is exact, and moves
-    # the moments by far less than their tolerance: only the mirror gap and the
-    # direct sum at n - xi see it.
+    # Raising the minimum at xi = 1852 > n/2 by 1e-6 makes its mirror xi = 151
+    # the argmin, whose eigenpair and direct sum are exact: the mirror gap sees it.
     a = BENCH_SETS[2]
     report = chowla.chowla_certificate(a)
     spectrum = 2.0 * chowla._cosine_grid(tuple(a), report.n)
     assert report.n == 2003 and int(np.argmin(spectrum)) == 1852
     bad = spectrum.copy()
     bad[1852] += 1e-6
-    checks, residual = chowla._check_spectrum(bad, _support(a, report.n))
-    assert checks == report.checks == FAST_CHECKS
+    checks, residual = chowla._check_spectrum(bad, np.asarray(a))
+    assert checks == report.checks == CHECKS
     assert residual == pytest.approx(1e-6, rel=1e-6)
     assert not dataclasses.replace(report, residual=residual).holds()
+
+
+@pytest.mark.parametrize("a", [BENCH_SETS[2], [300, 5000]])
+def test_raised_mirror_pair_fails_closed(a, monkeypatch):
+    # Raising both mirrors of a non-minimal pair equally keeps the spectrum
+    # symmetric and leaves the minimum and its eigenpair alone; only the direct
+    # sum at that pair sees it. The certificate reads a spectrum with the pair
+    # at n//2 raised by 1e-6.
+    n = chowla.least_prime_above(4 * max(a))
+    pair = [n // 2, n - n // 2]
+    grid = chowla._cosine_grid
+    assert int(np.argmin(grid(tuple(a), n))) not in pair
+
+    def raised(a_set, r):
+        out = grid(a_set, r)
+        if r == n:
+            out[pair] += 0.5e-6  # the spectrum is twice this grid
+        return out
+
+    monkeypatch.setattr(chowla, "_cosine_grid", raised)
+    report = chowla.chowla_certificate(a)
+    assert report.n == n
+    assert report.residual > 1e-8
+    assert not report.holds()
 
 
 @pytest.mark.parametrize("a", [range(1, 5001), [5000]])
@@ -318,17 +352,17 @@ def test_certificate_above_dense_cap_is_linear_in_memory(a):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert r.n == 20011 and r.checks == FAST_CHECKS and r.holds()
+    assert r.n == 20011 and r.checks == CHECKS and r.holds()
     assert elapsed < 5.0
     assert peak < 32 << 20
 
 
 def test_certificate_at_ceiling():
-    # the ceiling was chosen so that A = 1..ceiling (n = 65537) certifies in ~3 s on one core
+    # the ceiling was chosen so that A = 1..ceiling (n = 65537) certifies in ~3.5 s on one core
     start = time.perf_counter()
     r = chowla.chowla_certificate(range(1, chowla.MAX_CHOWLA_DEGREE + 1))
     assert time.perf_counter() - start < 10.0
-    assert r.n == 65537 and r.holds()
+    assert r.n == 65537 and r.checks == CHECKS and r.holds()
     with pytest.raises(SizeError, match=str(chowla.MAX_CHOWLA_DEGREE)):
         chowla.chowla_certificate([chowla.MAX_CHOWLA_DEGREE + 1])
 

@@ -202,6 +202,10 @@ def test_unknown_param_rejected(tmp_path, capsys):
         # threshold=7 merged at crossing density >= -6 and exited 0
         (["decompose", "--params", "threshold=7"], "merge_threshold=7.0 must lie in [0, 1]"),
         (["decompose", "--params", "threshold=-0.5"], "merge_threshold=-0.5 must lie in [0, 1]"),
+        # delta=2 reported phase 2 as met against a claimed density of -1
+        (["clique", "--params", "delta=2"], "delta=2.0 must lie in (0, 1)"),
+        (["clique", "--params", "delta=-1"], "delta=-1.0 must lie in (0, 1)"),
+        (["clique", "--params", "delta=0"], "delta=0.0 must lie in (0, 1)"),
     ],
 )
 def test_bad_param_value_fails_closed(tmp_path, capsys, argv, bad):

@@ -294,6 +294,21 @@ def test_bad_explicit_gamma_fails_before_eigh(monkeypatch):
     assert str(err.value) == "need rho < 1/2"
 
 
+@pytest.mark.parametrize("delta", [2.0, -1.0, 0.0, 1.0, float("nan")])
+def test_bad_delta_fails_before_eigh(monkeypatch, delta):
+    # delta=2 reported phase 2 as met against a claimed density of -1 on gnp(60, 0.3, 1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called before the parameter check")
+
+    g = ec.gnp(60, 0.3, 1)
+    with pytest.raises(InputError, match=r"must lie in \(0, 1\)"):
+        densify.phase2_dense_core(g, delta)
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(InputError, match=r"must lie in \(0, 1\)"):
+        densify.clique_pipeline(g, delta=delta)
+
+
 def test_densify_imports_nothing_from_structure():
     # the peel-and-merge loop lives in densify, so densify needs no import of
     # structure (which imports densify) and no function-local import
