@@ -39,10 +39,7 @@ out = structure.pair_classify(g2, range(20), range(20, 40))
 print(f"two blocks: {out['class']} with {out['crossing_edges']} crossing edges")
 
 # regularity partition from the low-rank spectral approximation
-rp = structure.regular_partition(
-    ec.clique_union([50, 50]), 0.1,
-    constants=structure.scaled_regularity_constants(100, 2, 0.1),
-)
+rp = structure.regular_partition(ec.clique_union([50, 50]), 0.1)
 kinds = [p["class"] for p in rp.pairs]
 print(f"regularity partition: K={rp.K}, {kinds.count('full')} full / "
       f"{kinds.count('empty')} empty / {kinds.count('irregular')} irregular pairs")

@@ -15,13 +15,13 @@ for name, g in [
     ("two 8-cliques", ec.clique_union([8, 8])),
 ]:
     rep = cuts.maxcut_exact(g)
-    caps = cuts.spectral_surplus_caps(g)
+    cap = cuts.spectral_surplus_caps(g)
     lbs = cuts.surplus_lb_spectral(g)
     print(
         f"{name:14s} m={g.m:3d}  mc={rep.cut_size:3d}  surplus={float(rep.surplus):6.2f}  "
-        f"cap |l_n|n/4 = {caps.ub_surp_quarter:6.2f}  lb_linear(surp*) = {lbs.lb_linear:6.2f}"
+        f"cap |l_n|n/4 = {cap:6.2f}  lb_linear(surp*) = {lbs.lb_linear:6.2f}"
     )
-    assert float(rep.surplus) <= caps.ub_surp_quarter + 1e-9
+    assert float(rep.surplus) <= cap + 1e-9
 
 # unbalanced splits force surplus: a star cut at the leaves
 star = ec.from_edge_list(8, [(0, i) for i in range(1, 8)])

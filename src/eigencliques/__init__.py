@@ -17,7 +17,6 @@ from .errors import (  # noqa: F401
 )
 from .graphs import (  # noqa: F401
     Graph,
-    GraphStats,
     clique_union,
     complement,
     complete,

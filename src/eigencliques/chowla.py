@@ -421,13 +421,12 @@ def subgroup_recover(group: FiniteGroup, elements: Iterable[int]) -> dict:
         a = sorted(a + [group.identity])
     a_arr = np.asarray(a, dtype=np.int64)
     size = len(a)
-    member = np.zeros(group.order, dtype=bool)
-    member[a_arr] = True
+    # membership is tested against sorted arrays, never an order-sized table;
+    # x -> xy is injective, so each row x*A or x*B holds no repeats
     violations = 0
     n_of: dict[int, int] = {}
     for x in a:
-        xa = group.mul_row(x, a_arr)
-        missing = int((~member[xa]).sum())
+        missing = int((~np.isin(group.mul_row(x, a_arr), a_arr)).sum())
         violations += missing
         n_of[x] = 2 * missing  # |xA \ A| = |A \ xA| since |xA| = |A|
     epsilon = violations / (size * size)
@@ -442,27 +441,24 @@ def subgroup_recover(group: FiniteGroup, elements: Iterable[int]) -> dict:
     }
     if not b:
         return {"ok": False, "reason": "stable core B is empty", **diag}
-    b_arr = np.asarray(sorted(b), dtype=np.int64)
-    prod = np.zeros(group.order, dtype=bool)
+    b_arr = np.asarray(b, dtype=np.int64)
+    h_arr = b_arr[:0]
     for x in b:
-        prod[group.mul_row(x, b_arr)] = True
-    h_arr = np.flatnonzero(prod)
+        row = group.mul_row(x, b_arr)
+        new = row[~np.isin(row, h_arr)]
+        if new.size:
+            h_arr = np.sort(np.concatenate([h_arr, new]))
     diag["BB_size"] = int(h_arr.size)
     freiman_ok = h_arr.size < 1.5 * len(b)
     diag["freiman_ok"] = bool(freiman_ok)
     if not freiman_ok:
         return {"ok": False, "reason": "Freiman gate |B.B| < 3|B|/2 fails", **diag}
-    closed = True
-    h_member = np.zeros(group.order, dtype=bool)
-    h_member[h_arr] = True
-    for x in h_arr:
-        if not h_member[group.mul_row(int(x), h_arr)].all():
-            closed = False
-            break
+    # |xH| = |H|, so xH lies in H exactly when the two sorted arrays agree
+    closed = all(np.array_equal(np.sort(group.mul_row(int(x), h_arr)), h_arr) for x in h_arr)
     h_inv = -h_arr % group.order if group.table is None else group.inverse[h_arr]
-    closed = closed and bool(h_member[h_inv].all()) and bool(h_member[group.identity])
+    closed = closed and bool(np.isin(h_inv, h_arr).all()) and group.identity in h_arr
     diag["subgroup_ok"] = bool(closed)
     if not closed:
         return {"ok": False, "reason": "candidate B.B is not a subgroup", **diag}
-    sym_diff = int((member ^ h_member).sum())
+    sym_diff = size + int(h_arr.size) - 2 * int(np.isin(a_arr, h_arr).sum())
     return {"ok": True, "H": [int(x) for x in h_arr], "sym_diff": sym_diff, **diag}

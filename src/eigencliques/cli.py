@@ -119,14 +119,12 @@ def _cmd_spectrum(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dic
 
 
 def _cmd_maxcut(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
-    cutoff = params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT)
-    if g.n <= cutoff:
-        rep = cuts.maxcut_exact(g, cutoff)
+    if g.n <= cuts.EXHAUSTIVE_CUT_LIMIT:
+        rep = cuts.maxcut_exact(g)
     else:
         rep = cuts.maxcut_local_search(g, args.seed)
-    caps = cuts.spectral_surplus_caps(g, args.tol)
     doc = rep.to_json_dict()
-    doc["certificates"]["surplus_cap"] = caps.ub_surp_quarter
+    doc["certificates"]["surplus_cap"] = cuts.spectral_surplus_caps(g, args.tol)
     return doc, 0
 
 
@@ -155,7 +153,7 @@ def _cmd_decompose(g: Graph, args: argparse.Namespace, params: dict) -> tuple[di
 
 
 def _cmd_bisect(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
-    rep = cuts.bisection_exact(g, params.get("cutoff", cuts.EXHAUSTIVE_CUT_LIMIT))
+    rep = cuts.bisection_exact(g)
     disc = cuts.discrepancy(g)
     doc = rep.to_json_dict()
     doc.update({"disc_plus": float(disc.disc_plus), "disc_minus": float(disc.disc_minus)})
@@ -184,13 +182,13 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "spectrum": _Command("eigenvalues, eigenvector bounds, and the recursive spectral inequality", _cmd_spectrum, True,
                          {}),
-    "maxcut": _Command("exact or local-search MaxCut with spectral caps", _cmd_maxcut, True, {"cutoff": _int}),
+    "maxcut": _Command("exact or local-search MaxCut with spectral caps", _cmd_maxcut, True, {}),
     "clique": _Command("four-phase clique extraction with a verified certificate", _cmd_clique, True,
                        {"mode": _str, "gamma": _float, "eps": _float, "rho": _float, "delta": _float}),
     "chowla": _Command("Cayley/cosine certificate for an inline set A", _cmd_chowla, False, {}),
     "decompose": _Command("clique-union decomposition with exact edit distance", _cmd_decompose, True,
                           {"floor": _float, "threshold": _float, "extractor": _str}),
-    "bisect": _Command("exact bisection width, deficit, and discrepancy", _cmd_bisect, True, {"cutoff": _int}),
+    "bisect": _Command("exact bisection width, deficit, and discrepancy", _cmd_bisect, True, {}),
     "gen": _Command("write a generated family to an edge-list file", _cmd_gen, False,
                     {"family": _str, "sizes": _sizes, "n": _int, "p": _float, "r": _int, "k": _int, "strict": _strict}),
 }

@@ -1,7 +1,7 @@
 """MaxCut, surplus, spectral surplus certificates, bisection width, discrepancy.
 
 Exact routines read one table of subset edge counts and are gated by size
-cutoffs; the surplus lower bounds come from closed-form spectral certificates
+limits; the surplus lower bounds come from closed-form spectral certificates
 rather than solving the semidefinite relaxation itself.
 """
 
@@ -84,13 +84,11 @@ def _subset_edge_counts(adj: np.ndarray) -> np.ndarray:
     """e(G[U]) for every subset U, indexed by bitmask (bit i = row i).
 
     Built by doubling: e[U | {v}] = e[U] + |N(v) & U| for every U below bit v.
-    A cut then needs no edge loop: cut(U) = m - e[U] - e[::-1][U]. The limit
-    keeps the table at 32 MB and every count at most C(24, 2) = 276, so int16
-    cannot wrap.
+    A cut then needs no edge loop: cut(U) = m - e[U] - e[::-1][U]. Callers
+    refuse n > EXHAUSTIVE_CUT_LIMIT first, which keeps the table at 32 MB and
+    every count at most C(24, 2) = 276, so int16 cannot wrap.
     """
     n = adj.shape[0]
-    if n > EXHAUSTIVE_CUT_LIMIT:
-        raise SizeError(f"n={n} exceeds exhaustive limit {EXHAUSTIVE_CUT_LIMIT}; use maxcut_local_search")
     nbr = neighbor_masks(adj)
     e = np.zeros(1 << n, dtype=np.int16)
     masks = np.arange(1 << max(n - 1, 0), dtype=np.uint32)
@@ -100,14 +98,15 @@ def _subset_edge_counts(adj: np.ndarray) -> np.ndarray:
     return e
 
 
-def maxcut_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> CutReport:
+def maxcut_exact(g: Graph) -> CutReport:
     """Optimal cut over all 2^(n-1) sign patterns (vertex 0 fixed to side 0).
 
-    Ties break to the lexicographically smallest optimal assignment.
+    Ties break to the lexicographically smallest optimal assignment. Above
+    EXHAUSTIVE_CUT_LIMIT vertices it raises SizeError before allocating.
     """
     n = g.n
-    if n > cutoff:
-        raise SizeError(f"n={n} exceeds exhaustive cutoff {cutoff}; use maxcut_local_search")
+    if n > EXHAUSTIVE_CUT_LIMIT:
+        raise SizeError(f"n={n} exceeds exhaustive limit {EXHAUSTIVE_CUT_LIMIT}; use maxcut_local_search")
     if n == 0:
         return CutReport((), 0, Fraction(0), "exact")
     # vertex v is bit n-1-v: masks with vertex 0 on side 0 form the first half,
@@ -185,7 +184,7 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
     n = g.n
     neg = np.flatnonzero(s.eigenvalues < 0)
     lam_neg = np.abs(s.eigenvalues[neg])
-    delta_star = g.stats().delta_star
+    delta_star = min(g.max_degree, n - 1 - int(g.degrees.min()))  # min(Delta, Delta of the complement)
     beta = 1.0 / (120.0 * (delta_star + 1.0))
     lb_linear = float(lam_neg.sum())
     lb_quadratic = float(_SURPLUS_C / math.sqrt(delta_star + 1.0) * (lam_neg**2).sum())
@@ -206,7 +205,7 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
         pairing = -float((a * x1).sum())
         diagnostics["linear_pairing"] = pairing
         diag_ok = diag_ok and abs(pairing - lb_linear) <= tol * max(1.0, lb_linear)
-    lam_n = abs(s.lambda_min)  # the caps of spectral_surplus_caps, from the same spectrum
+    lam_n = abs(s.lambda_min)  # ub_surp_quarter is spectral_surplus_caps's cap, from the same spectrum
     return SurplusBounds(
         lb_linear=lb_linear,
         lb_quadratic=lb_quadratic,
@@ -219,15 +218,14 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
     )
 
 
-def spectral_surplus_caps(g: Graph, tol: float | None = None) -> SurplusBounds:
-    """Upper caps |lambda_n| n / 4 on the surplus and |lambda_n| n on surp*.
+def spectral_surplus_caps(g: Graph, tol: float | None = None) -> float:
+    """Upper cap |lambda_n| n / 4 on the surplus of every cut.
 
-    An edgeless graph (n = 0 included, which lambda_min refuses) gets zero caps.
+    An edgeless graph (n = 0 included, which lambda_min refuses) gets 0.0.
     """
     if g.n == 0 or g.m == 0:
-        return SurplusBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, True)
-    lam_n = abs(lambda_min(g, tol))
-    return SurplusBounds(0.0, 0.0, 0.0, lam_n * g.n, lam_n * g.n / 4.0, 0.0, True)
+        return 0.0
+    return abs(lambda_min(g, tol)) * g.n / 4.0
 
 
 def unbalanced_cut(g: Graph, x_side: Iterable[int]) -> CutReport:
@@ -305,11 +303,15 @@ class DiscrepancyReport:
         return out
 
 
-def bisection_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> DiscrepancyReport:
-    """Minimum balanced cut over all floor(n/2) / ceil(n/2) splits, plus deficit."""
+def bisection_exact(g: Graph) -> DiscrepancyReport:
+    """Minimum balanced cut over all floor(n/2) / ceil(n/2) splits, plus deficit.
+
+    There is no heuristic path: above EXHAUSTIVE_CUT_LIMIT vertices it raises
+    SizeError before allocating.
+    """
     n = g.n
-    if n > cutoff:
-        raise SizeError(f"n={n} exceeds exhaustive cutoff {cutoff}")
+    if n > EXHAUSTIVE_CUT_LIMIT:
+        raise SizeError(f"n={n} exceeds the exhaustive bisection limit {EXHAUSTIVE_CUT_LIMIT}")
     if n <= 1:
         return DiscrepancyReport(bw=0, dfc=Fraction(0), witnesses={"bisection": [0] * n})
     # vertex v is bit n-1-v; for even n vertex 0 stays on the k-side (the top
@@ -326,19 +328,19 @@ def bisection_exact(g: Graph, cutoff: int = EXHAUSTIVE_CUT_LIMIT) -> Discrepancy
     return DiscrepancyReport(bw=best, dfc=dfc, witnesses={"bisection": sides})
 
 
-def discrepancy(g: Graph, cutoff: int = EXHAUSTIVE_SUBSET_LIMIT) -> DiscrepancyReport:
+def discrepancy(g: Graph) -> DiscrepancyReport:
     """disc+ and disc- with witness subsets.
 
-    Exact from the subset edge-count table when n <= cutoff (SizeError above
-    EXHAUSTIVE_CUT_LIMIT, whatever the cutoff), 1-flip local search otherwise.
+    Exact from the subset edge-count table when n <= EXHAUSTIVE_SUBSET_LIMIT,
+    1-flip local search otherwise.
     """
     n = g.n
     if n <= 1 or g.m == 0:
         return DiscrepancyReport(disc_plus=Fraction(0), disc_minus=Fraction(0), witnesses={"disc_plus": [], "disc_minus": []})
     denom = n * (n - 1) // 2
-    if n <= cutoff:
+    if n <= EXHAUSTIVE_SUBSET_LIMIT:
         # disc+ scaled by C(n,2): e[U] C(n,2) - m C(|U|,2), each term at most
-        # 276^2 for n <= 24, so int32 holds it
+        # 190^2 for n <= 20, so int32 holds it
         score = _subset_edge_counts(g.adjacency).astype(np.int32)
         score *= denom
         sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))  # |U|

@@ -8,7 +8,6 @@ after construction and safe to share.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import InputError, SizeError
 __all__ = [
     "MAX_VERTICES",
     "Graph",
-    "GraphStats",
     "from_edge_list",
     "generate",
     "clique_union",
@@ -114,36 +112,11 @@ class Graph:
         sub = self.adjacency[np.ix_(idx, idx)]
         return int(sub.sum()) == k * (k - 1)
 
-    def stats(self) -> "GraphStats":
-        comp_max = (self.n - 1 - int(self._degrees.min())) if self.n else 0
-        return GraphStats(
-            n=self.n,
-            m=self.m,
-            density=self.density,
-            average_degree=self.average_degree,
-            max_degree=self.max_degree,
-            complement_max_degree=comp_max,
-            delta_star=min(self.max_degree, comp_max),
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Headline parameters: d = 2m/n, Delta, Delta of the complement, and their minimum."""
-
-    n: int
-    m: int
-    density: float
-    average_degree: float
-    max_degree: int
-    complement_max_degree: int
-    delta_star: int
 
 
 # -- construction -----------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 from typing import Iterable
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "RegularPartition",
     "CliqueUnionDecomposition",
     "regular_partition",
-    "scaled_regularity_constants",
     "cherry_count",
     "triangle_count",
     "clique_union_decompose",
@@ -65,26 +64,17 @@ _SCALED_BETA = 0.1
 _SCALED_H = int(math.ceil(2.0 / _SCALED_BETA))
 
 
-def scaled_regularity_constants(n: int, r: int, delta: float) -> dict:
-    k = min(max(int(1.0 / delta) + 1, 8), max(n // 4, 2))
-    return {"profile": "scaled", "beta": _SCALED_BETA, "h": _SCALED_H, "K": k}
-
-
-def regular_partition(
-    g: Graph,
-    delta: float,
-    constants: dict | None = None,
-    tol: float | None = None,
-) -> RegularPartition:
+def regular_partition(g: Graph, delta: float, tol: float | None = None) -> RegularPartition:
     """Equipartition from bucketed top eigenvector coordinates, with every part
     pair classified as full, empty, or irregular by its measured density.
 
     Coordinates of each kept eigenvector are bucketed at width beta/sqrt(n)
     over the window {-h..h}; vertices sharing all r bucket indices form cells,
     cells are chopped into K equal parts (spill goes to the exceptional set,
-    which is chopped last). constants default to
-    scaled_regularity_constants(n, r, delta); given constants with K above n
-    raise InputError. The profile used is recorded in the output.
+    which is chopped last). The constants are the scaled profile, worked out
+    from n and delta: beta = 0.1, h = 20 and
+    K = min(max(floor(1/delta) + 1, 8), max(n // 4, 2)), so n = 1 (K = 2)
+    raises InputError. The profile is recorded in the output.
     """
     if not (0.0 < delta < 1.0):
         raise InputError("delta must lie in (0,1)")
@@ -99,20 +89,10 @@ def regular_partition(
             break
     idx = np.flatnonzero(keep)
     r = max(int(idx.size), 1)
-    if constants is None:
-        constants = scaled_regularity_constants(n, r, delta)
-    beta, h, big_k = constants["beta"], constants["h"], constants["K"]
-    if not (isinstance(big_k, Integral) and big_k >= 1):
-        raise InputError(f"K={big_k!r} must be an integer >= 1")
+    beta, h = _SCALED_BETA, _SCALED_H
+    big_k = min(max(int(1.0 / delta) + 1, 8), max(n // 4, 2))
     if big_k > n:
-        raise InputError(
-            f"K={big_k} exceeds n={n}; use scaled_regularity_constants for desk-scale runs"
-        )
-    if not (isinstance(h, Integral) and h >= 0):
-        raise InputError(f"h={h!r} must be an integer >= 0")
-    if not (isinstance(beta, Real) and 0.0 < beta < math.inf):  # NaN fails too
-        raise InputError(f"beta={beta!r} must be a finite number > 0")
-    h, big_k = int(h), int(big_k)
+        raise InputError(f"K={big_k} parts exceed n={n} vertices")
     size = n // big_k
     cells: dict[tuple, list[int]] = {}
     exceptional: list[int] = []
@@ -139,8 +119,7 @@ def regular_partition(
     for i in range(len(stream) // size):
         parts.append(tuple(stream[i * size : (i + 1) * size]))
     remainder = tuple(stream[(len(stream) // size) * size :])
-    if len(parts) < big_k:
-        raise InputError("could not assemble K parts; decrease K")
+    # floor(n / size) >= K parts, since size = floor(n / K)
     extra = parts[big_k:]
     parts = parts[:big_k]
     remainder = tuple(sorted(remainder + tuple(v for p in extra for v in p)))
@@ -158,8 +137,8 @@ def regular_partition(
                 cls = "irregular"
                 irregular += 1
             pairs.append({"i": i, "j": j, "density": dens, "class": cls})
-    profile = dict(constants)
-    profile.update({"kappa": kappa, "rank": r, "residual": residual, "irregular_bound": delta * big_k * big_k})
+    profile = {"profile": "scaled", "beta": beta, "h": h, "K": big_k, "kappa": kappa, "rank": r,
+               "residual": residual, "irregular_bound": delta * big_k * big_k}
     return RegularPartition(
         parts=parts,
         remainder=remainder,

@@ -121,8 +121,7 @@ def test_criterion_06_spectral_caps(corpus):
     assert small
     for name, g in small:
         surplus = float(cuts.maxcut_exact(g).surplus)
-        caps = cuts.spectral_surplus_caps(g)
-        assert surplus <= caps.ub_surp_quarter + 1e-6, name
+        assert surplus <= cuts.spectral_surplus_caps(g) + 1e-6, name
         bounds = cuts.surplus_lb_spectral(g)
         for key in ("X_linear", "X_cubic"):
             if key in bounds.diagnostics:

@@ -421,6 +421,19 @@ def test_subgroup_recover_one_extra():
     assert out["ok"] and out["H"] == [0, 4, 8] and out["sym_diff"] == 1
 
 
+def test_subgroup_recover_huge_order():
+    # membership used three order-sized boolean arrays: 931 GiB here
+    grp = chowla.cyclic_group(10**12)
+    tracemalloc.start()
+    try:
+        out = chowla.subgroup_recover(grp, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert out["ok"] and out["H"] == [0]
+
+
 def test_subgroup_recover_failure_on_dense_random():
     rng = np.random.default_rng(6)
     grp = chowla.cyclic_group(40)

@@ -186,7 +186,8 @@ def test_unknown_param_rejected(tmp_path, capsys):
     [
         (["clique", "--params", "gamma=abc"], "gamma='abc'"),
         (["decompose", "--params", "floor=x"], "floor='x'"),
-        (["maxcut", "--params", "cutoff=1.5"], "cutoff='1.5'"),
+        # maxcut and bisect read no --params: the exact path follows from n
+        (["maxcut", "--params", "cutoff=3"], "unknown parameter 'cutoff'"),
         (["gen", "--params", "family=Gnp,n=ten,p=0.5"], "n='ten'"),
         # NaN used to merge nothing; infinities are no better
         (["decompose", "--params", "threshold=nan"], "threshold='nan'"),
@@ -206,6 +207,7 @@ def test_unknown_param_rejected(tmp_path, capsys):
         (["clique", "--params", "delta=2"], "delta=2.0 must lie in (0, 1)"),
         (["clique", "--params", "delta=-1"], "delta=-1.0 must lie in (0, 1)"),
         (["clique", "--params", "delta=0"], "delta=0.0 must lie in (0, 1)"),
+        (["bisect", "--params", "cutoff=3"], "unknown parameter 'cutoff'"),
     ],
 )
 def test_bad_param_value_fails_closed(tmp_path, capsys, argv, bad):
@@ -323,14 +325,29 @@ def test_chowla_takes_no_resolution(capsys):
 
 @pytest.mark.parametrize("command", ["maxcut", "bisect"])
 def test_cutoff_above_exhaustive_limit_fails_closed(tmp_path, capsys, command):
-    # a cutoff above the exhaustive limit must not start a 2^29-pattern (maxcut)
-    # or C(29,14)-split (bisect) enumeration on n=30
+    # no cutoff can start a 2^29-pattern (maxcut) or C(29,14)-split (bisect)
+    # enumeration on n=30: the key is gone
     path = write_graph(tmp_path, "g.txt", ec.gnp(30, 0.3, 1))
-    code, _, err = run(capsys, command, "--input", path, "--params", "cutoff=40", "--output", str(tmp_path / "out"))
+    out = str(tmp_path / "out")
+    code, _, err = run(capsys, command, "--input", path, "--params", "cutoff=40", "--output", out)
     assert code == 1
-    assert "Traceback" not in err
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "maxcut_local_search" in lines[0]
+    assert err.splitlines() == [f"error: unknown parameter 'cutoff' for command {command!r}"]
+    if command == "bisect":
+        # bisection has no heuristic path, so its refusal must not point to MaxCut's
+        code, _, err = run(capsys, command, "--input", path, "--output", out)
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "maxcut_local_search" not in lines[0]
+
+
+@pytest.mark.parametrize("n,method", [(24, "exact"), (25, "local-search")])
+def test_maxcut_path_follows_exhaustive_limit(tmp_path, capsys, n, method):
+    path = write_graph(tmp_path, "g.txt", ec.cycle(n))
+    code, out, _ = run(capsys, "maxcut", "--input", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == method
 
 
 def test_text_format(tmp_path, capsys):
@@ -345,13 +362,14 @@ def test_missing_input(capsys):
     assert code == 1 and "requires --input" in err
 
 
-# (bad value, the text naming it); spectrum reads no --params, so its bad value is --tol
+# (bad value, the text naming it); spectrum, maxcut and bisect read no
+# --params, so their bad value is --tol
 _BAD_VALUE = {
     "spectrum": (["--tol", "nan"], "--tol"),
-    "maxcut": (["--params", "cutoff=1.5"], "cutoff='1.5'"),
+    "maxcut": (["--tol", "nan"], "--tol"),
     "clique": (["--params", "gamma=abc"], "gamma='abc'"),
     "decompose": (["--params", "floor=x"], "floor='x'"),
-    "bisect": (["--params", "cutoff=x"], "cutoff='x'"),
+    "bisect": (["--tol", "nan"], "--tol"),
 }
 
 
@@ -365,7 +383,7 @@ def test_error_order(tmp_path, capsys, command):
         (["--tol", "nan", "--params", "junk"], "error: --tol"),
         (["--params", "junk"], "error: malformed --params entry 'junk'"),
         (["--params", "bogus=1"], "error: unknown parameter 'bogus'"),
-        (bad, "error: --tol" if command == "spectrum" else f"error: {command} requires --input"),
+        (bad, "error: --tol" if bad[0] == "--tol" else f"error: {command} requires --input"),
         (bad + missing, "error:"),
         (missing, "io error:"),
     ]

@@ -141,6 +141,7 @@ def test_surplus_lb_spectral_k3():
     b = cuts.surplus_lb_spectral(ec.complete(3))
     assert b.lb_linear == pytest.approx(2.0, abs=1e-8)
     assert b.certificate_diag_ok
+    assert b.diagnostics["delta_star"] == 0  # Delta* = min(Delta, Delta of the complement)
 
 
 def test_surplus_lb_spectral_empty():
@@ -154,16 +155,20 @@ def test_surplus_lb_spectral_petersen():
     assert b.certificate_diag_ok
     assert b.diagnostics["X_linear"]["max_diag"] <= 1 + 1e-10
     assert b.diagnostics["X_cubic"]["max_diag"] <= 1 + 1e-10
+    assert b.diagnostics["delta_star"] == 3
+    # the star K(1,7): Delta = 7, and the complement's largest degree is 8 - 1 - 1 = 6
+    star = ec.from_edge_list(8, [(0, i) for i in range(1, 8)])
+    assert cuts.surplus_lb_spectral(star).diagnostics["delta_star"] == 6
 
 
 def test_surplus_caps_examples():
-    b = cuts.spectral_surplus_caps(ec.complete(5))
-    assert b.ub_surp_quarter == pytest.approx(1.25, abs=1e-8)
-    assert float(cuts.maxcut_exact(ec.complete(5)).surplus) <= b.ub_surp_quarter + 1e-9
-    assert cuts.spectral_surplus_caps(ec.from_edge_list(3, [])).ub_surp_quarter == 0
-    b = cuts.spectral_surplus_caps(ec.cycle(5))
-    assert b.ub_surp_quarter == pytest.approx(abs(2 * np.cos(4 * np.pi / 5)) * 5 / 4, abs=1e-8)
-    assert b.ub_surp_quarter >= 1.5
+    cap = cuts.spectral_surplus_caps(ec.complete(5))
+    assert cap == pytest.approx(1.25, abs=1e-8)
+    assert float(cuts.maxcut_exact(ec.complete(5)).surplus) <= cap + 1e-9
+    assert cuts.spectral_surplus_caps(ec.from_edge_list(3, [])) == 0.0
+    cap = cuts.spectral_surplus_caps(ec.cycle(5))
+    assert cap == pytest.approx(abs(2 * np.cos(4 * np.pi / 5)) * 5 / 4, abs=1e-8)
+    assert cap >= 1.5
 
 
 def test_unbalanced_cut_star():
@@ -235,19 +240,20 @@ def test_bisection_size_error():
         cuts.bisection_exact(ec.gnp(30, 0.1, 1))
 
 
-def test_exhaustive_limit_ignores_larger_cutoff():
-    # a cutoff above EXHAUSTIVE_CUT_LIMIT cannot lift it: the subset table
-    # refuses n = 25 before it allocates its 2^25 entries
+def test_exhaustive_limit_refuses_before_allocating():
+    # n = 25 is refused before the 2^25-entry subset table is allocated; only
+    # MaxCut has a local search to point to
     g = ec.gnp(cuts.EXHAUSTIVE_CUT_LIMIT + 1, 0.3, 1)
-    for routine in (cuts.maxcut_exact, cuts.bisection_exact, cuts.discrepancy):
+    for routine in (cuts.maxcut_exact, cuts.bisection_exact):
         tracemalloc.start()
         try:
-            with pytest.raises(SizeError, match="maxcut_local_search"):
-                routine(g, cutoff=40)
+            with pytest.raises(SizeError, match="exceeds") as info:
+                routine(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, routine.__name__
+        assert ("maxcut_local_search" in str(info.value)) == (routine is cuts.maxcut_exact)
 
 
 def test_discrepancy_c4():
@@ -283,15 +289,16 @@ def test_discrepancy_witnesses_reproduce_values():
 
 
 def test_discrepancy_exact_at_exhaustive_limit():
-    # the exact branch at n = 24 (int32 scores over 2^24 subsets); the values
-    # and witnesses were recorded from the int64 implementation
-    rep = cuts.discrepancy(ec.gnp(24, 0.5, 1), cutoff=24)
+    # the exact branch at n = EXHAUSTIVE_SUBSET_LIMIT = 20 (int32 scores over
+    # 2^20 subsets); values and witnesses recorded from the implementation
+    # that still took a cutoff, at its default
+    rep = cuts.discrepancy(ec.gnp(cuts.EXHAUSTIVE_SUBSET_LIMIT, 0.5, 1))
     assert rep.method == "exact"
-    assert rep.disc_plus == Fraction(1715, 92)
-    assert rep.disc_minus == Fraction(1781, 92)
+    assert rep.disc_plus == Fraction(1279, 95)
+    assert rep.disc_minus == Fraction(1227, 95)
     assert rep.witnesses == {
-        "disc_plus": [2, 3, 5, 6, 7, 8, 9, 11, 13, 14, 15, 18, 21, 22, 23],
-        "disc_minus": [1, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18, 19, 20, 21],
+        "disc_plus": [2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 18],
+        "disc_minus": [1, 4, 5, 9, 10, 11, 12, 15, 16, 17, 18, 19],
     }
 
 

@@ -26,6 +26,7 @@ def test_from_edge_list_empty_and_duplicates():
 def test_from_edge_list_cycle_degrees():
     g = ec.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert list(g.degrees) == [2, 2, 2, 2]
+    assert g.average_degree == 2.0 and g.max_degree == 2
     assert g == ec.cycle(4)
 
 
@@ -113,14 +114,6 @@ def test_graph_invariants_on_generators():
         assert not np.diagonal(g.adjacency).any()
         assert set(np.unique(g.adjacency)) <= {0, 1}
         assert g.m * 2 == int(g.adjacency.sum())
-
-
-def test_stats():
-    st = ec.cycle(6).stats()
-    assert st.average_degree == 2.0
-    assert st.max_degree == 2
-    assert st.complement_max_degree == 3
-    assert st.delta_star == 2
 
 
 def test_edge_list_roundtrip_bit_exact(tmp_path):

@@ -13,7 +13,7 @@ from oracles import brute_cherries, clique_union_model, rank1_boolean_round
 
 def test_regular_partition_two_blocks():
     g = ec.clique_union([50, 50])
-    rp = structure.regular_partition(g, 0.1, constants={"profile": "test", "beta": 0.1, "h": 20, "K": 8})
+    rp = structure.regular_partition(g, 0.2)
     assert rp.K == 8
     total = rp.K * (rp.K - 1) // 2
     homogeneous = sum(1 for p in rp.pairs if p["class"] != "irregular")
@@ -27,50 +27,30 @@ def test_regular_partition_two_blocks():
 
 
 def test_regular_partition_complete_all_full():
-    rp = structure.regular_partition(ec.complete(40), 0.05, constants={"beta": 0.2, "h": 4, "K": 8})
-    assert all(p["class"] == "full" for p in rp.pairs)
+    rp = structure.regular_partition(ec.complete(40), 0.05)
+    assert rp.K == 10 and all(p["class"] == "full" for p in rp.pairs)
 
 
 def test_regular_partition_empty_all_empty():
-    rp = structure.regular_partition(ec.from_edge_list(40, []), 0.05, constants={"beta": 0.2, "h": 4, "K": 8})
-    assert all(p["class"] == "empty" for p in rp.pairs)
+    rp = structure.regular_partition(ec.from_edge_list(40, []), 0.05)
+    assert rp.K == 10 and all(p["class"] == "empty" for p in rp.pairs)
 
 
 def test_regular_partition_paper_constants_error():
-    # the paper's constants at r = 1, delta = 0.1 ask for K = 250002 parts of n = 60 vertices
-    g = ec.clique_union([30, 30])
-    paper = {"profile": "asymptotic", "beta": 1e-3 * 0.1**0.5, "h": 100000, "K": 250002}
-    with pytest.raises(InputError, match="scaled"):
-        structure.regular_partition(g, 0.1, constants=paper)
-    rp = structure.regular_partition(g, 0.1)
+    # the paper's constants asked for K = 250002 parts of n = 60 vertices; the
+    # scaled constants are worked out from n and delta, and the one n they
+    # cannot serve, n = 1 (K = 2), is an InputError
+    rp = structure.regular_partition(ec.clique_union([30, 30]), 0.1)
     assert rp.profile["profile"] == "scaled" and rp.K == 11 and rp.irregular_count == 0
-
-
-@pytest.mark.parametrize(
-    "constants,bad",
-    [
-        # K=0 raised ZeroDivisionError; K=-2 returned an empty partition
-        ({"beta": 0.3, "h": 3, "K": 0}, "K=0"),
-        ({"beta": 0.3, "h": 3, "K": -2}, "K=-2"),
-        ({"beta": 0.3, "h": 3, "K": 2.5}, "K=2.5"),
-        ({"beta": 0.3, "h": 3, "K": 46}, "scaled_regularity_constants"),
-        ({"beta": 0.3, "h": -1, "K": 6}, "h=-1"),
-        ({"beta": 0.3, "h": 1.5, "K": 6}, "h=1.5"),
-        # beta=0 filled the buckets with garbage behind divide-by-zero warnings
-        ({"beta": 0.0, "h": 3, "K": 6}, "beta=0.0"),
-        ({"beta": -0.3, "h": 3, "K": 6}, "beta=-0.3"),
-        ({"beta": float("nan"), "h": 3, "K": 6}, "beta=nan"),
-        ({"beta": float("inf"), "h": 3, "K": 6}, "beta=inf"),
-    ],
-)
-def test_regular_partition_rejects_bad_constants(constants, bad):
-    with pytest.raises(InputError, match=bad):
-        structure.regular_partition(ec.gnp(45, 0.5, 2), 0.2, constants=constants)
+    assert (rp.profile["beta"], rp.profile["h"], rp.profile["K"]) == (0.1, 20, 11)
+    with pytest.raises(InputError, match=r"^K=2 parts exceed n=1 vertices$"):
+        structure.regular_partition(ec.from_edge_list(1, []), 0.1)
 
 
 def test_regular_partition_parts_partition_vertices():
     g = ec.gnp(45, 0.5, 2)
-    rp = structure.regular_partition(g, 0.2, constants={"beta": 0.3, "h": 3, "K": 6})
+    rp = structure.regular_partition(g, 0.2)
+    assert rp.K == 8
     seen = [v for part in rp.parts for v in part] + list(rp.remainder)
     assert sorted(seen) == list(range(45))
     assert len({len(p) for p in rp.parts}) == 1
@@ -307,7 +287,7 @@ def test_decompose_json_fields():
     d = structure.clique_union_decompose(ec.clique_union([4, 3]))
     doc = d.to_json_dict()
     assert set(doc) == {"blocks", "leftover", "edit_distance", "closeness"}
-    rp = structure.regular_partition(ec.complete(20), 0.2, constants={"beta": 0.3, "h": 3, "K": 4})
+    rp = structure.regular_partition(ec.complete(20), 0.2)
     pdoc = rp.to_json_dict()
     assert set(pdoc) >= {"K", "delta", "pairs"}
     assert set(pdoc["pairs"][0]) == {"i", "j", "density", "class"}
