@@ -39,6 +39,9 @@ MAX_COSINE_DEGREE = 1 << 16  # largest max(A) cosine_min accepts: 64*max(A) grid
 # Largest max(A) chowla_certificate accepts. Its checks cost O(n |A|) with
 # n ~ 4 max(A); A = 1..2^14 (n = 65537) certifies in ~3.5 s.
 MAX_CHOWLA_DEGREE = 1 << 14
+# Products per membership test in subgroup_recover: one np.isin call covers
+# as many rows x*A as fit, so its fixed cost is paid once per block.
+_ISIN_BLOCK = 1 << 16
 
 
 class FiniteGroup:
@@ -98,8 +101,8 @@ class FiniteGroup:
         self.identity = int(ident)
         self.inverse = inv.astype(np.int64)
 
-    def mul_row(self, i: int, js: np.ndarray) -> np.ndarray:
-        """Products i * j for a vector of j's."""
+    def mul_row(self, i, js: np.ndarray) -> np.ndarray:
+        """Products i * j for a vector of j's; a column of i's gives one row per i."""
         if self.table is None:
             return (i + js) % self._modulus
         return self.table[i, js]
@@ -402,6 +405,13 @@ def m_gamma(group: FiniteGroup, a_set: SymmetricSet | Iterable[int]) -> float:
     return max(0.0, -lam)
 
 
+def _row_blocks(xs: np.ndarray, width: int):
+    """Consecutive slices of xs, each with at most _ISIN_BLOCK // width entries (at least one)."""
+    step = max(1, _ISIN_BLOCK // width)
+    for lo in range(0, xs.size, step):
+        yield xs[lo : lo + step]
+
+
 def subgroup_recover(group: FiniteGroup, elements: Iterable[int]) -> dict:
     """Recover a subgroup H close to A when A is almost product-closed.
 
@@ -421,40 +431,38 @@ def subgroup_recover(group: FiniteGroup, elements: Iterable[int]) -> dict:
         a = sorted(a + [group.identity])
     a_arr = np.asarray(a, dtype=np.int64)
     size = len(a)
-    # membership is tested against sorted arrays, never an order-sized table;
-    # x -> xy is injective, so each row x*A or x*B holds no repeats
-    violations = 0
-    n_of: dict[int, int] = {}
-    for x in a:
-        missing = int((~np.isin(group.mul_row(x, a_arr), a_arr)).sum())
-        violations += missing
-        n_of[x] = 2 * missing  # |xA \ A| = |A \ xA| since |xA| = |A|
-    epsilon = violations / (size * size)
+    # membership is tested against sorted arrays, never an order-sized table,
+    # a block of rows per call; x -> xy is injective, so each row x*A or x*B
+    # holds no repeats and |xA \ A| = |A \ xA|
+    missing = np.concatenate(
+        [(~np.isin(group.mul_row(xs[:, None], a_arr), a_arr)).sum(axis=1) for xs in _row_blocks(a_arr, size)]
+    )
+    epsilon = int(missing.sum()) / (size * size)
     delta = math.sqrt(2.0 * epsilon)
-    b = [x for x in a if n_of[x] <= delta * size]
+    b_arr = a_arr[2 * missing <= delta * size]
     diag = {
         "epsilon": epsilon,
         "delta": delta,
         "A_size": size,
-        "B_size": len(b),
+        "B_size": int(b_arr.size),
         "hypothesis_ok": bool(epsilon < 1e-3),
     }
-    if not b:
+    if not b_arr.size:
         return {"ok": False, "reason": "stable core B is empty", **diag}
-    b_arr = np.asarray(b, dtype=np.int64)
     h_arr = b_arr[:0]
-    for x in b:
-        row = group.mul_row(x, b_arr)
-        new = row[~np.isin(row, h_arr)]
+    for xs in _row_blocks(b_arr, b_arr.size):
+        block = group.mul_row(xs[:, None], b_arr)
+        new = block[~np.isin(block, h_arr)]
         if new.size:
-            h_arr = np.sort(np.concatenate([h_arr, new]))
+            h_arr = np.union1d(h_arr, new)
     diag["BB_size"] = int(h_arr.size)
-    freiman_ok = h_arr.size < 1.5 * len(b)
+    freiman_ok = h_arr.size < 1.5 * b_arr.size
     diag["freiman_ok"] = bool(freiman_ok)
     if not freiman_ok:
         return {"ok": False, "reason": "Freiman gate |B.B| < 3|B|/2 fails", **diag}
     # |xH| = |H|, so xH lies in H exactly when the two sorted arrays agree
-    closed = all(np.array_equal(np.sort(group.mul_row(int(x), h_arr)), h_arr) for x in h_arr)
+    rows = (np.sort(group.mul_row(xs[:, None], h_arr), axis=1) for xs in _row_blocks(h_arr, h_arr.size))
+    closed = all((block == h_arr).all() for block in rows)
     h_inv = -h_arr % group.order if group.table is None else group.inverse[h_arr]
     closed = closed and bool(np.isin(h_inv, h_arr).all()) and group.identity in h_arr
     diag["subgroup_ok"] = bool(closed)

@@ -42,6 +42,9 @@ _SURPLUS_C = 1.0 / 60.0
 _UNBALANCED_TOL = 1e-12
 # Seed of the heuristic discrepancy's disc+ start; disc- starts from the next one.
 _DISCREPANCY_SEED = 0
+# Subset masks handled per step when the exact routines build or scan the
+# subset table: temporaries stay ~1 MiB whatever n is.
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -80,21 +83,29 @@ def _surplus(g: Graph, cut: int) -> Fraction:
     return Fraction(cut) - Fraction(g.m, 2)
 
 
+def _blocks(lo: int, hi: int):
+    """(start, stop) ranges of at most _BLOCK masks that cover lo..hi - 1 in order."""
+    for start in range(lo, hi, _BLOCK):
+        yield start, min(start + _BLOCK, hi)
+
+
 def _subset_edge_counts(adj: np.ndarray) -> np.ndarray:
     """e(G[U]) for every subset U, indexed by bitmask (bit i = row i).
 
-    Built by doubling: e[U | {v}] = e[U] + |N(v) & U| for every U below bit v.
-    A cut then needs no edge loop: cut(U) = m - e[U] - e[::-1][U]. Callers
-    refuse n > EXHAUSTIVE_CUT_LIMIT first, which keeps the table at 32 MB and
-    every count at most C(24, 2) = 276, so int16 cannot wrap.
+    Built by doubling: e[U | {v}] = e[U] + |N(v) & U| for every U below bit v,
+    one block of at most _BLOCK masks at a time, so the int16 table is the only
+    2^n-sized array. A cut then needs no edge loop: cut(U) = m - e[U] - e[~U],
+    where e[~U] over a block lo..hi - 1 is e[2^n - hi : 2^n - lo][::-1].
+    Callers refuse n > EXHAUSTIVE_CUT_LIMIT first, which keeps the table at
+    32 MiB and every count at most C(24, 2) = 276, so int16 cannot wrap.
     """
     n = adj.shape[0]
     nbr = neighbor_masks(adj)
     e = np.zeros(1 << n, dtype=np.int16)
-    masks = np.arange(1 << max(n - 1, 0), dtype=np.uint32)
     for v in range(1, n):
         half = 1 << v
-        e[half : 2 * half] = e[:half] + np.bitwise_count(masks[:half] & nbr[v])
+        for lo, hi in _blocks(0, half):
+            e[half + lo : half + hi] = e[lo:hi] + np.bitwise_count(np.arange(lo, hi, dtype=np.uint32) & nbr[v])
     return e
 
 
@@ -112,10 +123,15 @@ def maxcut_exact(g: Graph) -> CutReport:
     # vertex v is bit n-1-v: masks with vertex 0 on side 0 form the first half,
     # in lexicographic order of the assignment
     e = _subset_edge_counts(g.adjacency[::-1, ::-1])
-    half = 1 << (n - 1)
-    cuts = g.m - e[:half] - e[::-1][:half]
-    best_k = int(np.argmax(cuts))
-    best_cut = int(cuts[best_k])
+    full = 1 << n
+    # the cut is m - (e[U] + e[~U]): keep the first minimum of that sum
+    best_k, best_inner = 0, g.m + 1
+    for lo, hi in _blocks(0, full >> 1):
+        inner = e[lo:hi] + e[full - hi : full - lo][::-1]
+        k = int(np.argmin(inner))
+        if inner[k] < best_inner:
+            best_k, best_inner = lo + k, int(inner[k])
+    best_cut = g.m - best_inner
     partition = tuple((best_k >> (n - 1 - v)) & 1 for v in range(n))
     return CutReport(partition, best_cut, _surplus(g, best_cut), "exact")
 
@@ -317,12 +333,18 @@ def bisection_exact(g: Graph) -> DiscrepancyReport:
     # vertex v is bit n-1-v; for even n vertex 0 stays on the k-side (the top
     # half), so each unordered partition appears once
     e = _subset_edge_counts(g.adjacency[::-1, ::-1])
-    masks = np.arange(0 if n % 2 else 1 << (n - 1), 1 << n, dtype=np.uint32)
-    masks = masks[np.bitwise_count(masks) == n // 2]
-    cuts = g.m - e[masks] - e[::-1][masks]
-    best = int(cuts.min())
-    # ties go to the largest mask: the k-side that is first in sorted order
-    best_mask = int(masks[np.flatnonzero(cuts == best)[-1]])
+    full = 1 << n
+    # the cut is m - (e[U] + e[~U]) over masks U with n // 2 bits; ties go to
+    # the largest mask (the k-side that is first in sorted order), so keep the
+    # last maximum of that sum
+    best_mask, best_inner = -1, 0
+    for lo, hi in _blocks(0 if n % 2 else full >> 1, full):
+        balanced = np.bitwise_count(np.arange(lo, hi, dtype=np.uint32)) == n // 2
+        inner = np.where(balanced, e[lo:hi] + e[full - hi : full - lo][::-1], -1)
+        k = hi - lo - 1 - int(np.argmax(inner[::-1]))
+        if inner[k] >= best_inner:
+            best_mask, best_inner = lo + k, int(inner[k])
+    best = g.m - best_inner
     dfc = Fraction(g.m) * (Fraction(1, 2) + Fraction(1, 2 * n - 2)) - best
     sides = [(best_mask >> (n - 1 - v)) & 1 for v in range(n)]
     return DiscrepancyReport(bw=best, dfc=dfc, witnesses={"bisection": sides})
@@ -340,19 +362,23 @@ def discrepancy(g: Graph) -> DiscrepancyReport:
     denom = n * (n - 1) // 2
     if n <= EXHAUSTIVE_SUBSET_LIMIT:
         # disc+ scaled by C(n,2): e[U] C(n,2) - m C(|U|,2), each term at most
-        # 190^2 for n <= 20, so int32 holds it
-        score = _subset_edge_counts(g.adjacency).astype(np.int32)
-        score *= denom
-        sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))  # |U|
+        # 190^2 for n <= 20, so int32 holds it; keep the first argmax and argmin
+        e = _subset_edge_counts(g.adjacency)
         k = np.arange(n + 1, dtype=np.int32)
-        score -= (g.m * (k * (k - 1) // 2))[sizes]
-        plus_mask = int(np.argmax(score))
-        minus_mask = int(np.argmin(score))
+        pair_term = g.m * (k * (k - 1) // 2)
+        plus_mask = minus_mask = plus = minus = 0  # the empty set scores 0
+        for lo, hi in _blocks(0, 1 << n):
+            score = e[lo:hi].astype(np.int32) * denom - pair_term[np.bitwise_count(np.arange(lo, hi, dtype=np.uint32))]
+            i, j = int(np.argmax(score)), int(np.argmin(score))
+            if score[i] > plus:
+                plus_mask, plus = lo + i, int(score[i])
+            if score[j] < minus:
+                minus_mask, minus = lo + j, int(score[j])
         wit_p = [v for v in range(n) if (plus_mask >> v) & 1]
         wit_m = [v for v in range(n) if (minus_mask >> v) & 1]
         return DiscrepancyReport(
-            disc_plus=Fraction(int(score[plus_mask]), denom),
-            disc_minus=Fraction(-int(score[minus_mask]), denom),
+            disc_plus=Fraction(plus, denom),
+            disc_minus=Fraction(-minus, denom),
             witnesses={"disc_plus": wit_p, "disc_minus": wit_m},
         )
     # heuristic: 1-flip search from seeded starts on the exact path's scaled

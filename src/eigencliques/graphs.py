@@ -336,9 +336,14 @@ def block_edge_counts(adj: np.ndarray, groups: Sequence[Sequence[int]]) -> np.nd
 
 
 def triangles_per_vertex(adj: np.ndarray) -> np.ndarray:
-    """Triangles through each vertex, ((A A) o A) 1 / 2."""
-    a = adj.astype(np.float64)
-    return ((a @ a) * a).sum(axis=1).astype(np.int64) // 2
+    """Triangles through each vertex, ((A A^T) o A) 1 / 2.
+
+    A A^T is one float32 symmetric rank-k product. It is exact: every partial
+    sum is an integer at most n <= MAX_VERTICES < 2^24. The row sums, up to
+    n^2, are taken in float64.
+    """
+    a = adj.astype(np.float32)
+    return ((a @ a.T) * a).sum(axis=1, dtype=np.float64).astype(np.int64) // 2
 
 
 def neighbor_masks(adj: np.ndarray) -> list[int]:

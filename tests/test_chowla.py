@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -28,6 +29,10 @@ def test_cyclic_arithmetic_matches_table():
         assert np.array_equal(table.mul_row(a, i), arith.mul_row(a, i))
         assert table.inv(a) == arith.inv(a)
     assert arith.inverse is None
+    # a column of left factors gives one row of products per factor
+    rows = np.stack([arith.mul_row(a, i) for a in (3, 5, 11)])
+    for grp in (table, arith):
+        assert np.array_equal(grp.mul_row(np.array([[3], [5], [11]]), i), rows)
 
 
 def test_huge_cyclic_group_allocates_no_table():
@@ -455,6 +460,28 @@ def test_subgroup_recover_nonabelian():
     a4 = [i for i, p in enumerate(perms) if parity(p) == 0]
     out = chowla.subgroup_recover(grp, a4)
     assert out["ok"] and out["sym_diff"] == 0 and len(out["H"]) == 12
+
+
+def test_subgroup_recover_block_size_invariant(monkeypatch):
+    # blocks of at most 7 products put one or two rows in each membership
+    # call; every result must equal the one from the default blocks
+    rng = np.random.default_rng(6)
+    half = rng.choice(range(1, 20), size=12, replace=False).tolist()
+    perms = sorted(itertools.permutations(range(4)))
+    a4 = [i for i, p in enumerate(perms) if sum(p[x] > p[y] for x in range(4) for y in range(x + 1, 4)) % 2 == 0]
+    cases = [
+        (chowla.cyclic_group(12), [0, 4, 8]),
+        (chowla.cyclic_group(12), [0, 4, 8, 1]),
+        (chowla.cyclic_group(60), [x for x in range(0, 60, 3) if x != 27] + [31]),
+        (chowla.cyclic_group(40), sorted(set([0] + half + [(40 - x) % 40 for x in half]))),
+        (dihedral_group(6), list(range(6))),
+        (symmetric_group(4), a4),
+        (symmetric_group(4), a4[:-1]),
+    ]
+    default = [chowla.subgroup_recover(grp, a) for grp, a in cases]
+    assert [out["ok"] for out in default] == [True, True, True, False, True, True, True]
+    monkeypatch.setattr(chowla, "_ISIN_BLOCK", 7)
+    assert [chowla.subgroup_recover(grp, a) for grp, a in cases] == default
 
 
 def test_subgroup_recover_large_perturbed():

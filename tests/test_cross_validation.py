@@ -4,7 +4,7 @@ import numpy as np
 
 import eigencliques as ec
 from eigencliques import chowla, cuts, structure
-from eigencliques.graphs import block_edge_counts, neighbor_masks, triangles_per_vertex
+from eigencliques.graphs import block_edge_counts, complement, neighbor_masks, triangles_per_vertex
 from oracles import (
     brute_bisection,
     brute_block_edge_counts,
@@ -51,6 +51,30 @@ def test_discrepancy_sweep():
         rep = cuts.discrepancy(g)
         op, om = brute_discrepancy(g.adjacency)
         assert rep.disc_plus == op and rep.disc_minus == om
+
+
+def test_exact_cuts_small_blocks_sweep(monkeypatch):
+    # below n = 17 one block holds the whole subset table; with 3 masks per
+    # block every build and scan crosses many unaligned block boundaries, and
+    # values, witnesses and tie-breaks must not change
+    rng = np.random.default_rng(106)
+    graphs = [*_TIED, *(_random_graph(rng) for _ in range(15))]
+    routines = (cuts.maxcut_exact, cuts.bisection_exact, cuts.discrepancy)
+    whole = [[routine(g) for routine in routines] for g in graphs]
+    monkeypatch.setattr(cuts, "_BLOCK", 3)
+    assert [[routine(g) for routine in routines] for g in graphs] == whole
+
+
+def test_triangles_per_vertex_sweep():
+    # the float32 product is exact; random graphs and their complements up to n = 40
+    rng = np.random.default_rng(107)
+    for _ in range(20):
+        n = int(rng.integers(3, 41))
+        g = ec.gnp(n, float(rng.uniform(0.05, 0.95)), int(rng.integers(0, 10_000)))
+        for h in (g, complement(g)):
+            tri = triangles_per_vertex(h.adjacency)
+            assert tri.dtype == np.int64
+            assert np.array_equal(tri, brute_triangles_per_vertex(h.adjacency))
 
 
 def test_cherry_sweep():

@@ -256,6 +256,86 @@ def test_exhaustive_limit_refuses_before_allocating():
         assert ("maxcut_local_search" in str(info.value)) == (routine is cuts.maxcut_exact)
 
 
+# Values and witnesses recorded from the implementation that built whole-table
+# temporaries, keyed by (n, graph): maxcut value and partition, then bisection
+# width, deficit and witness. From n = 18 every scan of the subset table spans
+# several blocks, and the edgeless and complete graphs tie across all of them.
+_ACROSS_BLOCKS = {
+    (18, "edgeless"): (0, "000000000000000000", 0, 0, "111111111000000000"),
+    (18, "complete"): (81, "000000000111111111", 81, 0, "111111111000000000"),
+    (18, "gnp"): (56, "000001011011101111", 30, Fraction(210, 17), "101010000111100011"),
+    (20, "edgeless"): (0, "00000000000000000000", 0, 0, "11111111110000000000"),
+    (20, "complete"): (100, "00000000001111111111", 100, 0, "11111111110000000000"),
+    (20, "gnp"): (64, "01010101011110100001", 36, 14, "10100001001111000111"),
+    (22, "edgeless"): (0, "0000000000000000000000", 0, 0, "1111111111100000000000"),
+    (22, "complete"): (121, "0000000000011111111111", 121, 0, "1111111111100000000000"),
+    (22, "gnp"): (82, "0101100110000011101101", 47, Fraction(122, 7), "1001010111011000101010"),
+    (24, "edgeless"): (0, "000000000000000000000000", 0, 0, "111111111111000000000000"),
+    (24, "complete"): (144, "000000000000111111111111", 144, 0, "111111111111000000000000"),
+    (24, "gnp"): (92, "010000011000010011101011", 53, Fraction(425, 23), "110100100110101111100000"),
+}
+
+
+def _graph(n: int, kind: str) -> ec.Graph:
+    if kind == "edgeless":
+        return ec.from_edge_list(n, [])
+    return ec.complete(n) if kind == "complete" else ec.gnp(n, 0.5, n)
+
+
+def _bits(sides) -> str:
+    return "".join(str(int(x)) for x in sides)
+
+
+@pytest.mark.parametrize("n, kind", sorted(_ACROSS_BLOCKS))
+def test_exact_cuts_ties_across_blocks(n, kind):
+    value, partition, bw, dfc, bisection = _ACROSS_BLOCKS[n, kind]
+    g = _graph(n, kind)
+    rep = cuts.maxcut_exact(g)
+    assert (rep.cut_size, _bits(rep.partition)) == (value, partition)
+    rep = cuts.bisection_exact(g)
+    assert (rep.bw, rep.dfc, _bits(rep.witnesses["bisection"])) == (bw, dfc, bisection)
+
+
+@pytest.mark.parametrize(
+    "n, kind, disc_plus, disc_minus, witnesses",
+    [
+        (18, "complete", 0, 0, ([], [])),
+        (
+            18, "gnp", Fraction(433, 51), Fraction(196, 17),
+            ([0, 1, 2, 3, 4, 6, 10, 11, 12, 13, 14, 16], [5, 7, 8, 10, 11, 12, 14, 15, 16, 17]),
+        ),
+        (20, "complete", 0, 0, ([], [])),
+        (
+            20, "gnp", Fraction(23, 2), 12,
+            ([0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 17, 18, 19], [0, 1, 2, 3, 4, 5, 6, 10, 12, 13, 15, 16, 17]),
+        ),
+    ],
+)
+def test_discrepancy_ties_across_blocks(n, kind, disc_plus, disc_minus, witnesses):
+    # the complete graph scores 0 on every subset, so both witnesses are the first: the empty set
+    rep = cuts.discrepancy(_graph(n, kind))
+    assert rep.method == "exact"
+    assert (rep.disc_plus, rep.disc_minus) == (disc_plus, disc_minus)
+    assert (rep.witnesses["disc_plus"], rep.witnesses["disc_minus"]) == witnesses
+
+
+def test_exact_cuts_peak_memory():
+    # the int16 subset table plus a fixed scratch block, at the largest exact n
+    g24, g20 = ec.gnp(24, 0.5, 24), ec.gnp(20, 0.5, 20)
+    for routine, g, cap in (
+        (cuts.maxcut_exact, g24, (2 << 24) + (4 << 20)),
+        (cuts.bisection_exact, g24, (2 << 24) + (4 << 20)),
+        (cuts.discrepancy, g20, (2 << 20) + (2 << 20)),
+    ):
+        tracemalloc.start()
+        try:
+            routine(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap, (routine.__name__, peak)
+
+
 def test_discrepancy_c4():
     rep = cuts.discrepancy(ec.cycle(4))
     assert rep.disc_plus == Fraction(1, 3)
