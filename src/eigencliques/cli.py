@@ -144,8 +144,7 @@ def _cmd_chowla(g: None, args: argparse.Namespace, params: dict) -> tuple[dict, 
 
 
 def _cmd_decompose(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
-    kwargs = {"merge_threshold" if k == "threshold" else k: v for k, v in params.items()}
-    decomp = structure.clique_union_decompose(g, **kwargs)
+    decomp = structure.clique_union_decompose(g, **params)
     doc = decomp.to_json_dict()
     doc["clique_union_like"] = decomp.clique_union_like
     doc["cherries"] = structure.cherry_count(g)
@@ -183,11 +182,9 @@ _COMMANDS = {
     "spectrum": _Command("eigenvalues, eigenvector bounds, and the recursive spectral inequality", _cmd_spectrum, True,
                          {}),
     "maxcut": _Command("exact or local-search MaxCut with spectral caps", _cmd_maxcut, True, {}),
-    "clique": _Command("four-phase clique extraction with a verified certificate", _cmd_clique, True,
-                       {"mode": _str, "gamma": _float, "eps": _float, "rho": _float, "delta": _float}),
+    "clique": _Command("four-phase clique extraction with a verified certificate", _cmd_clique, True, {"mode": _str}),
     "chowla": _Command("Cayley/cosine certificate for an inline set A", _cmd_chowla, False, {}),
-    "decompose": _Command("clique-union decomposition with exact edit distance", _cmd_decompose, True,
-                          {"floor": _float, "threshold": _float, "extractor": _str}),
+    "decompose": _Command("clique-union decomposition with exact edit distance", _cmd_decompose, True, {"extractor": _str}),
     "bisect": _Command("exact bisection width, deficit, and discrepancy", _cmd_bisect, True, {}),
     "gen": _Command("write a generated family to an edge-list file", _cmd_gen, False,
                     {"family": _str, "sizes": _sizes, "n": _int, "p": _float, "r": _int, "k": _int, "strict": _strict}),

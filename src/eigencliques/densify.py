@@ -158,11 +158,6 @@ def check_phase1_parameters(gamma: float, eps: float, rho: float) -> None:
         raise InputError("need rho/eps + 2*gamma/(1-eps-4*gamma) < 1")
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:  # NaN fails too
-        raise InputError(f"delta={delta!r} must lie in (0, 1)")
-
-
 _FALLBACK_GAMMA = 0.05
 # Phase 1 stops when no move improves the potential by a factor above
 # 1 + _PHASE1_TOL_POTENTIAL, or after _PHASE1_MAX_STEPS moves.
@@ -170,6 +165,8 @@ _PHASE1_TOL_POTENTIAL = 1e-6
 _PHASE1_MAX_STEPS = 1000
 # Phase 0 runs only on inputs with edge density at most this.
 _SPARSE_THRESHOLD = 0.125
+# Phase 2's slack: it aims for a block of density at least 1 - _PHASE2_DELTA.
+_PHASE2_DELTA = 0.1
 
 
 def default_parameters(g: Graph, lam_n: float) -> tuple[float, float, float]:
@@ -297,13 +294,13 @@ def phase1_densify(
 # -- phase 2 ------------------------------------------------------------------
 
 
-def phase2_dense_core(g: Graph, delta: float = 0.1) -> PhaseTrace:
-    """Densest block of the clique-union decomposition, aiming for size >= p*n/2.
+def phase2_dense_core(g: Graph) -> PhaseTrace:
+    """Densest block of the clique-union decomposition, aiming for size >= p*n/2
+    and density >= 1 - _PHASE2_DELTA.
 
     The blocks come from peel_cliques with the greedy extractor, so the
     peeling does not recurse back into the four-phase search.
     """
-    _check_delta(delta)
     p = g.density
     blocks = [np.asarray(b, dtype=int) for b in peel_cliques(g, "greedy")[1]]
     chosen: np.ndarray
@@ -315,7 +312,7 @@ def phase2_dense_core(g: Graph, delta: float = 0.1) -> PhaseTrace:
         dens = [_density(_inner_degrees(g, b)) for b in blocks]
         floor_size = p * g.n / 2.0
         qualifying = [i for i, b in enumerate(blocks) if len(b) >= floor_size]
-        dense_enough = [i for i in qualifying if dens[i] >= 1.0 - delta]
+        dense_enough = [i for i in qualifying if dens[i] >= 1.0 - _PHASE2_DELTA]
         if dense_enough:
             # all meet the density target: take the largest
             pick = max(dense_enough, key=lambda i: (len(blocks[i]), -int(blocks[i][0])))
@@ -327,10 +324,10 @@ def phase2_dense_core(g: Graph, delta: float = 0.1) -> PhaseTrace:
         chosen, out_density = blocks[pick], dens[pick]
     guarantee = {
         "claimed_size": p * g.n / 2.0,
-        "claimed_density": 1.0 - delta,
+        "claimed_density": 1.0 - _PHASE2_DELTA,
         "measured_size": int(len(chosen)),
         "measured_density": out_density,
-        "met": bool(len(chosen) >= p * g.n / 2.0 and out_density >= 1.0 - delta),
+        "met": bool(len(chosen) >= p * g.n / 2.0 and out_density >= 1.0 - _PHASE2_DELTA),
         "note": note,
     }
     return PhaseTrace(
@@ -339,7 +336,7 @@ def phase2_dense_core(g: Graph, delta: float = 0.1) -> PhaseTrace:
         vertices_out=tuple(int(v) for v in chosen),
         density_in=p,
         density_out=out_density,
-        params={"delta": delta},
+        params={"delta": _PHASE2_DELTA},
         guarantee=guarantee,
     )
 
@@ -471,7 +468,6 @@ def _clique_search(
     gamma: float = _FALLBACK_GAMMA,
     eps: float = 2.0 * _FALLBACK_GAMMA,
     rho: float = 1.2 * _FALLBACK_GAMMA,
-    delta: float = 0.1,
 ) -> CliqueCertificate:
     """The four-phase vertex search on a graph with at least one edge.
 
@@ -493,7 +489,7 @@ def _clique_search(
     traces.append(_remap(t1, current))
     current = current[keep]
     h2 = induced_subgraph(g, current)
-    t2 = phase2_dense_core(h2, delta)
+    t2 = phase2_dense_core(h2)
     keep = np.asarray(t2.vertices_out, dtype=int)
     traces.append(_remap(t2, current))
     current = current[keep]
@@ -507,20 +503,14 @@ def _clique_search(
 # -- clique peeling ----------------------------------------------------------------
 
 
-def peel_cliques(
-    g: Graph,
-    extractor: str,
-    floor: float | None = None,
-    merge_threshold: float | None = None,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]:
+def peel_cliques(g: Graph, extractor: str) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]:
     """Peel cliques off g, then merge near-complete pairs into blocks.
 
     Cliques are extracted from the residual graph until one falls under the
-    size floor (default sqrt(n)). The cliques and the leftover vertices (as
-    1-cliques) become nodes of an auxiliary graph joining pairs with crossing
-    density >= 1 - merge_threshold (default n^(-1/6)), all read off one k x k
-    block edge-count matrix; its connected components are the blocks. A
-    non-finite floor or a merge_threshold outside [0, 1] is an InputError.
+    size floor sqrt(n). The cliques and the leftover vertices (as 1-cliques)
+    become nodes of an auxiliary graph joining pairs with crossing density
+    >= 1 - n^(-1/6) (1/2 for n <= 1), all read off one k x k block
+    edge-count matrix; its connected components are the blocks.
     Returns (cliques in peel order, sorted blocks, sorted leftover vertices).
 
     The extractor picks each peeled clique. "pipeline" runs _clique_search,
@@ -532,15 +522,9 @@ def peel_cliques(
     """
     if extractor not in ("pipeline", "greedy"):
         raise InputError(f"unknown extractor {extractor!r}")
-    if floor is not None and not math.isfinite(floor):
-        raise InputError(f"floor={floor!r} must be a finite number")
-    if merge_threshold is not None and not 0.0 <= merge_threshold <= 1.0:
-        raise InputError(f"merge_threshold={merge_threshold!r} must lie in [0, 1]")
     n = g.n
-    if floor is None:
-        floor = math.sqrt(n)
-    if merge_threshold is None:
-        merge_threshold = n ** (-1.0 / 6.0) if n > 1 else 0.5
+    floor = math.sqrt(n)
+    merge_threshold = n ** (-1.0 / 6.0) if n > 1 else 0.5
     residual = np.arange(n)
     cliques: list[tuple[int, ...]] = []
     while len(residual):
@@ -573,45 +557,28 @@ def peel_cliques(
     return cliques, [b for b in merged if len(b) > 1], tuple(b[0] for b in merged if len(b) == 1)
 
 
-def clique_pipeline(
-    g: Graph,
-    mode: str = "eigen",
-    gamma: float | None = None,
-    eps: float | None = None,
-    rho: float | None = None,
-    delta: float = 0.1,
-    tol: float | None = None,
-) -> CliqueCertificate:
+def clique_pipeline(g: Graph, mode: str = "eigen", tol: float | None = None) -> CliqueCertificate:
     """Compose phase 0 (sparse inputs only), phase 1, phase 2, and phase 3.
 
     The returned clique is verified pairwise against the original adjacency
     and greedily maximalised inside the input graph. Guarantees are recorded
     per phase as (claimed, measured, met) with all hidden constants set to 1.
-    The spectral certificate (lambda_n, the default gamma, phase 0's edge
-    guarantee, the hypothesis and the target) wraps _clique_search, which
-    finds the clique without reading the spectrum.
+    The spectral certificate (lambda_n, the gamma, eps and rho that
+    default_parameters reads off it, phase 0's edge guarantee, the hypothesis
+    and the target) wraps _clique_search, which finds the clique without
+    reading the spectrum.
     """
     if mode not in ("eigen", "surplus"):
         raise InputError("mode must be 'eigen' or 'surplus'")
     if g.n == 0:
         raise InputError("empty vertex set")
-    _check_delta(delta)
     if g.m == 0:
         return CliqueCertificate(clique=(0,), size=1, phases=[], verified=True, target={"note": "edgeless input"})
-    lam_n = None
-    if gamma is None:
-        lam_n = lambda_min(g, tol)
-        gamma, _, _ = default_parameters(g, lam_n)
-    if eps is None:
-        eps = 2.0 * gamma
-    if rho is None:
-        rho = 1.2 * gamma
-    check_phase1_parameters(gamma, eps, rho)  # before any eigensolver call when gamma is given
-    if lam_n is None:
-        lam_n = lambda_min(g, tol)
+    lam_n = lambda_min(g, tol)
+    gamma, eps, rho = default_parameters(g, lam_n)
     lam = abs(lam_n)
     d_floor = max(1, int(g.average_degree))
-    cert = _clique_search(g, gamma, eps, rho, delta)
+    cert = _clique_search(g, gamma, eps, rho)
     used_phase0 = cert.phases[0].phase == 0
     if used_phase0:
         _certify_phase0(cert.phases[0], lam_n)
@@ -635,7 +602,7 @@ def clique_pipeline(
         "achieved": cert.size,
         "met": bool(cert.size >= target_value),
         "hypothesis": hypothesis,
-        "params": {"gamma": gamma, "eps": eps, "rho": rho, "delta": delta},
+        "params": {"gamma": gamma, "eps": eps, "rho": rho, "delta": _PHASE2_DELTA},
     }
     return cert
 

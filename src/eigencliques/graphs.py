@@ -104,8 +104,12 @@ class Graph:
         return self.n == 0 or bool((self._degrees == self._degrees[0]).all())
 
     def is_clique(self, vertices: Iterable[int] | None = None) -> bool:
-        """Exact Boolean check that the given vertex set is pairwise adjacent."""
-        idx = np.arange(self.n) if vertices is None else np.asarray(sorted(set(vertices)), dtype=int)
+        """Exact Boolean check that the given vertex set is pairwise adjacent.
+        A vertex outside [0, n) is an InputError."""
+        vs = range(self.n) if vertices is None else sorted(set(vertices))
+        if vs and not 0 <= vs[0] <= vs[-1] < self.n:
+            raise InputError("vertex out of range")
+        idx = np.asarray(vs, dtype=int)
         k = len(idx)
         if k <= 1:
             return True

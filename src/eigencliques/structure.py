@@ -188,16 +188,11 @@ class CliqueUnionDecomposition:
         }
 
 
-def clique_union_decompose(
-    g: Graph,
-    floor: float | None = None,
-    merge_threshold: float | None = None,
-    extractor: str = "pipeline",
-) -> CliqueUnionDecomposition:
+def clique_union_decompose(g: Graph, extractor: str = "pipeline") -> CliqueUnionDecomposition:
     """Peel off cliques, merge near-complete pairs, and measure the edit distance.
 
     The peeling and merging live in densify.peel_cliques, beside the clique
-    search they call; floor, merge_threshold and extractor are passed to it.
+    search they call, at its size floor sqrt(n) and merge threshold n^(-1/6).
     The edit distance, the exact edge flips to the blocks' clique union, comes
     from block sizes and inner edge counts; it upper-bounds the distance to
     the nearest clique union. The two extractors can peel different cliques
@@ -207,7 +202,7 @@ def clique_union_decompose(
     blocks at edit distance 59.
     """
     n = g.n
-    cliques, blocks, leftover = peel_cliques(g, extractor, floor, merge_threshold)
+    cliques, blocks, leftover = peel_cliques(g, extractor)
     # |E xor M| = m + |M| - 2 |E and M| for the model M of one clique per block
     model_edges = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
     inner_edges = sum(int(g.adjacency[np.ix_(b, b)].sum()) for b in blocks) // 2

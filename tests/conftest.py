@@ -71,3 +71,11 @@ def flip_edges(g: ec.Graph, pairs) -> ec.Graph:
         adj[u, v] ^= 1
         adj[v, u] ^= 1
     return ec.Graph(adj)
+
+
+def flipped_union(sizes, seed: int, rate: float) -> ec.Graph:
+    """Clique union with every vertex pair flipped where pair_uniforms(seed, i, j) < rate."""
+    g = ec.clique_union(sizes)
+    iu, ju = np.triu_indices(g.n, 1)
+    hit = pair_uniforms(seed, iu, ju) < rate
+    return flip_edges(g, zip(iu[hit].tolist(), ju[hit].tolist()))

@@ -82,6 +82,9 @@ def test_symmetric_set_validation():
     assert s.contains_identity
     with pytest.raises(InputError):
         chowla.SymmetricSet.of(grp, [1, 2])  # inverse of 1 is 11
+    # a hand-built set skips that check, and the graph's own symmetry check rejects it
+    with pytest.raises(InputError, match="adjacency must be symmetric"):
+        chowla.cayley_graph(grp, chowla.SymmetricSet(group=grp, elements=(1, 2), contains_identity=False))
 
 
 def test_cayley_cycle_and_complete():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import eigencliques as ec
-from conftest import flip_edges, planted_noisy_union
+from conftest import flipped_union, planted_noisy_union
 from eigencliques.chowla import MAX_CHOWLA_DEGREE
 from eigencliques.cli import main
-from eigencliques.graphs import MAX_VERTICES, pair_uniforms
+from eigencliques.graphs import MAX_VERTICES
 
 
 def run(capsys, *argv):
@@ -103,6 +103,11 @@ def test_clique_planted(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["size"] == 16 and doc["verified"]
     assert doc["phases"][0]["phase"] in (0, 1)
+    # mode is the one key left: it changes the stated target, not the constants
+    code, out, _ = run(capsys, "clique", "--input", path, "--params", "mode=surplus")
+    surplus = json.loads(out)
+    assert code == 0 and surplus["target"]["mode"] == "surplus"
+    assert surplus["target"]["params"] == doc["target"]["params"]
 
 
 def test_clique_edgeless(tmp_path, capsys):
@@ -184,14 +189,16 @@ def test_unknown_param_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,bad",
     [
-        (["clique", "--params", "gamma=abc"], "gamma='abc'"),
-        (["decompose", "--params", "floor=x"], "floor='x'"),
+        # clique and decompose work out gamma, eps, rho, delta, the peel floor
+        # and the merge threshold from the input, so none of them is a key
+        (["clique", "--params", "gamma=0.05"], "unknown parameter 'gamma'"),
+        (["decompose", "--params", "floor=3"], "unknown parameter 'floor'"),
         # maxcut and bisect read no --params: the exact path follows from n
         (["maxcut", "--params", "cutoff=3"], "unknown parameter 'cutoff'"),
         (["gen", "--params", "family=Gnp,n=ten,p=0.5"], "n='ten'"),
-        # NaN used to merge nothing; infinities are no better
-        (["decompose", "--params", "threshold=nan"], "threshold='nan'"),
-        (["clique", "--params", "gamma=inf"], "gamma='inf'"),
+        (["decompose", "--params", "threshold=0.5"], "unknown parameter 'threshold'"),
+        (["clique", "--params", "eps=0.1"], "unknown parameter 'eps'"),
+        # infinities do not convert
         (["gen", "--params", "family=Gnp,n=20,p=-inf"], "p='-inf'"),
         # --tol nan passed every spectrum check and exited 2 with a made-up
         # counterexample; --tol 1e6 made every check vacuous and exited 0
@@ -200,13 +207,12 @@ def test_unknown_param_rejected(tmp_path, capsys):
         (["spectrum", "--tol", "1e6"], "--tol"),
         (["chowla", "1,2", "--tol=-1e-9"], "--tol"),
         (["decompose", "--params", "extractor=bogus"], "extractor 'bogus'"),
-        # threshold=7 merged at crossing density >= -6 and exited 0
-        (["decompose", "--params", "threshold=7"], "merge_threshold=7.0 must lie in [0, 1]"),
-        (["decompose", "--params", "threshold=-0.5"], "merge_threshold=-0.5 must lie in [0, 1]"),
-        # delta=2 reported phase 2 as met against a claimed density of -1
-        (["clique", "--params", "delta=2"], "delta=2.0 must lie in (0, 1)"),
-        (["clique", "--params", "delta=-1"], "delta=-1.0 must lie in (0, 1)"),
-        (["clique", "--params", "delta=0"], "delta=0.0 must lie in (0, 1)"),
+        (["clique", "--params", "rho=0.06"], "unknown parameter 'rho'"),
+        (["clique", "--params", "delta=0.1"], "unknown parameter 'delta'"),
+        (["clique", "--params", "mode=bogus"], "mode must be 'eigen' or 'surplus'"),
+        # a kept key does not make a deleted one acceptable
+        (["clique", "--params", "mode=surplus,gamma=0.05"], "unknown parameter 'gamma'"),
+        (["decompose", "--params", "extractor=greedy,floor=3"], "unknown parameter 'floor'"),
         (["bisect", "--params", "cutoff=3"], "unknown parameter 'cutoff'"),
     ],
 )
@@ -362,13 +368,13 @@ def test_missing_input(capsys):
     assert code == 1 and "requires --input" in err
 
 
-# (bad value, the text naming it); spectrum, maxcut and bisect read no
-# --params, so their bad value is --tol
+# (bad value, the text naming it); no --params key of these commands takes
+# a number, so their bad value is --tol
 _BAD_VALUE = {
     "spectrum": (["--tol", "nan"], "--tol"),
     "maxcut": (["--tol", "nan"], "--tol"),
-    "clique": (["--params", "gamma=abc"], "gamma='abc'"),
-    "decompose": (["--params", "floor=x"], "floor='x'"),
+    "clique": (["--tol", "nan"], "--tol"),
+    "decompose": (["--tol", "nan"], "--tol"),
     "bisect": (["--tol", "nan"], "--tol"),
 }
 
@@ -396,30 +402,22 @@ def test_error_order(tmp_path, capsys, command):
             assert names_bad in lines[0], lines
 
 
-def _flipped_union(sizes, seed, rate):
-    """Clique union with every vertex pair flipped where pair_uniforms(seed, i, j) < rate."""
-    g = ec.clique_union(sizes)
-    iu, ju = np.triu_indices(g.n, 1)
-    hit = pair_uniforms(seed, iu, ju) < rate
-    return flip_edges(g, zip(iu[hit].tolist(), ju[hit].tolist()))
-
-
 @pytest.mark.parametrize(
     "command,graph,golden",
     [
         ("maxcut", ec.cycle(5), "maxcut_c5.json"),
         ("decompose", ec.clique_union([5, 3]), "decompose_cu53.json"),
         # the merge step joins two multi-vertex cliques (21 and 8 vertices) at density < 1
-        ("decompose", _flipped_union([30, 20, 10], 101, 0.03), "decompose_cu302010_flip3.json"),
+        ("decompose", flipped_union([30, 20, 10], 101, 0.03), "decompose_cu302010_flip3.json"),
         # n=10 with many tied bisections; also takes the exact discrepancy branch
         ("bisect", ec.petersen(), "bisect_petersen.json"),
         # density 0.122 takes phase 0 with an applicable guarantee: pins the
         # lambda_n-based phase-0 bound, the default gamma and the target
         ("clique", planted_noisy_union(24, 8, 2, 0.002), "clique_planted_noisy.json"),
         # the greedy extractor recovers the planted 30/20/10 blocks (edit distance 59)
-        ("decompose --params extractor=greedy", _flipped_union([30, 20, 10], 102, 0.03), "decompose_cu302010_greedy.json"),
+        ("decompose --params extractor=greedy", flipped_union([30, 20, 10], 102, 0.03), "decompose_cu302010_greedy.json"),
         # dense input, phases 1-3: pins phase 2's block choice (clique of 22)
-        ("clique", _flipped_union([30, 20, 10], 102, 0.03), "clique_cu302010_flip3.json"),
+        ("clique", flipped_union([30, 20, 10], 102, 0.03), "clique_cu302010_flip3.json"),
     ],
 )
 def test_golden_reports(tmp_path, command, graph, golden):

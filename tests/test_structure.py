@@ -120,35 +120,6 @@ def test_decompose_unknown_extractor_fails_before_peeling(n):
         structure.clique_union_decompose(ec.from_edge_list(n, []), extractor="bogus")
 
 
-@pytest.mark.parametrize(
-    "kwargs,message",
-    [
-        # merge_threshold=7 merged clique_union([12, 10, 8]) into one 30-vertex
-        # block at edit distance 296: pairs were joined at density >= -6
-        ({"merge_threshold": 7.0}, "merge_threshold=7.0 must lie in [0, 1]"),
-        ({"merge_threshold": -0.1}, "merge_threshold=-0.1 must lie in [0, 1]"),
-        ({"merge_threshold": float("nan")}, "merge_threshold=nan must lie in [0, 1]"),
-        ({"floor": float("nan")}, "floor=nan must be a finite number"),
-        ({"floor": float("inf")}, "floor=inf must be a finite number"),
-        ({"floor": float("-inf")}, "floor=-inf must be a finite number"),
-    ],
-)
-def test_decompose_bad_thresholds_fail_before_peeling(monkeypatch, kwargs, message):
-    from eigencliques import densify
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("peeling started")
-
-    g = ec.clique_union([12, 10, 8])
-    monkeypatch.setattr(densify, "induced_subgraph", refuse)
-    with pytest.raises(InputError) as err:
-        structure.clique_union_decompose(g, **kwargs)
-    assert str(err.value) == message
-    monkeypatch.undo()
-    for threshold in (0.0, 1.0):  # the closed interval's ends are accepted
-        assert structure.clique_union_decompose(g, merge_threshold=threshold).blocks
-
-
 def test_decompose_pipeline_peels_read_no_spectrum(monkeypatch):
     # the peels run the four-phase search without its spectral certificate;
     # the expected values were recorded when every peel still ran the full
@@ -211,6 +182,14 @@ def test_pair_classify_validation():
         structure.pair_classify(g, [0, 1, 2], [5, 6])
     with pytest.raises(InputError):
         structure.pair_classify(ec.cycle(8), [0, 1, 2, 3], [4, 5, 6, 7])
+
+
+@pytest.mark.parametrize("xs,ys", [([-3, -2, -1], [3, 4, 5]), ([0, 1, 2], [3, 4, 99])])
+def test_pair_classify_rejects_out_of_range_vertices(xs, ys):
+    # -3..-1 wrapped round to 3..5 and read "Mixed" against the same three
+    # vertices; 99 raised a bare IndexError
+    with pytest.raises(InputError, match="vertex out of range"):
+        structure.pair_classify(ec.clique_union([3, 3]), xs, ys, lambda_n=0.1)
 
 
 def test_rank1_round_exact():
