@@ -102,9 +102,15 @@ class FiniteGroup:
         self.inverse = inv.astype(np.int64)
 
     def mul_row(self, i, js: np.ndarray) -> np.ndarray:
-        """Products i * j for a vector of j's; a column of i's gives one row per i."""
+        """Products i * j for a vector of j's; a column of i's gives one row per i.
+
+        Every factor must be an element index in [0, order): the arithmetic
+        path reduces i + j < 2n by one conditional subtraction, not a modulo.
+        """
         if self.table is None:
-            return (i + js) % self._modulus
+            out = i + js
+            np.subtract(out, self._modulus, out=out, where=out >= self._modulus)
+            return out
         return self.table[i, js]
 
     def inv(self, i: int) -> int:
@@ -386,9 +392,12 @@ def m_gamma(group: FiniteGroup, a_set: SymmetricSet | Iterable[int]) -> float:
     """max(0, -lambda_min) over the Cayley spectrum of A.
 
     lambda_min comes from spectral.lambda_min, so it carries that function's
-    inertia certificate. When the identity belongs to A it is stripped before
-    building the loopless graph and lambda_min is shifted back by +1, so the
-    reported value matches the convention in which A keeps the identity.
+    certificate: a Lanczos Ritz value bracketed by Courant-Fischer and one
+    Cholesky factorisation or, below 200 vertices and where Lanczos cannot
+    certify, an eigvalsh value bracketed by two. When the identity belongs to
+    A it is stripped before building the loopless graph and lambda_min is
+    shifted back by +1, so the reported value matches the convention in
+    which A keeps the identity.
     Vanishes when A is a subgroup.
     """
     if not isinstance(a_set, SymmetricSet):

@@ -7,6 +7,7 @@ after construction and safe to share.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Sequence
 
@@ -105,8 +106,11 @@ class Graph:
 
     def is_clique(self, vertices: Iterable[int] | None = None) -> bool:
         """Exact Boolean check that the given vertex set is pairwise adjacent.
-        A vertex outside [0, n) is an InputError."""
-        vs = range(self.n) if vertices is None else sorted(set(vertices))
+        A vertex that is not an integer, or lies outside [0, n), is an InputError."""
+        try:
+            vs = range(self.n) if vertices is None else sorted({operator.index(v) for v in vertices})
+        except TypeError:
+            raise InputError("vertices must be integers") from None
         if vs and not 0 <= vs[0] <= vs[-1] < self.n:
             raise InputError("vertex out of range")
         idx = np.asarray(vs, dtype=int)

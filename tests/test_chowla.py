@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eigencliques as ec
-from eigencliques import chowla
+from eigencliques import chowla, spectral
 from eigencliques.errors import InputError, NumericalError, SizeError
 from oracles import cosine_grid_min, dihedral_group, outer_product_cosine_min, symmetric_group
 
@@ -512,11 +512,18 @@ def test_m_gamma_cycle_matches_known_spectrum(n):
 
 def test_m_gamma_subgroups_still_zero_and_certified(monkeypatch):
     # a subgroup's Cayley graph is a union of cliques (lambda_min = -1), so with
-    # the identity shift m_gamma is 0; a wrong eigvalsh is refused, not reported
-    for grp, sub in ((chowla.cyclic_group(24), [0, 6, 12, 18]), (chowla.cyclic_group(24), list(range(0, 24, 2))),
-                     (dihedral_group(5), list(range(5)))):
+    # the identity shift m_gamma is 0. Z/240 (eight disjoint 30-cliques) takes
+    # lambda_min's Krylov path: a wrong Ritz vector is refused there and the
+    # dense path answers; a wrong eigvalsh is refused on either path, not reported
+    z24 = (chowla.cyclic_group(24), [0, 6, 12, 18])
+    z240 = (chowla.cyclic_group(240), list(range(0, 240, 8)))
+    for grp, sub in (z24, (chowla.cyclic_group(24), list(range(0, 24, 2))), (dihedral_group(5), list(range(5))), z240):
         assert chowla.m_gamma(grp, sub) == pytest.approx(0.0, abs=1e-9)
+    # the all-ones vector of the 29-regular graph: its Rayleigh quotient is lambda_1 = 29
+    monkeypatch.setattr(spectral, "_lanczos_ritz_vector", lambda a, cap: np.ones(len(a), dtype=np.float32))
+    assert chowla.m_gamma(*z240) == pytest.approx(0.0, abs=1e-9)
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1e-3)
-    with pytest.raises(NumericalError, match="bracket"):
-        chowla.m_gamma(chowla.cyclic_group(24), [0, 6, 12, 18])
+    for grp, sub in (z24, z240):
+        with pytest.raises(NumericalError, match="bracket"):
+            chowla.m_gamma(grp, sub)

@@ -58,28 +58,32 @@ def test_reports_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
-# eigensolver calls per command: spectrum takes one verified eigh and the
+# n x n eigensolver calls per command: spectrum takes one verified eigh and the
 # complement's eigenvalues from one trace-checked eigvalsh; clique and maxcut
-# read only lambda_n, from one lambda_min (one eigvalsh)
+# read only lambda_n, from one lambda_min, which at n = 240 is served by
+# Lanczos and one Cholesky, with no dense eigensolver
 _SOLVER_CALLS = {
     "spectrum": {"spectrum": 1, "eigh": 1, "lambda_min": 0, "eigvalsh": 1},
-    "clique": {"spectrum": 0, "eigh": 0, "lambda_min": 1, "eigvalsh": 1},
-    "maxcut": {"spectrum": 0, "eigh": 0, "lambda_min": 1, "eigvalsh": 1},
+    "clique": {"spectrum": 0, "eigh": 0, "lambda_min": 1, "eigvalsh": 0},
+    "maxcut": {"spectrum": 0, "eigh": 0, "lambda_min": 1, "eigvalsh": 0},
 }
 
 
-@pytest.mark.parametrize("command, calls", [("spectrum", 2), ("clique", 1), ("maxcut", 1)])
-def test_one_spectrum_per_eigh(tmp_path, monkeypatch, command, calls):
+@pytest.mark.parametrize("command, results", [("spectrum", 2), ("clique", 1), ("maxcut", 1)])
+def test_one_spectrum_per_eigh(tmp_path, monkeypatch, command, results):
     # each command computes what it reads once and passes it on; nothing is
-    # cached, so every spectrum call pays one eigh and every lambda_min one
-    # eigvalsh; calls is the command's total of eigensolver calls
+    # cached, so every spectrum call pays one eigh. results counts what the
+    # command computes: spectra, lambda_n values and eigenvalue lists. The
+    # Lanczos step's small tridiagonal solves are not counted.
     from eigencliques import cuts, densify, spectral, structure
 
+    g = ec.gnp(240, 0.5, 1)
     counts = dict.fromkeys(_SOLVER_CALLS[command], 0)
 
-    def counted(name, fn):
+    def counted(name, fn, n=None):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            if n is None or len(args[0]) == n:
+                counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -89,11 +93,11 @@ def test_one_spectrum_per_eigh(tmp_path, monkeypatch, command, calls):
             if hasattr(mod, name):  # densify imports lambda_min only
                 monkeypatch.setattr(mod, name, wrapped)
     for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    path = write_graph(tmp_path, "g.txt", ec.gnp(30, 0.5, 1))
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), g.n))
+    path = write_graph(tmp_path, "g.txt", g)
     assert main([command, "--input", path, "--output", str(tmp_path / "out.json")]) == 0
     assert counts == _SOLVER_CALLS[command]
-    assert counts["eigh"] + counts["eigvalsh"] == calls
+    assert counts["spectrum"] + counts["lambda_min"] + counts["eigvalsh"] == results
 
 
 def test_clique_planted(tmp_path, capsys):

@@ -68,6 +68,15 @@ def test_hk_structure():
         assert int(g.degrees[2 * k]) == k
 
 
+@pytest.mark.parametrize("vertices", [[0.2, 1.9], [0.5, 1.5], [0, 1.0], np.array([0.0, 1.0])])
+def test_is_clique_rejects_non_integer_vertices(vertices):
+    # 0.2 and 1.9 (or 0.5 and 1.5) were truncated to the edge (0, 1) and read True
+    g = ec.from_edge_list(3, [(0, 1)])
+    with pytest.raises(InputError, match="vertices must be integers"):
+        g.is_clique(vertices)
+    assert g.is_clique([0, 1]) and g.is_clique(np.array([1, 0])) and not g.is_clique([0, 1, 2])
+
+
 def test_gnp_deterministic_and_order_independent():
     a = ec.gnp(40, 0.3, seed=7)
     b = ec.gnp(40, 0.3, seed=7)

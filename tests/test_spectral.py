@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import eigencliques as ec
 from eigencliques import cuts, densify, spectral
 from eigencliques.errors import InputError, NumericalError
+from conftest import flipped_union, planted_noisy_union
 from oracles import brute_independence, loop_orient_columns
 
 TOL = 1e-8
@@ -349,11 +351,21 @@ def test_lambda_min_needs_a_vertex():
         spectral.lambda_min(ec.from_edge_list(0, []))
 
 
-@pytest.mark.parametrize("g", [ec.from_edge_list(1, []), ec.from_edge_list(4, []), ec.cycle(5), ec.gnp(30, 0.5, 1)])
+@pytest.mark.parametrize(
+    "g", [ec.from_edge_list(1, []), ec.from_edge_list(4, []), ec.cycle(5), ec.gnp(30, 0.5, 1), ec.gnp(240, 0.5, 1)]
+)
 def test_lambda_min_zero_tol_fails_closed(g):
     # delta = 0 leaves no room for Cholesky's rounding, so the bracket cannot decide
     with pytest.raises(NumericalError, match="cannot decide at tol=0"):
         spectral.lambda_min(g, 0.0)
+
+
+def test_lambda_min_refuses_a_delta_below_the_quotient_rounding():
+    # delta = 2e-12 lies below the Rayleigh quotient's rounding bound
+    # 2 (n + 2) eps (maxdeg + |lam| + delta) ~ 4.3e-12, though the lower-side
+    # factorisation alone passes here; the dense path cannot decide either
+    with pytest.raises(NumericalError, match="cannot decide at tol=1e-12"):
+        spectral.lambda_min(ec.clique_union([40] * 6), 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -361,23 +373,96 @@ def test_lambda_min_zero_tol_fails_closed(g):
     [(10.0, r"\(lambda - delta\) I is not positive definite"), (-10.0, r"\(lambda \+ delta\) I is positive definite")],
 )
 def test_lambda_min_bracket_rejects_a_wrong_eigvalsh(monkeypatch, offset, side):
-    # an eigensolver that is off by 10 delta in either direction is caught by
-    # the side of the bracket it crosses
-    g = ec.gnp(40, 0.5, 2)
-    true = ec.spectrum(g).lambda_min
-    tol = spectral.default_tol(g.n)
+    # a wrong Ritz vector is refused by the lower-side Cholesky and the dense
+    # path answers; when eigvalsh is also off by 10 delta in either direction,
+    # the side of the bracket it crosses is caught
+    g = ec.turan(4, 200)  # 150-regular; lambda_n = -50
+    delta = spectral.default_tol(g.n) * 51.0
     eigvalsh = np.linalg.eigvalsh
+    solves = []
+
+    def counted(a):
+        solves.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert abs(spectral.lambda_min(g) + 50.0) <= delta and solves == []  # the Krylov path serves
+    # the all-ones vector of a regular graph: its Rayleigh quotient is lambda_1 = 150
+    monkeypatch.setattr(spectral, "_lanczos_ritz_vector", lambda a, cap: np.ones(len(a), dtype=np.float32))
+    assert abs(spectral.lambda_min(g) + 50.0) <= delta and solves == [200]
 
     def off(a):
         vals = eigvalsh(a)
-        vals[0] += offset * tol * (1.0 + abs(vals[0]))
+        vals[0] += offset * spectral.default_tol(len(a)) * (1.0 + abs(vals[0]))
         return vals
 
     monkeypatch.setattr(np.linalg, "eigvalsh", off)
     with pytest.raises(NumericalError, match=side):
         spectral.lambda_min(g)
-    monkeypatch.undo()
-    assert abs(spectral.lambda_min(g) - true) <= tol * (1.0 + abs(true))
+
+
+def _kab(a: int, b: int) -> ec.Graph:
+    return ec.from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+# (graph, path lambda_min takes): "dense" below _KRYLOV_MIN_N vertices, and
+# "fallback" where the bottom eigenvalues are too close for the Lanczos cap
+_SWEEP = [
+    *((ec.gnp(n, p, n + int(100 * p)), "dense" if n < 200 else "krylov") for n in (30, 150, 200, 300, 500) for p in (0.05, 0.5, 0.9)),
+    (planted_noisy_union(40, 6, 1), "krylov"),
+    (planted_noisy_union(25, 10, 2, 0.05), "krylov"),
+    (flipped_union([100, 60, 40], 5, 0.03), "krylov"),
+    (planted_noisy_union(10, 5, 3), "dense"),
+    (ec.turan(2, 300), "krylov"),  # K_{150,150}
+    (_kab(20, 230), "krylov"),
+    (_kab(3, 4), "dense"),
+    (_kab(1, 299), "krylov"),  # stars
+    (_kab(1, 9), "dense"),
+    (ec.cycle(200), "fallback"),
+    (ec.cycle(301), "fallback"),
+    (ec.path(250), "fallback"),
+    (ec.cycle(12), "dense"),
+    (ec.path(7), "dense"),
+    (ec.from_edge_list(300, []), "krylov"),
+    (ec.from_edge_list(5, []), "dense"),
+    (ec.from_edge_list(1, []), "dense"),
+    (ec.complete(2), "dense"),
+    (ec.from_edge_list(2, []), "dense"),
+]
+
+
+def test_lambda_min_matches_eigvalsh_on_a_sweep(monkeypatch):
+    # every certified lambda_n lies within delta of eigvalsh's, on the path
+    # the input's size and spectrum choose
+    eigvalsh, lanczos = np.linalg.eigvalsh, spectral._lanczos_ritz_vector
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+    monkeypatch.setattr(spectral, "_lanczos_ritz_vector", lambda a, cap: calls.append("lanczos") or lanczos(a, cap))
+    paths = {("eigvalsh",): "dense", ("lanczos",): "krylov", ("lanczos", "eigvalsh"): "fallback"}
+    assert len(_SWEEP) >= 30
+    for g, path in _SWEEP:
+        calls.clear()
+        lam = spectral.lambda_min(g)
+        taken = paths[tuple(calls)]
+        exact = float(eigvalsh(g.adjacency.astype(np.float64))[0])
+        assert abs(lam - exact) <= spectral.default_tol(g.n) * (1.0 + abs(lam)), (g, lam, exact)
+        assert taken == path, (g, taken)
+
+
+def test_lambda_min_memory_at_n2000():
+    # the certificate holds A and its Cholesky factor, two n x n float64
+    # arrays, at once; the float32 Lanczos copy and basis are gone by then.
+    # The dense path peaked at 2 * 8n^2 + 1.7 KB in a warm process (+2.5 KB cold).
+    spectral.lambda_min(ec.gnp(240, 0.5, 1))  # warm the Krylov path's one-time allocations
+    g = ec.gnp(2000, 0.5, 1)
+    tracemalloc.start()
+    try:
+        lam = spectral.lambda_min(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * g.n**2 + 2048
+    assert lam == pytest.approx(-45.0375485418, abs=1e-9)
 
 
 @pytest.mark.parametrize(
