@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, SizeError
-from .graphs import Graph, block_edge_counts, neighbor_masks, pair_uniforms
+from .graphs import Graph, _vertex_index, block_edge_counts, degrees_into, neighbor_masks, pair_uniforms
 from .spectral import lambda_min, spectrum
 
 __all__ = [
@@ -252,14 +252,13 @@ def unbalanced_cut(g: Graph, x_side: Iterable[int]) -> CutReport:
     with inclusion probability 1/2 + b/(4a) is derandomized by greedy
     conditional-expectation rounding, meeting surplus b^2/(8a) - c/2.
     """
-    xs = sorted(set(int(v) for v in x_side))
-    if not xs or any(v < 0 or v >= g.n for v in xs):
+    xi = _vertex_index(g.n, x_side)
+    if not len(xi):
         raise InputError("X must be a nonempty subset of the vertices")
-    ys = sorted(set(range(g.n)) - set(xs))
-    if not ys:
+    yi = np.setdiff1d(np.arange(g.n), xi)
+    if not len(yi):
         raise InputError("Y = V \\ X must be nonempty")
-    xi = np.asarray(xs, dtype=int)
-    yi = np.asarray(ys, dtype=int)
+    xs = xi.tolist()
     counts = block_edge_counts(g.adjacency, [xi, yi])
     a, b, c = int(counts[0, 0]) // 2, int(counts[0, 1]), int(counts[1, 1]) // 2
     certs: dict = {"a": a, "b": b, "c": c}
@@ -273,7 +272,7 @@ def unbalanced_cut(g: Graph, x_side: Iterable[int]) -> CutReport:
     p = min(max(b / (4.0 * a), 0.0), 0.5 - 1e-15)
     q = 0.5 + p
     in_u: dict[int, bool] = {}
-    deg_y = {v: int(g.adjacency[v, yi].sum()) for v in xs}
+    deg_y = dict(zip(xs, degrees_into(g.adjacency, xi, yi).tolist()))
     for v in xs:
         delta = float(deg_y[v])
         for w in xs:
@@ -389,7 +388,7 @@ def discrepancy(g: Graph) -> DiscrepancyReport:
         u = pair_uniforms(seed, np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64))
         idx = np.flatnonzero(_hill_climb(g.adjacency, u < 0.5, sign * denom, -sign * g.m, 0))
         k = len(idx)
-        score = sign * (denom * (int(g.adjacency[idx][:, idx].sum()) // 2) - g.m * (k * (k - 1) // 2))
+        score = sign * (denom * (int(degrees_into(g.adjacency, idx, idx).sum()) // 2) - g.m * (k * (k - 1) // 2))
         if score < 0:
             score, idx = 0, []  # empty set witnesses 0
         results[key] = (Fraction(score, denom), [int(v) for v in idx])

@@ -5,6 +5,10 @@ Phase 0 moves into a max-degree neighbourhood, phase 1 runs a monotone
 potential-improvement loop (neighbourhood step + high-degree split), phase 2
 picks the densest block of a clique-union decomposition, and phase 3
 regularises the complement and greedily builds a clique.
+
+Each phase and the peel loop take an ascending index array into the one input
+graph and report vertices in its labels; ascending order keeps every
+lowest-index tie rule on the vertex it picks in the induced subgraph.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .graphs import Graph, block_edge_counts, complement, induced_subgraph, triangles_per_vertex
+from .graphs import Graph, block_edge_counts, complement, degrees_into, induced_subgraph, triangles_per_vertex
 from .spectral import lambda_min
 
 __all__ = [
@@ -73,13 +77,6 @@ class CliqueCertificate:
         }
 
 
-def _remap(trace: PhaseTrace, labels: np.ndarray) -> PhaseTrace:
-    """Translate a trace's local vertex indices back to original labels."""
-    trace.vertices_in = tuple(int(labels[v]) for v in trace.vertices_in)
-    trace.vertices_out = tuple(int(labels[v]) for v in trace.vertices_out)
-    return trace
-
-
 def _density_of(edges: int, k: int) -> float:
     """Edge density of a k-vertex set with the given edge count; 1 for a single vertex."""
     if k <= 1:
@@ -87,33 +84,34 @@ def _density_of(edges: int, k: int) -> float:
     return edges / (k * (k - 1) / 2)
 
 
-def _inner_degrees(g: Graph, idx: np.ndarray) -> np.ndarray:
-    """Degree of each vertex of idx inside G[idx]."""
-    return g.adjacency[np.ix_(idx, idx)].sum(axis=1, dtype=np.int64)
-
-
 def _density(deg: np.ndarray) -> float:
     """Edge density of a vertex set from its inner degrees."""
     return _density_of(int(deg.sum()) // 2, len(deg))
 
 
+def _graph_density(deg: np.ndarray) -> float:
+    """Graph.density of the induced subgraph: 0 on one vertex, where _density reads 1."""
+    return _density(deg) if len(deg) > 1 else 0.0
+
+
 # -- phase 0 ------------------------------------------------------------------
 
 
-def _phase0_search(g: Graph) -> PhaseTrace:
-    """Phase 0's vertex choice: d = floor(avg degree) neighbours of a
-    maximum-degree vertex. Reads no spectrum and leaves the guarantee empty."""
-    if g.m == 0:
+def _phase0_search(g: Graph, vertices: np.ndarray, deg: np.ndarray) -> PhaseTrace:
+    """Phase 0's vertex choice in G[vertices], whose inner degrees are deg:
+    d = floor(avg degree) neighbours of a maximum-degree vertex. Reads no
+    spectrum and leaves the guarantee empty."""
+    if not deg.any():
         raise DegenerateInputError("phase 0 needs at least one edge")
-    d = max(1, int(g.average_degree))
-    x = int(np.argmax(g.degrees))
-    s_idx = g.neighbors(x)[:d]
-    e_s = int(_inner_degrees(g, s_idx).sum()) // 2
+    d = max(1, int(int(deg.sum()) / len(vertices)))
+    x = int(vertices[np.argmax(deg)])
+    s_idx = vertices[g.adjacency[x, vertices].astype(bool)][:d]
+    e_s = int(degrees_into(g.adjacency, s_idx, s_idx).sum()) // 2
     return PhaseTrace(
         phase=0,
-        vertices_in=tuple(range(g.n)),
-        vertices_out=tuple(int(v) for v in s_idx),
-        density_in=g.density,
+        vertices_in=tuple(vertices.tolist()),
+        vertices_out=tuple(s_idx.tolist()),
+        density_in=_density(deg),
         density_out=_density_of(e_s, len(s_idx)),
         params={"d": d, "apex": x, "edges": e_s},
     )
@@ -141,7 +139,7 @@ def phase0_neighborhood(g: Graph, tol: float | None = None) -> PhaseTrace:
     lambda_n^2 <= d/2; outside that regime the subgraph is still returned with
     the guarantee marked not applicable.
     """
-    return _certify_phase0(_phase0_search(g), lambda_min(g, tol))
+    return _certify_phase0(_phase0_search(g, np.arange(g.n), g.degrees), lambda_min(g, tol))
 
 
 # -- phase 1 ------------------------------------------------------------------
@@ -189,18 +187,14 @@ def _pad_set(adj: np.ndarray, base: np.ndarray, pool: np.ndarray, target: int) -
     need = target - len(base)
     if need <= 0 or len(pool) == 0:
         return base
-    scores = adj[np.ix_(pool, base)].sum(axis=1, dtype=np.int64)
+    scores = degrees_into(adj, pool, base)
     order = np.lexsort((pool, -scores))  # most edges into base, ties lowest index
     return np.sort(np.concatenate([base, pool[order[:need]]]))
 
 
-def phase1_densify(
-    g: Graph,
-    gamma: float,
-    eps: float,
-    rho: float,
-) -> PhaseTrace:
-    """Monotone local improvement of the potential v(H)^(rho/eps) * p(H).
+def phase1_densify(g: Graph, vertices: np.ndarray, gamma: float, eps: float, rho: float) -> PhaseTrace:
+    """Monotone local improvement of the potential v(H)^(rho/eps) * p(H),
+    starting from H = G[vertices].
 
     Two moves are tried each round: restricting to a vertex's closed
     neighbourhood (candidates ranked by triangle count through the vertex,
@@ -214,14 +208,15 @@ def phase1_densify(
     except InputError as exc:
         raise InputError(f"phase 1: {exc}") from None
     expo = rho / eps
-    n0 = g.n
-    current = np.arange(n0)
+    n0 = len(vertices)
+    current = vertices
     steps: list[dict] = []
 
     def potential(idx: np.ndarray) -> float:
-        return len(idx) ** expo * _density(_inner_degrees(g, idx))
+        return len(idx) ** expo * _density(degrees_into(g.adjacency, idx, idx))
 
-    phi = potential(current)
+    deg_in = degrees_into(g.adjacency, vertices, vertices)
+    phi = n0**expo * _density(deg_in)
     for _ in range(_PHASE1_MAX_STEPS):
         sub = g.adjacency[np.ix_(current, current)]
         k = len(current)
@@ -272,7 +267,7 @@ def phase1_densify(
         steps.append({"move": move, "size": int(len(best)), "potential": best_phi})
         current = best
         phi = best_phi
-    p_out = _density(_inner_degrees(g, current))
+    p_out = _density(degrees_into(g.adjacency, current, current))
     guarantee = {
         "claimed_size": n0 ** (1.0 - eps),
         "measured_size": int(len(current)),
@@ -282,9 +277,9 @@ def phase1_densify(
     }
     return PhaseTrace(
         phase=1,
-        vertices_in=tuple(range(n0)),
-        vertices_out=tuple(int(v) for v in current),
-        density_in=g.density,
+        vertices_in=tuple(vertices.tolist()),
+        vertices_out=tuple(current.tolist()),
+        density_in=_graph_density(deg_in),
         density_out=p_out,
         params={"gamma": gamma, "eps": eps, "rho": rho, "steps": steps},
         guarantee=guarantee,
@@ -294,23 +289,23 @@ def phase1_densify(
 # -- phase 2 ------------------------------------------------------------------
 
 
-def phase2_dense_core(g: Graph) -> PhaseTrace:
-    """Densest block of the clique-union decomposition, aiming for size >= p*n/2
-    and density >= 1 - _PHASE2_DELTA.
+def phase2_dense_core(g: Graph, vertices: np.ndarray) -> PhaseTrace:
+    """Densest block of the clique-union decomposition of G[vertices], aiming
+    for size >= p*n/2 and density >= 1 - _PHASE2_DELTA.
 
     The blocks come from peel_cliques with the greedy extractor, so the
     peeling does not recurse back into the four-phase search.
     """
-    p = g.density
-    blocks = [np.asarray(b, dtype=int) for b in peel_cliques(g, "greedy")[1]]
-    chosen: np.ndarray
+    deg = degrees_into(g.adjacency, vertices, vertices)
+    p = _graph_density(deg)
+    floor_size = p * len(vertices) / 2.0
+    blocks = [np.asarray(b, dtype=np.intp) for b in peel_cliques(g, "greedy", vertices)[1]]
     if not blocks:
-        chosen = np.arange(g.n)
-        out_density = _density_of(g.m, g.n)
+        chosen = vertices
+        out_density = _density(deg)
         note = "no blocks recovered; returning the input"
     else:
-        dens = [_density(_inner_degrees(g, b)) for b in blocks]
-        floor_size = p * g.n / 2.0
+        dens = [_density(degrees_into(g.adjacency, b, b)) for b in blocks]
         qualifying = [i for i, b in enumerate(blocks) if len(b) >= floor_size]
         dense_enough = [i for i in qualifying if dens[i] >= 1.0 - _PHASE2_DELTA]
         if dense_enough:
@@ -323,17 +318,17 @@ def phase2_dense_core(g: Graph) -> PhaseTrace:
             note = "qualifying block" if qualifying else "densest block below size target"
         chosen, out_density = blocks[pick], dens[pick]
     guarantee = {
-        "claimed_size": p * g.n / 2.0,
+        "claimed_size": floor_size,
         "claimed_density": 1.0 - _PHASE2_DELTA,
         "measured_size": int(len(chosen)),
         "measured_density": out_density,
-        "met": bool(len(chosen) >= p * g.n / 2.0 and out_density >= 1.0 - _PHASE2_DELTA),
+        "met": bool(len(chosen) >= floor_size and out_density >= 1.0 - _PHASE2_DELTA),
         "note": note,
     }
     return PhaseTrace(
         phase=2,
-        vertices_in=tuple(range(g.n)),
-        vertices_out=tuple(int(v) for v in chosen),
+        vertices_in=tuple(vertices.tolist()),
+        vertices_out=tuple(chosen.tolist()),
         density_in=p,
         density_out=out_density,
         params={"delta": _PHASE2_DELTA},
@@ -361,7 +356,7 @@ def balanced_subgraph(g: Graph) -> PhaseTrace:
     while len(current) > 2 and (p_cur := _density(deg)) > 0.0:
         r = int(math.ceil(len(current) / math.log2(1.0 / p_cur)))
         trimmed = np.sort(current[np.lexsort((current, -deg))[r:]])
-        trimmed_deg = _inner_degrees(g, trimmed)
+        trimmed_deg = degrees_into(g.adjacency, trimmed, trimmed)
         if _density(trimmed_deg) >= p_cur / 2.0:
             break
         current, deg, rounds = trimmed, trimmed_deg, rounds + 1
@@ -370,7 +365,7 @@ def balanced_subgraph(g: Graph) -> PhaseTrace:
         keep = deg < (len(current) - 1) * p_k * math.log2(1.0 / p_k)
         if keep.any():
             current = current[keep]
-            deg = _inner_degrees(g, current)
+            deg = degrees_into(g.adjacency, current, current)
     out_p = _density(deg)
     measured_c = float(deg.max() / deg.mean()) if deg.any() else None
     claimed_c = 4.0 * math.log2(1.0 / out_p) if out_p > 0 else None
@@ -395,28 +390,25 @@ def balanced_subgraph(g: Graph) -> PhaseTrace:
 # -- greedy clique machinery ----------------------------------------------------
 
 
-def greedy_clique(g: Graph, candidates: np.ndarray | None = None) -> list[int]:
-    """Grow a clique by repeatedly taking the candidate with most neighbours
-    among the remaining candidates (minimum complement degree), then
-    restricting to its neighbourhood."""
-    cand = np.arange(g.n) if candidates is None else np.asarray(sorted(candidates), dtype=int)
+def greedy_clique(g: Graph, candidates: np.ndarray) -> list[int]:
+    """Grow a clique inside the ascending index array candidates by repeatedly
+    taking the candidate with most neighbours among the remaining candidates
+    (minimum complement degree), then restricting to its neighbourhood."""
     out: list[int] = []
-    while len(cand):
-        sub = g.adjacency[np.ix_(cand, cand)]
-        deg = sub.sum(axis=1).astype(np.int64)
-        pick = int(np.argmax(deg))  # argmax returns the lowest index on ties
-        v = int(cand[pick])
+    while len(candidates):
+        v = int(candidates[np.argmax(degrees_into(g.adjacency, candidates, candidates))])  # lowest index on ties
         out.append(v)
-        cand = cand[sub[pick].astype(bool)]
+        candidates = candidates[g.adjacency[v, candidates].astype(bool)]
     return sorted(out)
 
 
-def extend_clique(g: Graph, clique: list[int]) -> list[int]:
-    """Greedy maximalisation: single ascending pass adding universally adjacent vertices."""
+def extend_clique(g: Graph, clique: list[int], candidates: np.ndarray) -> list[int]:
+    """Greedy maximalisation: single pass over the ascending index array
+    candidates, adding each one adjacent to every member so far."""
     s = sorted(clique)
     # neighbours of each vertex in s; with no self-loops a member never counts all of s
     count = g.adjacency[s].sum(axis=0, dtype=np.int64)
-    for v in range(g.n):
+    for v in candidates.tolist():
         if count[v] == len(s):
             s.append(v)
             count += g.adjacency[v]
@@ -426,29 +418,33 @@ def extend_clique(g: Graph, clique: list[int]) -> list[int]:
 # -- phase 3 ------------------------------------------------------------------
 
 
-def phase3_clique(g: Graph) -> CliqueCertificate:
-    """Balance the complement, then greedily build a clique in the balanced core.
+def phase3_clique(g: Graph, vertices: np.ndarray) -> CliqueCertificate:
+    """Balance the complement of G[vertices], then greedily build a clique in
+    the balanced core.
 
     The greedy step is the Turan guarantee run on the complement: the clique
     found has size at least n3 / (dbar3 + 1), where n3 and dbar3 are the core's
-    size and the core's average complement degree.
+    size and the core's average complement degree. balanced_subgraph reads
+    a graph, so this is the one place the search builds G[vertices] and its
+    complement.
     """
-    n = g.n
+    n = len(vertices)
+    deg = degrees_into(g.adjacency, vertices, vertices)
     # the complement's Graph.density (0 for n <= 1); a nonempty graph's balanced core is nonempty
-    if n <= 1 or (n * (n - 1) // 2 - g.m) / (n * (n - 1) / 2) <= 0.2:
-        core, note = np.asarray(balanced_subgraph(complement(g)).vertices_out, dtype=int), None
+    if n <= 1 or (n * (n - 1) // 2 - int(deg.sum()) // 2) / (n * (n - 1) / 2) <= 0.2:
+        local = balanced_subgraph(complement(induced_subgraph(g, vertices))).vertices_out
+        core, note = vertices[np.asarray(local, dtype=np.intp)], None
     else:
-        core, note = np.arange(n), "complement density above 1/5; balancing skipped, guarantee informational"
+        core, note = vertices, "complement density above 1/5; balancing skipped, guarantee informational"
     clique = greedy_clique(g, core)
     n3 = len(core)
-    dbar3 = float((n3 - 1 - _inner_degrees(g, core)).mean()) if n3 else 0.0
+    dbar3 = float((n3 - 1 - degrees_into(g.adjacency, core, core)).mean()) if n3 else 0.0
     claimed = math.ceil(n3 / (dbar3 + 1.0)) if n3 else 0
-    verified = g.is_clique(clique)
     trace = PhaseTrace(
         phase=3,
-        vertices_in=tuple(range(g.n)),
+        vertices_in=tuple(vertices.tolist()),
         vertices_out=tuple(clique),
-        density_in=g.density,
+        density_in=_graph_density(deg),
         density_out=1.0,
         params={"core_size": n3, "core_complement_avg_degree": dbar3, "note": note},
         guarantee={
@@ -457,7 +453,7 @@ def phase3_clique(g: Graph) -> CliqueCertificate:
             "met": bool(len(clique) >= claimed),
         },
     )
-    return CliqueCertificate(clique=tuple(clique), size=len(clique), phases=[trace], verified=verified)
+    return CliqueCertificate(clique=tuple(clique), size=len(clique), phases=[trace], verified=g.is_clique(clique))
 
 
 # -- the pipeline ----------------------------------------------------------------
@@ -465,53 +461,50 @@ def phase3_clique(g: Graph) -> CliqueCertificate:
 
 def _clique_search(
     g: Graph,
+    vertices: np.ndarray,
     gamma: float = _FALLBACK_GAMMA,
     eps: float = 2.0 * _FALLBACK_GAMMA,
     rho: float = 1.2 * _FALLBACK_GAMMA,
 ) -> CliqueCertificate:
-    """The four-phase vertex search on a graph with at least one edge.
+    """The four-phase vertex search in G[vertices], for a nonempty vertex set.
 
     Phase 0's vertex choice (sparse inputs only), phases 1-3, greedy
-    maximalisation and the pairwise check; it reads no spectrum, so the
-    phase-0 guarantee is left empty and there is no target. The defaults are
+    maximalisation inside the vertex set and the pairwise check; it reads no
+    spectrum, so the phase-0 guarantee is left empty and there is no target.
+    An edgeless set gives its lowest vertex and no phases. The defaults are
     the parameters default_parameters falls back to without a spectrum;
     phase 1 reads gamma, eps and rho only through rho/eps = 0.6.
     """
+    deg = degrees_into(g.adjacency, vertices, vertices)
+    if not deg.any():
+        return CliqueCertificate(clique=(int(vertices[0]),), size=1, phases=[], verified=True)
     traces: list[PhaseTrace] = []
-    current = np.arange(g.n)
-    if g.density <= _SPARSE_THRESHOLD:
-        t0 = _phase0_search(g)
-        traces.append(t0)
-        current = np.asarray(t0.vertices_out, dtype=int)
-    h1 = induced_subgraph(g, current)
-    t1 = phase1_densify(h1, gamma, eps, rho)
-    keep = np.asarray(t1.vertices_out, dtype=int)
-    traces.append(_remap(t1, current))
-    current = current[keep]
-    h2 = induced_subgraph(g, current)
-    t2 = phase2_dense_core(h2)
-    keep = np.asarray(t2.vertices_out, dtype=int)
-    traces.append(_remap(t2, current))
-    current = current[keep]
-    h3 = induced_subgraph(g, current)
-    cert3 = phase3_clique(h3)
-    traces.append(_remap(cert3.phases[0], current))
-    clique = extend_clique(g, sorted(int(current[v]) for v in cert3.clique))
-    return CliqueCertificate(clique=tuple(clique), size=len(clique), phases=traces, verified=g.is_clique(clique))
+    current = vertices
+    if _density(deg) <= _SPARSE_THRESHOLD:
+        traces.append(_phase0_search(g, vertices, deg))
+        current = np.asarray(traces[-1].vertices_out, dtype=np.intp)
+    traces.append(phase1_densify(g, current, gamma, eps, rho))
+    traces.append(phase2_dense_core(g, np.asarray(traces[-1].vertices_out, dtype=np.intp)))
+    cert3 = phase3_clique(g, np.asarray(traces[-1].vertices_out, dtype=np.intp))
+    clique = extend_clique(g, list(cert3.clique), vertices)
+    return CliqueCertificate(clique=tuple(clique), size=len(clique), phases=traces + cert3.phases, verified=g.is_clique(clique))
 
 
 # -- clique peeling ----------------------------------------------------------------
 
 
-def peel_cliques(g: Graph, extractor: str) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]:
-    """Peel cliques off g, then merge near-complete pairs into blocks.
+def peel_cliques(
+    g: Graph, extractor: str, vertices: np.ndarray
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]:
+    """Peel cliques off G[vertices], then merge near-complete pairs into blocks.
 
-    Cliques are extracted from the residual graph until one falls under the
-    size floor sqrt(n). The cliques and the leftover vertices (as 1-cliques)
-    become nodes of an auxiliary graph joining pairs with crossing density
-    >= 1 - n^(-1/6) (1/2 for n <= 1), all read off one k x k block
-    edge-count matrix; its connected components are the blocks.
-    Returns (cliques in peel order, sorted blocks, sorted leftover vertices).
+    Cliques are extracted from the ascending residual vertex set until one
+    falls under the size floor sqrt(n), n = len(vertices). The cliques and the
+    leftover vertices (as 1-cliques) become nodes of an auxiliary graph
+    joining pairs with crossing density >= 1 - n^(-1/6) (1/2 for n <= 1), all
+    read off one k x k block edge-count matrix; its connected components are
+    the blocks. Returns (cliques in peel order, sorted blocks, sorted leftover
+    vertices).
 
     The extractor picks each peeled clique. "pipeline" runs _clique_search,
     the four-phase search of clique_pipeline without its spectral
@@ -522,21 +515,17 @@ def peel_cliques(g: Graph, extractor: str) -> tuple[list[tuple[int, ...]], list[
     """
     if extractor not in ("pipeline", "greedy"):
         raise InputError(f"unknown extractor {extractor!r}")
-    n = g.n
+    n = len(vertices)
     floor = math.sqrt(n)
     merge_threshold = n ** (-1.0 / 6.0) if n > 1 else 0.5
-    residual = np.arange(n)
+    residual = vertices
     cliques: list[tuple[int, ...]] = []
     while len(residual):
-        sub = induced_subgraph(g, residual)
-        if extractor == "greedy":
-            local = greedy_clique(sub)
-        else:
-            local = list(_clique_search(sub).clique) if sub.m else [0]
-        if len(local) < floor:
+        clique = greedy_clique(g, residual) if extractor == "greedy" else list(_clique_search(g, residual).clique)
+        if len(clique) < floor:
             break
-        cliques.append(tuple(int(v) for v in residual[local]))
-        residual = np.delete(residual, local)
+        cliques.append(tuple(clique))
+        residual = np.setdiff1d(residual, clique, assume_unique=True)
     nodes: list[tuple[int, ...]] = list(cliques) + [(int(v),) for v in residual]
     sizes = np.asarray([len(node) for node in nodes], dtype=np.int64)
     near = block_edge_counts(g.adjacency, nodes) / np.outer(sizes, sizes) >= 1.0 - merge_threshold
@@ -578,7 +567,7 @@ def clique_pipeline(g: Graph, mode: str = "eigen", tol: float | None = None) -> 
     gamma, eps, rho = default_parameters(g, lam_n)
     lam = abs(lam_n)
     d_floor = max(1, int(g.average_degree))
-    cert = _clique_search(g, gamma, eps, rho)
+    cert = _clique_search(g, np.arange(g.n), gamma, eps, rho)
     used_phase0 = cert.phases[0].phase == 0
     if used_phase0:
         _certify_phase0(cert.phases[0], lam_n)

@@ -31,6 +31,7 @@ __all__ = [
     "complement",
     "induced_subgraph",
     "block_edge_counts",
+    "degrees_into",
     "triangles_per_vertex",
     "neighbor_masks",
     "read_edge_list",
@@ -107,24 +108,27 @@ class Graph:
     def is_clique(self, vertices: Iterable[int] | None = None) -> bool:
         """Exact Boolean check that the given vertex set is pairwise adjacent.
         A vertex that is not an integer, or lies outside [0, n), is an InputError."""
-        try:
-            vs = range(self.n) if vertices is None else sorted({operator.index(v) for v in vertices})
-        except TypeError:
-            raise InputError("vertices must be integers") from None
-        if vs and not 0 <= vs[0] <= vs[-1] < self.n:
-            raise InputError("vertex out of range")
-        idx = np.asarray(vs, dtype=int)
+        idx = np.arange(self.n) if vertices is None else _vertex_index(self.n, vertices)
         k = len(idx)
-        if k <= 1:
-            return True
-        sub = self.adjacency[np.ix_(idx, idx)]
-        return int(sub.sum()) == k * (k - 1)
+        return int(degrees_into(self.adjacency, idx, idx).sum()) == k * (k - 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _vertex_index(n: int, vertices: Iterable[int]) -> np.ndarray:
+    """The distinct vertices as an ascending index array. A vertex that is not
+    an integer (0.5 is not read as 0), or lies outside [0, n), is an InputError."""
+    try:
+        idx = sorted({operator.index(v) for v in vertices})
+    except TypeError:
+        raise InputError("vertices must be integers") from None
+    if idx and not 0 <= idx[0] <= idx[-1] < n:
+        raise InputError("vertex out of range")
+    return np.asarray(idx, dtype=np.intp)
 
 
 # -- construction -----------------------------------------------------------
@@ -316,10 +320,7 @@ def complement(g: Graph) -> Graph:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph on the given vertices, relabelled 0..|U|-1 in ascending original order."""
-    idx = sorted(set(int(v) for v in vertices))
-    if idx and not (0 <= idx[0] and idx[-1] < g.n):
-        raise InputError("vertex out of range")
-    ix = np.asarray(idx, dtype=int)
+    ix = _vertex_index(g.n, vertices)
     return Graph(g.adjacency[np.ix_(ix, ix)])
 
 
@@ -341,6 +342,15 @@ def block_edge_counts(adj: np.ndarray, groups: Sequence[Sequence[int]]) -> np.nd
     member[np.arange(len(idx)), np.repeat(np.arange(len(sizes)), sizes)] = 1.0
     sub = adj[np.ix_(idx, idx)].astype(np.float64)
     return (member.T @ sub @ member).astype(np.int64)
+
+
+def degrees_into(adj: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """Neighbours in cols of each vertex in rows, as exact int64: the gathered
+    rows times the indicator vector of cols, one float32 product and no 2-D
+    gather. Every partial sum is an integer at most n <= MAX_VERTICES < 2^24."""
+    indicator = np.zeros(adj.shape[1], dtype=np.float32)
+    indicator[np.asarray(cols, dtype=np.intp)] = 1.0
+    return (adj[np.asarray(rows, dtype=np.intp)] @ indicator).astype(np.int64)
 
 
 def triangles_per_vertex(adj: np.ndarray) -> np.ndarray:

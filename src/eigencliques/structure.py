@@ -13,7 +13,7 @@ import numpy as np
 
 from .densify import peel_cliques
 from .errors import InputError, NumericalError
-from .graphs import Graph, block_edge_counts, triangles_per_vertex
+from .graphs import Graph, _vertex_index, block_edge_counts, degrees_into, triangles_per_vertex
 from .spectral import lambda_min, spectrum
 
 __all__ = [
@@ -202,10 +202,10 @@ def clique_union_decompose(g: Graph, extractor: str = "pipeline") -> CliqueUnion
     blocks at edit distance 59.
     """
     n = g.n
-    cliques, blocks, leftover = peel_cliques(g, extractor)
+    cliques, blocks, leftover = peel_cliques(g, extractor, np.arange(g.n))
     # |E xor M| = m + |M| - 2 |E and M| for the model M of one clique per block
     model_edges = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
-    inner_edges = sum(int(g.adjacency[np.ix_(b, b)].sum()) for b in blocks) // 2
+    inner_edges = sum(int(degrees_into(g.adjacency, b, b).sum()) for b in blocks) // 2
     edit = g.m + model_edges - 2 * inner_edges
     closeness = edit / (n * n) if n else 0.0
     return CliqueUnionDecomposition(
@@ -235,13 +235,13 @@ def pair_classify(
     value instead to probe a graph that is expected to violate it. A Mixed
     verdict reports a witness vertex with between 2*lambda_n^2 and
     |X| - 2*lambda_n^2 neighbours on the other side when one exists. A given
-    lambda_n that is not a finite number is an InputError.
+    lambda_n that is not finite, or a vertex not an integer in [0, n), is an InputError.
     """
     if lambda_n is not None and not (isinstance(lambda_n, Real) and math.isfinite(lambda_n)):
         raise InputError(f"lambda_n={lambda_n!r} must be a finite number")
-    xs = sorted(set(int(v) for v in x_set))
-    ys = sorted(set(int(v) for v in y_set))
-    if set(xs) & set(ys):
+    xs = _vertex_index(g.n, x_set)
+    ys = _vertex_index(g.n, y_set)
+    if np.intersect1d(xs, ys).size:
         raise InputError("X and Y must be disjoint")
     if len(xs) != len(ys):
         raise InputError("X and Y must have equal size")
@@ -252,8 +252,8 @@ def pair_classify(
     k_base = 2.0 * lambda_n * lambda_n
     k_eff = _PAIR_SLACK * k_base
     size = len(xs)
-    block = g.adjacency[np.ix_(xs, ys)]
-    crossing = int(block.sum())
+    deg_x = degrees_into(g.adjacency, xs, ys)
+    crossing = int(deg_x.sum())
     if crossing <= k_eff * size:
         verdict = "Sparse"
     elif crossing >= size * size - k_eff * size:
@@ -262,7 +262,7 @@ def pair_classify(
         verdict = "Mixed"
     witness = None
     if verdict == "Mixed":
-        for verts, degs in ((xs, block.sum(axis=1)), (ys, block.sum(axis=0))):
+        for verts, degs in ((xs, deg_x), (ys, degrees_into(g.adjacency, ys, xs))):
             for v, dv in zip(verts, degs):
                 if k_base <= float(dv) <= size - k_base:
                     witness = {"vertex": int(v), "neighbors_across": int(dv)}

@@ -104,6 +104,11 @@ def brute_block_edge_counts(adj: np.ndarray, groups) -> np.ndarray:
     return out
 
 
+def brute_degrees_into(adj: np.ndarray, rows, cols) -> np.ndarray:
+    """Neighbours in cols of each vertex in rows, one np.ix_ gather and sum."""
+    return adj[np.ix_(list(rows), list(cols))].sum(axis=1, dtype=np.int64)
+
+
 def union_find_blocks(adj: np.ndarray, cliques, merge_threshold: float):
     """Reference clique-union merge: the peeled cliques and the unpeeled
     vertices (as 1-cliques) are nodes, every pair with crossing density

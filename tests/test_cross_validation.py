@@ -4,11 +4,12 @@ import numpy as np
 
 import eigencliques as ec
 from eigencliques import chowla, cuts, structure
-from eigencliques.graphs import block_edge_counts, complement, neighbor_masks, triangles_per_vertex
+from eigencliques.graphs import block_edge_counts, complement, degrees_into, neighbor_masks, triangles_per_vertex
 from oracles import (
     brute_bisection,
     brute_block_edge_counts,
     brute_cherries,
+    brute_degrees_into,
     brute_discrepancy,
     brute_maxcut,
     brute_neighbor_masks,
@@ -94,6 +95,30 @@ def test_cherry_sweep():
         counts = block_edge_counts(g.adjacency, groups)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, brute_block_edge_counts(g.adjacency, groups))
+
+
+def test_degrees_into_sweep():
+    # empty rows or cols, one vertex, the full set, overlapping and disjoint
+    # sets, and n = 0 and 1, then random sets on random graphs and complements
+    graphs = [ec.from_edge_list(0, []), ec.from_edge_list(1, []), ec.complete(7), ec.cycle(9), ec.gnp(40, 0.5, 3)]
+    for g in graphs:
+        n, everything = g.n, list(range(g.n))
+        cases = [([], everything), (everything, []), ([], []), (everything, everything)]
+        if n:
+            cases += [([0], [0]), ([0], everything), (everything, [n - 1])]
+        if n > 2:
+            half = n // 2
+            cases += [(everything[:half], everything[half:]), (everything[: half + 1], everything[half - 1 :])]
+        for rows, cols in cases:
+            deg = degrees_into(g.adjacency, rows, cols)
+            assert deg.dtype == np.int64 and deg.shape == (len(rows),)
+            assert np.array_equal(deg, brute_degrees_into(g.adjacency, rows, cols)), (n, rows, cols)
+    rng = np.random.default_rng(108)
+    for _ in range(20):
+        g = ec.gnp(int(rng.integers(2, 61)), float(rng.uniform(0.05, 0.95)), int(rng.integers(0, 10_000)))
+        for h in (g, complement(g)):
+            rows, cols = (np.sort(rng.choice(h.n, size=int(rng.integers(0, h.n + 1)), replace=False)) for _ in range(2))
+            assert np.array_equal(degrees_into(h.adjacency, rows, cols), brute_degrees_into(h.adjacency, rows, cols))
 
 
 def test_decompose_edit_zero_iff_cherry_free_random():

@@ -38,24 +38,24 @@ def test_phase0_edgeless_error():
 
 def test_phase1_dense_fixed_point():
     g = ec.gnp(40, 0.6, 1)
-    t = densify.phase1_densify(g, 0.05, 0.1, 0.06)
+    t = densify.phase1_densify(g, np.arange(g.n), 0.05, 0.1, 0.06)
     assert t.vertices_out == tuple(range(40))
     assert t.params["steps"] == []
 
 
 def test_phase1_parameter_validation():
-    g = ec.cycle(6)
+    g, vertices = ec.cycle(6), np.arange(6)
     with pytest.raises(InputError):
-        densify.phase1_densify(g, 0.2, 0.9, 0.1)  # eps + 6 gamma >= 1
+        densify.phase1_densify(g, vertices, 0.2, 0.9, 0.1)  # eps + 6 gamma >= 1
     with pytest.raises(InputError):
-        densify.phase1_densify(g, 0.05, 0.1, 0.6)  # rho >= 1/2
+        densify.phase1_densify(g, vertices, 0.05, 0.1, 0.6)  # rho >= 1/2
     with pytest.raises(InputError):
-        densify.phase1_densify(g, 0.08, 0.16, 0.15)  # combined constraint
+        densify.phase1_densify(g, vertices, 0.08, 0.16, 0.15)  # combined constraint
 
 
 def test_phase1_edgeless_has_no_candidates():
     # no vertex has a neighbour and none is heavy, so the first round stops
-    t = densify.phase1_densify(ec.from_edge_list(6, []), 0.05, 0.1, 0.06)
+    t = densify.phase1_densify(ec.from_edge_list(6, []), np.arange(6), 0.05, 0.1, 0.06)
     assert t.params["steps"] == []
     assert t.vertices_out == tuple(range(6))
 
@@ -69,7 +69,7 @@ def _hubs_on_a_path(n: int = 200, hubs: int = 4) -> ec.Graph:
 def test_phase1_high_degree_split_keeps_the_hubs():
     # rho/eps = 0.9 favours size: the hubs padded to n/5 = 40 vertices beat
     # every closed neighbourhood, and nothing in them improves further
-    t = densify.phase1_densify(_hubs_on_a_path(), 0.01, 0.1, 0.09)
+    t = densify.phase1_densify(_hubs_on_a_path(), np.arange(200), 0.01, 0.1, 0.09)
     assert [(s["move"], s["size"]) for s in t.params["steps"]] == [("heavy-keep", 40)]
     assert t.vertices_out == tuple(range(40))
     assert t.density_out == (6 + 4 * 36 + 35) / (40 * 39 / 2)
@@ -77,28 +77,28 @@ def test_phase1_high_degree_split_keeps_the_hubs():
 
 def test_phase1_high_degree_split_scores_both_sides(monkeypatch):
     scored = []
-    inner_degrees = densify._inner_degrees
+    degrees_into = densify.degrees_into
 
-    def recording(g, idx):
-        scored.append(tuple(int(v) for v in idx))
-        return inner_degrees(g, idx)
+    def recording(adj, rows, cols):
+        scored.append(tuple(int(v) for v in rows))
+        return degrees_into(adj, rows, cols)
 
-    monkeypatch.setattr(densify, "_inner_degrees", recording)
-    densify.phase1_densify(_hubs_on_a_path(), 0.05, 0.1, 0.06)
+    monkeypatch.setattr(densify, "degrees_into", recording)
+    densify.phase1_densify(_hubs_on_a_path(), np.arange(200), 0.05, 0.1, 0.06)
     assert tuple(range(40)) in scored  # heavy-keep
     assert tuple(range(4, 200)) in scored  # heavy-drop
 
 
 def test_phase1_planted_blocks_with_noise():
     g = planted_noisy_union(30, 10, seed=7, p_noise=0.01)
-    t = densify.phase1_densify(g, 0.05, 0.1, 0.06)
+    t = densify.phase1_densify(g, np.arange(g.n), 0.05, 0.1, 0.06)
     assert len(t.vertices_out) >= 30
     assert t.density_out >= 0.8
 
 
 def test_phase1_potential_monotone():
     g = ec.gnp(300, 0.3, 1)
-    t = densify.phase1_densify(g, 0.05, 0.1, 0.06)
+    t = densify.phase1_densify(g, np.arange(g.n), 0.05, 0.1, 0.06)
     pots = [s["potential"] for s in t.params["steps"]]
     assert all(b > a for a, b in zip(pots, pots[1:]))
     start = g.n ** 0.6 * g.density
@@ -107,7 +107,7 @@ def test_phase1_potential_monotone():
 
 
 def test_phase2_two_blocks():
-    t = densify.phase2_dense_core(ec.clique_union([60, 40]))
+    t = densify.phase2_dense_core(ec.clique_union([60, 40]), np.arange(100))
     assert len(t.vertices_out) == 60
     assert t.density_out == 1.0
 
@@ -121,13 +121,13 @@ def test_phase2_damaged_block():
         if u != v:
             pairs.add((u, v))
     g = flip_edges(g, pairs)  # delete 20 edges inside the 60-block
-    t = densify.phase2_dense_core(g)
+    t = densify.phase2_dense_core(g, np.arange(100))
     assert len(t.vertices_out) >= 50
     assert t.density_out >= 0.95
 
 
 def test_phase2_complete_graph():
-    t = densify.phase2_dense_core(ec.complete(100))
+    t = densify.phase2_dense_core(ec.complete(100), np.arange(100))
     assert len(t.vertices_out) == 100 and t.density_out == 1.0
 
 
@@ -173,19 +173,19 @@ def test_extend_clique_pinned():
     # recorded from the masked-row maximalisation: one ascending pass that
     # adds each vertex adjacent to every member so far
     g = ec.gnp(40, 0.5, 1)
-    assert densify.extend_clique(g, []) == [0, 1, 15]
-    assert densify.extend_clique(g, [7]) == [2, 3, 4, 7, 10, 39]
-    assert densify.extend_clique(g, [39]) == [1, 2, 3, 15, 21, 23, 39]
+    assert densify.extend_clique(g, [], np.arange(40)) == [0, 1, 15]
+    assert densify.extend_clique(g, [7], np.arange(40)) == [2, 3, 4, 7, 10, 39]
+    assert densify.extend_clique(g, [39], np.arange(40)) == [1, 2, 3, 15, 21, 23, 39]
 
 
 def test_phase3_complete():
-    cert = densify.phase3_clique(ec.complete(50))
+    cert = densify.phase3_clique(ec.complete(50), np.arange(50))
     assert cert.size == 50 and cert.verified
 
 
 def test_phase3_k50_minus_matching():
     g = flip_edges(ec.complete(50), [(2 * i, 2 * i + 1) for i in range(25)])
-    cert = densify.phase3_clique(g)
+    cert = densify.phase3_clique(g, np.arange(50))
     assert cert.verified
     assert cert.size >= 25  # n / (dbar+1) with a 1-regular complement
 
@@ -193,14 +193,14 @@ def test_phase3_k50_minus_matching():
 def test_phase3_k100_minus_gnp():
     noise = ec.gnp(100, 0.02, 5)
     g = flip_edges(ec.complete(100), noise.edges())
-    cert = densify.phase3_clique(g)
+    cert = densify.phase3_clique(g, np.arange(100))
     assert cert.verified
     trace = cert.phases[0]
     assert cert.size >= trace.guarantee["claimed_size"]
 
 
 def test_phase3_greedy_floor_recorded():
-    cert = densify.phase3_clique(ec.turan(4, 16))
+    cert = densify.phase3_clique(ec.turan(4, 16), np.arange(16))
     assert cert.verified
     assert cert.size >= cert.phases[0].guarantee["claimed_size"]
 
@@ -311,7 +311,7 @@ def test_peel_cliques_merge_matches_union_find_oracle():
     for g in graphs:
         threshold = g.n ** (-1.0 / 6.0) if g.n > 1 else 0.5
         for extractor in ("pipeline", "greedy"):
-            cliques, blocks, leftover = densify.peel_cliques(g, extractor)
+            cliques, blocks, leftover = densify.peel_cliques(g, extractor, np.arange(g.n))
             assert (blocks, leftover) == union_find_blocks(g.adjacency, cliques, threshold)
             k = len(cliques) + g.n - sum(map(len, cliques))
             components = len(blocks) + len(leftover)
@@ -321,3 +321,44 @@ def test_peel_cliques_merge_matches_union_find_oracle():
             if any(sum(c <= set(b) for c in multi) >= 2 for b in blocks):
                 kinds.add("cliques merged")
     assert kinds == {"one", "singletons", "many", "cliques merged"}
+
+
+def test_index_sets_match_induced_subgraphs():
+    # peeling and the four-phase search inside a vertex set S of g give what
+    # the same runs on G[S] give, relabelled through S: cliques, blocks,
+    # leftover, and every phase trace's vertex sets, densities and guarantees
+    graphs = [
+        flipped_union([30, 20, 10], 101, 0.03),  # the decompose_cu302010_flip3 golden's graph
+        planted_noisy_union(12, 4, 5, p_noise=0.1),
+        ec.gnp(60, 0.1, 1),
+        ec.from_edge_list(20, []),
+    ]
+    rng = np.random.default_rng(109)
+    single_vertex_phase1 = False
+    for g in graphs:
+        subsets = [np.arange(g.n), np.array([g.n - 1])]
+        subsets += [np.sort(rng.choice(g.n, size=int(rng.integers(2, g.n)), replace=False)) for _ in range(4)]
+        for s in subsets:
+            h = ec.induced_subgraph(g, s)
+
+            def label(vs):
+                return tuple(int(s[v]) for v in vs)
+
+            for extractor in ("pipeline", "greedy"):
+                cliques, blocks, leftover = densify.peel_cliques(g, extractor, s)
+                sub_cliques, sub_blocks, sub_leftover = densify.peel_cliques(h, extractor, np.arange(h.n))
+                assert cliques == [label(c) for c in sub_cliques]
+                assert blocks == [label(b) for b in sub_blocks]
+                assert leftover == label(sub_leftover)
+            cert = densify._clique_search(g, s)
+            sub_cert = densify._clique_search(h, np.arange(h.n))
+            assert cert.clique == label(sub_cert.clique) and cert.verified
+            assert len(cert.phases) == len(sub_cert.phases)
+            for t, sub_t in zip(cert.phases, sub_cert.phases):
+                relabelled = {"vertices_in": list(label(sub_t.vertices_in)), "vertices_out": list(label(sub_t.vertices_out))}
+                assert t.to_json_dict() == {**sub_t.to_json_dict(), **relabelled}
+                # Graph.density of the phase's input: 0, not 1, on a single vertex
+                assert t.density_in == ec.induced_subgraph(g, t.vertices_in).density
+                single_vertex_phase1 |= t.phase == 1 and len(t.vertices_in) == 1
+    # some search reaches phase 1 with one vertex, where the input density reads 0
+    assert single_vertex_phase1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eigencliques as ec
-from eigencliques import graphs
+from eigencliques import cuts, graphs, structure
 from eigencliques.errors import InputError, ToolkitError
 from eigencliques.graphs import format_edge_list, parse_edge_list
 from oracles import loop_edge_adjacency
@@ -75,6 +75,24 @@ def test_is_clique_rejects_non_integer_vertices(vertices):
     with pytest.raises(InputError, match="vertices must be integers"):
         g.is_clique(vertices)
     assert g.is_clique([0, 1]) and g.is_clique(np.array([1, 0])) and not g.is_clique([0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        # read as X = {0, 1, 2} and classified "Sparse"
+        lambda g: structure.pair_classify(g, [0.5, 1.5, 2.9], [3, 4, 5], lambda_n=0.1),
+        # read as {0, 1}: Graph(n=2, m=1)
+        lambda g: ec.induced_subgraph(g, [0.5, 1.9]),
+        # run on X = {0, 1, 2}
+        lambda g: cuts.unbalanced_cut(g, [0.5, 1.5, 2.5]),
+        lambda g: g.is_clique([0.5, 1.5, 2.5]),
+    ],
+    ids=["pair_classify", "induced_subgraph", "unbalanced_cut", "is_clique"],
+)
+def test_vertex_lists_reject_non_integers(read):
+    with pytest.raises(InputError, match="vertices must be integers"):
+        read(ec.clique_union([3, 3]))
 
 
 def test_gnp_deterministic_and_order_independent():
