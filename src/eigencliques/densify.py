@@ -6,9 +6,9 @@ potential-improvement loop (neighbourhood step + high-degree split), phase 2
 picks the densest block of a clique-union decomposition, and phase 3
 regularises the complement and greedily builds a clique.
 
-Each phase and the peel loop take an ascending index array into the one input
-graph and report vertices in its labels; ascending order keeps every
-lowest-index tie rule on the vertex it picks in the induced subgraph.
+Each phase and the peel loop take an ascending, distinct, in-range index array
+into the one input graph (else an InputError) and report vertices in its
+labels; the order keeps every lowest-index tie rule on the vertex G[set] picks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .graphs import Graph, block_edge_counts, complement, degrees_into, induced_subgraph, triangles_per_vertex
+from .graphs import Graph, _index_set, _vertex_index, block_edge_counts, complement, degrees_into, induced_subgraph, triangles_per_vertex
 from .spectral import lambda_min
 
 __all__ = [
@@ -207,6 +207,7 @@ def phase1_densify(g: Graph, vertices: np.ndarray, gamma: float, eps: float, rho
         check_phase1_parameters(gamma, eps, rho)
     except InputError as exc:
         raise InputError(f"phase 1: {exc}") from None
+    vertices = _index_set(g.n, vertices)
     expo = rho / eps
     n0 = len(vertices)
     current = vertices
@@ -296,14 +297,13 @@ def phase2_dense_core(g: Graph, vertices: np.ndarray) -> PhaseTrace:
     The blocks come from peel_cliques with the greedy extractor, so the
     peeling does not recurse back into the four-phase search.
     """
+    vertices = _index_set(g.n, vertices)
     deg = degrees_into(g.adjacency, vertices, vertices)
     p = _graph_density(deg)
     floor_size = p * len(vertices) / 2.0
     blocks = [np.asarray(b, dtype=np.intp) for b in peel_cliques(g, "greedy", vertices)[1]]
     if not blocks:
-        chosen = vertices
-        out_density = _density(deg)
-        note = "no blocks recovered; returning the input"
+        chosen, out_density, note = vertices, _density(deg), "no blocks recovered; returning the input"
     else:
         dens = [_density(degrees_into(g.adjacency, b, b)) for b in blocks]
         qualifying = [i for i, b in enumerate(blocks) if len(b) >= floor_size]
@@ -395,6 +395,7 @@ def greedy_clique(g: Graph, candidates: np.ndarray) -> list[int]:
     taking the candidate with most neighbours among the remaining candidates
     (minimum complement degree), then restricting to its neighbourhood."""
     out: list[int] = []
+    candidates = _index_set(g.n, candidates)
     while len(candidates):
         v = int(candidates[np.argmax(degrees_into(g.adjacency, candidates, candidates))])  # lowest index on ties
         out.append(v)
@@ -405,10 +406,10 @@ def greedy_clique(g: Graph, candidates: np.ndarray) -> list[int]:
 def extend_clique(g: Graph, clique: list[int], candidates: np.ndarray) -> list[int]:
     """Greedy maximalisation: single pass over the ascending index array
     candidates, adding each one adjacent to every member so far."""
-    s = sorted(clique)
+    s = _vertex_index(g.n, clique).tolist()
     # neighbours of each vertex in s; with no self-loops a member never counts all of s
     count = g.adjacency[s].sum(axis=0, dtype=np.int64)
-    for v in candidates.tolist():
+    for v in _index_set(g.n, candidates).tolist():
         if count[v] == len(s):
             s.append(v)
             count += g.adjacency[v]
@@ -428,6 +429,7 @@ def phase3_clique(g: Graph, vertices: np.ndarray) -> CliqueCertificate:
     a graph, so this is the one place the search builds G[vertices] and its
     complement.
     """
+    vertices = _index_set(g.n, vertices)
     n = len(vertices)
     deg = degrees_into(g.adjacency, vertices, vertices)
     # the complement's Graph.density (0 for n <= 1); a nonempty graph's balanced core is nonempty
@@ -478,14 +480,10 @@ def _clique_search(
     deg = degrees_into(g.adjacency, vertices, vertices)
     if not deg.any():
         return CliqueCertificate(clique=(int(vertices[0]),), size=1, phases=[], verified=True)
-    traces: list[PhaseTrace] = []
-    current = vertices
-    if _density(deg) <= _SPARSE_THRESHOLD:
-        traces.append(_phase0_search(g, vertices, deg))
-        current = np.asarray(traces[-1].vertices_out, dtype=np.intp)
-    traces.append(phase1_densify(g, current, gamma, eps, rho))
-    traces.append(phase2_dense_core(g, np.asarray(traces[-1].vertices_out, dtype=np.intp)))
-    cert3 = phase3_clique(g, np.asarray(traces[-1].vertices_out, dtype=np.intp))
+    traces = [_phase0_search(g, vertices, deg)] if _density(deg) <= _SPARSE_THRESHOLD else []
+    traces.append(phase1_densify(g, traces[-1].vertices_out if traces else vertices, gamma, eps, rho))
+    traces.append(phase2_dense_core(g, traces[-1].vertices_out))
+    cert3 = phase3_clique(g, traces[-1].vertices_out)
     clique = extend_clique(g, list(cert3.clique), vertices)
     return CliqueCertificate(clique=tuple(clique), size=len(clique), phases=traces + cert3.phases, verified=g.is_clique(clique))
 
@@ -515,6 +513,7 @@ def peel_cliques(
     """
     if extractor not in ("pipeline", "greedy"):
         raise InputError(f"unknown extractor {extractor!r}")
+    vertices = _index_set(g.n, vertices)
     n = len(vertices)
     floor = math.sqrt(n)
     merge_threshold = n ** (-1.0 / 6.0) if n > 1 else 0.5

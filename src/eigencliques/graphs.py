@@ -123,12 +123,20 @@ def _vertex_index(n: int, vertices: Iterable[int]) -> np.ndarray:
     """The distinct vertices as an ascending index array. A vertex that is not
     an integer (0.5 is not read as 0), or lies outside [0, n), is an InputError."""
     try:
-        idx = sorted({operator.index(v) for v in vertices})
+        return _index_set(n, sorted({operator.index(v) for v in vertices}))
     except TypeError:
         raise InputError("vertices must be integers") from None
-    if idx and not 0 <= idx[0] <= idx[-1] < n:
-        raise InputError("vertex out of range")
-    return np.asarray(idx, dtype=np.intp)
+
+
+def _index_set(n: int, vertices: Sequence[int]) -> np.ndarray:
+    """The vertex set as an index array, checked in O(k) and never reordered:
+    distinct integers in ascending order inside [0, n), else an InputError."""
+    idx = np.asarray(vertices)
+    if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
+        raise InputError("vertex set must be a one-dimensional array of int64 indices")
+    if idx.size and (idx[0] < 0 or idx[-1] >= n or (idx[1:] <= idx[:-1]).any()):
+        raise InputError("vertex out of range, repeated or out of order")
+    return idx.astype(np.intp, copy=False)
 
 
 # -- construction -----------------------------------------------------------

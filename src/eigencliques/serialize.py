@@ -15,8 +15,7 @@ def _format_float(x: float) -> str:
         return '"inf"'
     if x == float("-inf"):
         return '"-inf"'
-    out = format(float(x), ".17g")
-    return out
+    return format(float(x), ".17g")
 
 
 # JSON escapes: quote, backslash, \n and \t by name, other controls as \u00XX
@@ -52,9 +51,7 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
             return "[\n" + ",\n".join(pad + s for s in inner) + "\n" + close + "]" if inner else "[]"
         return "[" + ", ".join(inner) + "]"
     if isinstance(obj, dict):
-        items = []
-        for k, v in obj.items():
-            items.append('"' + _escape(str(k)) + '": ' + dumps(v, indent, _level + 1))
+        items = ['"' + _escape(str(k)) + '": ' + dumps(v, indent, _level + 1) for k, v in obj.items()]
         if indent:
             pad = " " * indent * (_level + 1)
             close = " " * indent * _level

@@ -261,14 +261,11 @@ def pair_classify(
     else:
         verdict = "Mixed"
     witness = None
-    if verdict == "Mixed":
-        for verts, degs in ((xs, deg_x), (ys, degrees_into(g.adjacency, ys, xs))):
-            for v, dv in zip(verts, degs):
-                if k_base <= float(dv) <= size - k_base:
-                    witness = {"vertex": int(v), "neighbors_across": int(dv)}
-                    break
-            if witness:
-                break
+    if verdict == "Mixed":  # the first such vertex of X, else of Y
+        verts, degs = np.concatenate([xs, ys]), np.concatenate([deg_x, degrees_into(g.adjacency, ys, xs)])
+        hits = np.flatnonzero((k_base <= degs) & (degs <= size - k_base))
+        if hits.size:
+            witness = {"vertex": int(verts[hits[0]]), "neighbors_across": int(degs[hits[0]])}
     return {
         "class": verdict,
         "crossing_edges": crossing,

@@ -76,17 +76,51 @@ def test_phase1_high_degree_split_keeps_the_hubs():
 
 
 def test_phase1_high_degree_split_scores_both_sides(monkeypatch):
+    # a potential is read off the inner degrees of a candidate set, the one
+    # kind of degrees_into call with rows == cols; the padding of the hubs
+    # reads rows 4..199 against the hubs' columns and counts for neither
     scored = []
     degrees_into = densify.degrees_into
 
     def recording(adj, rows, cols):
-        scored.append(tuple(int(v) for v in rows))
+        scored.append((tuple(int(v) for v in rows), tuple(int(v) for v in cols)))
         return degrees_into(adj, rows, cols)
 
     monkeypatch.setattr(densify, "degrees_into", recording)
     densify.phase1_densify(_hubs_on_a_path(), np.arange(200), 0.05, 0.1, 0.06)
-    assert tuple(range(40)) in scored  # heavy-keep
-    assert tuple(range(4, 200)) in scored  # heavy-drop
+    assert (tuple(range(40)),) * 2 in scored  # heavy-keep
+    assert (tuple(range(4, 200)),) * 2 in scored  # heavy-drop
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [np.array([-1]), np.array([3, 2]), np.array([2, 2]), np.array([0, 10]), np.array([0.0, 1.0]), np.array([[0, 1]])],
+)
+def test_vertex_sets_are_checked(vertices):
+    # -1 used to wrap round to vertex 9, and an unsorted set moved every
+    # lowest-index tie rule; a set that is not ascending, distinct and in
+    # range is an InputError at each entry that takes one
+    g = ec.clique_union([5, 5])
+    entries = [
+        lambda s: densify.phase1_densify(g, s, 0.05, 0.1, 0.06),
+        lambda s: densify.phase2_dense_core(g, s),
+        lambda s: densify.phase3_clique(g, s),
+        lambda s: densify.peel_cliques(g, "greedy", s),
+        lambda s: densify.greedy_clique(g, s),
+        lambda s: densify.extend_clique(g, [], s),
+    ]
+    for entry in entries:
+        with pytest.raises(InputError):
+            entry(vertices)
+
+
+def test_vertex_sets_accept_ascending_lists():
+    g = ec.clique_union([5, 5])
+    assert densify.greedy_clique(g, [5, 6, 7]) == [5, 6, 7]
+    assert densify.greedy_clique(g, []) == []
+    assert densify.extend_clique(g, [6, 5], [0, 7, 8]) == [5, 6, 7, 8]
+    with pytest.raises(InputError):
+        densify.extend_clique(g, [-1], np.arange(10))
 
 
 def test_phase1_planted_blocks_with_noise():

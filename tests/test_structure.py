@@ -184,6 +184,23 @@ def test_pair_classify_validation():
         structure.pair_classify(ec.cycle(8), [0, 1, 2, 3], [4, 5, 6, 7])
 
 
+@pytest.mark.parametrize(
+    "cross, witness",
+    [
+        # X reads 2, 4, 1, 0 neighbours across: vertex 0 is inside [1/2, 7/2]
+        ([(0, 4), (0, 5)] + [(1, 4 + j) for j in range(4)] + [(2, 4)], {"vertex": 0, "neighbors_across": 2}),
+        # X reads 4, 4, 0, 0, all outside; each Y vertex reads 2
+        ([(i, 4 + j) for i in range(2) for j in range(4)], {"vertex": 4, "neighbors_across": 2}),
+    ],
+)
+def test_pair_classify_mixed_witness(cross, witness):
+    # k_base = 2 lambda_n^2 = 1/2; the witness is the first vertex of X, else
+    # of Y, with between k_base and |X| - k_base neighbours on the other side
+    g = ec.from_edge_list(8, [(i, j) for i in range(8) for j in range(i + 1, 8) if (i < 4) == (j < 4)] + cross)
+    rep = structure.pair_classify(g, range(4), range(4, 8), lambda_n=0.5)
+    assert (rep["class"], rep["witness"]) == ("Mixed", witness)
+
+
 @pytest.mark.parametrize("xs,ys", [([-3, -2, -1], [3, 4, 5]), ([0, 1, 2], [3, 4, 99])])
 def test_pair_classify_rejects_out_of_range_vertices(xs, ys):
     # -3..-1 wrapped round to 3..5 and read "Mixed" against the same three
