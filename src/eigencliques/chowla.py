@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, SizeError
-from .graphs import Graph, _check_vertex_count
+from .graphs import Graph, _check_vertex_count, _distinct_integers
 from .spectral import lambda_min
 
 __all__ = [
@@ -139,7 +139,7 @@ class SymmetricSet:
 
     @staticmethod
     def of(group: FiniteGroup, elements: Iterable[int]) -> "SymmetricSet":
-        elems = sorted(set(int(x) for x in elements))
+        elems = _distinct_integers(elements, "elements")
         if any(x < 0 or x >= group.order for x in elems):
             raise InputError("element index out of range")
         inv = sorted(int(group.inv(x)) for x in elems)
@@ -191,7 +191,7 @@ class CosinePolynomial:
 
     @staticmethod
     def of(a_set: Sequence[int]) -> "CosinePolynomial":
-        a = tuple(sorted(set(int(x) for x in a_set)))
+        a = tuple(_distinct_integers(a_set, "elements of A"))
         if not a:
             raise InputError("A must be nonempty")
         if a[0] <= 0:
@@ -366,14 +366,16 @@ def translate_overlap(s_set: Sequence[int], g: Graph) -> tuple[int, int]:
     a violation raises NumericalError.
     """
     n = g.n
-    s = sorted(set(int(x) % n for x in s_set))
+    if n == 0:
+        raise InputError("graph must have a vertex")
+    s = sorted({x % n for x in _distinct_integers(s_set, "elements of S")})
     if not s:
         raise InputError("S must be nonempty")
     if not g.is_clique(s):
         raise InputError("S is not a clique in the supplied graph")
     if not g.is_regular():
         raise InputError("graph must be regular (a Cayley graph)")
-    d = int(g.degrees[0]) if g.n else 0
+    d = int(g.degrees[0])
     member = np.zeros(n, dtype=bool)
     member[s] = True
     best_t, best_overlap = 1, -1
@@ -428,7 +430,7 @@ def subgroup_recover(group: FiniteGroup, elements: Iterable[int]) -> dict:
     dict with ok, the subgroup, |H symdiff A|, and diagnostics; failure is a
     value, not an exception.
     """
-    a = sorted(set(int(x) for x in elements))
+    a = _distinct_integers(elements, "elements")
     if not a:
         raise InputError("A must be nonempty")
     if any(x < 0 or x >= group.order for x in a):

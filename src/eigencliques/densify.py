@@ -213,62 +213,53 @@ def phase1_densify(g: Graph, vertices: np.ndarray, gamma: float, eps: float, rho
     current = vertices
     steps: list[dict] = []
 
-    def potential(idx: np.ndarray) -> float:
-        return len(idx) ** expo * _density(degrees_into(g.adjacency, idx, idx))
+    def potential(idx: np.ndarray) -> tuple[float, np.ndarray]:
+        deg = degrees_into(g.adjacency, idx, idx)
+        return len(idx) ** expo * _density(deg), deg
 
-    deg_in = degrees_into(g.adjacency, vertices, vertices)
-    phi = n0**expo * _density(deg_in)
+    phi, deg_in = potential(vertices)
+    deg = deg_in
     for _ in range(_PHASE1_MAX_STEPS):
-        sub = g.adjacency[np.ix_(current, current)]
         k = len(current)
         if k <= 2:
             break
-        deg = sub.sum(axis=1, dtype=np.int64)
-        d_avg = deg.mean()
         p_cur = _density(deg)
-        candidates: list[tuple[float, str, np.ndarray]] = []
+        candidates: list[tuple[float, np.ndarray, str, np.ndarray]] = []
         # (b) closed-neighbourhood step. The triangle count guarantees some
         # vertex has a dense neighbourhood; score them all by the potential of
         # the unpadded closed neighbourhood and evaluate the best few exactly.
-        tri = triangles_per_vertex(sub)
+        tri = triangles_per_vertex(g.adjacency[current][:, current])
         sizes = deg + 1
-        e_closed = tri + deg
         with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.where(sizes > 1, e_closed / (sizes * (sizes - 1) / 2.0), 0.0)
+            dens = np.where(sizes > 1, (tri + deg) / (sizes * (sizes - 1) / 2.0), 0.0)
         score = sizes**expo * dens
         shortlist = np.argsort(-score, kind="stable")[:10]
         if int(np.argmax(tri)) not in shortlist:
             shortlist = np.append(shortlist, int(np.argmax(tri)))
-        for v_star in shortlist:
-            nbr_local = np.flatnonzero(sub[v_star])
-            if not len(nbr_local):
+        for v in current[shortlist]:
+            nbrs = current[g.adjacency[v, current].astype(bool)]
+            if not len(nbrs):
                 continue
-            closed = np.sort(np.append(nbr_local, v_star))
+            closed = np.sort(np.append(nbrs, v))
             target = max(int(math.ceil(p_cur * k)), len(closed))
-            rest = np.setdiff1d(np.arange(k), closed, assume_unique=False)
-            padded = _pad_set(sub, closed, rest, target)
-            cand = current[padded]
-            candidates.append((potential(cand), "neighborhood", cand))
+            cand = _pad_set(g.adjacency, closed, np.setdiff1d(current, closed), target)
+            candidates.append((*potential(cand), "neighborhood", cand))
         # (a) high-degree split with C = 5
-        heavy = np.flatnonzero(deg > 5.0 * d_avg)
-        if heavy.size:
-            target = max(int(math.ceil(k / 5.0)), heavy.size)
-            rest = np.setdiff1d(np.arange(k), heavy)
-            padded = _pad_set(sub, heavy, rest, target)
-            cand = current[padded]
-            candidates.append((potential(cand), "heavy-keep", cand))
+        is_heavy = deg > 5.0 * deg.mean()
+        if is_heavy.any():
+            heavy, rest = current[is_heavy], current[~is_heavy]
+            cand = _pad_set(g.adjacency, heavy, rest, max(int(math.ceil(k / 5.0)), heavy.size))
+            candidates.append((*potential(cand), "heavy-keep", cand))
             if rest.size:
-                cand2 = current[rest]
-                candidates.append((potential(cand2), "heavy-drop", cand2))
+                candidates.append((*potential(rest), "heavy-drop", rest))
         if not candidates:
             break
-        best_phi, move, best = max(candidates, key=lambda t: (t[0], t[1]))
+        best_phi, best_deg, move, best = max(candidates, key=lambda t: (t[0], t[2]))
         if best_phi <= phi * (1.0 + _PHASE1_TOL_POTENTIAL):
             break
         steps.append({"move": move, "size": int(len(best)), "potential": best_phi})
-        current = best
-        phi = best_phi
-    p_out = _density(degrees_into(g.adjacency, current, current))
+        current, phi, deg = best, best_phi, best_deg
+    p_out = _density(deg)
     guarantee = {
         "claimed_size": n0 ** (1.0 - eps),
         "measured_size": int(len(current)),
@@ -474,8 +465,8 @@ def _clique_search(
     maximalisation inside the vertex set and the pairwise check; it reads no
     spectrum, so the phase-0 guarantee is left empty and there is no target.
     An edgeless set gives its lowest vertex and no phases. The defaults are
-    the parameters default_parameters falls back to without a spectrum;
-    phase 1 reads gamma, eps and rho only through rho/eps = 0.6.
+    the parameters default_parameters falls back to without a spectrum.
+    Phase 1 checks all three, moves by rho/eps = 0.6 and claims the size n0^(1-eps).
     """
     deg = degrees_into(g.adjacency, vertices, vertices)
     if not deg.any():

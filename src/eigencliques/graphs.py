@@ -119,13 +119,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _vertex_index(n: int, vertices: Iterable[int]) -> np.ndarray:
-    """The distinct vertices as an ascending index array. A vertex that is not
-    an integer (0.5 is not read as 0), or lies outside [0, n), is an InputError."""
+def _distinct_integers(values: Iterable[int], what: str) -> list[int]:
+    """The distinct values, ascending; one that is not an integer (0.5 is not read as 0) is an InputError."""
     try:
-        return _index_set(n, sorted({operator.index(v) for v in vertices}))
+        return sorted({operator.index(v) for v in values})
     except TypeError:
-        raise InputError("vertices must be integers") from None
+        raise InputError(f"{what} must be integers") from None
+
+
+def _vertex_index(n: int, vertices: Iterable[int]) -> np.ndarray:
+    """The distinct vertices as an ascending index array; one not an integer in [0, n) is an InputError."""
+    return _index_set(n, _distinct_integers(vertices, "vertices"))
 
 
 def _index_set(n: int, vertices: Sequence[int]) -> np.ndarray:
@@ -333,23 +337,25 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 # -- block algebra ------------------------------------------------------------
-# Float64 products of 0/1 matrices: every partial sum is an integer below n^2,
-# so the counts are exact while n^2 < 2^53.
 
 
 def block_edge_counts(adj: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Edge counts between vertex groups, M^T A M for the one-hot membership matrix M.
+    """Edge counts between vertex groups, exact in integers.
 
     Entry (i, j) is the number of ordered adjacent pairs (u, v) with u in
     groups[i] and v in groups[j]: e(X, Y) for disjoint groups, 2 e(G[X]) on
-    the diagonal. Only the rows and columns of grouped vertices are read.
+    the diagonal, 0 for an empty group. The grouped rows are summed group by
+    group, then those sums' grouped columns, both in int32: no entry exceeds
+    n^2 <= MAX_VERTICES^2 = 2^28.
     """
-    sizes = [len(grp) for grp in groups]
+    sizes = np.asarray([len(grp) for grp in groups], dtype=np.intp)
     idx = np.asarray([v for grp in groups for v in grp], dtype=np.intp)
-    member = np.zeros((len(idx), len(sizes)))
-    member[np.arange(len(idx)), np.repeat(np.arange(len(sizes)), sizes)] = 1.0
-    sub = adj[np.ix_(idx, idx)].astype(np.float64)
-    return (member.T @ sub @ member).astype(np.int64)
+    counts = np.zeros((len(sizes), len(sizes)), dtype=np.int64)
+    full = np.flatnonzero(sizes)  # reduceat cannot reduce an empty group
+    starts = (np.cumsum(sizes) - sizes)[full]
+    rows = np.add.reduceat(adj[idx], starts, axis=0, dtype=np.int32)[:, idx]
+    counts[full[:, None], full] = np.add.reduceat(rows, starts, axis=1, dtype=np.int32)
+    return counts
 
 
 def degrees_into(adj: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:

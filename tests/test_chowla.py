@@ -402,6 +402,25 @@ def test_translate_overlap_not_clique():
         chowla.translate_overlap([0, 3], g)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chowla.chowla_certificate([1.5, 2]),
+        lambda: chowla.cosine_min([2.9]),
+        lambda: chowla.SymmetricSet.of(chowla.cyclic_group(12), [1.5, 11.7]),
+        lambda: chowla.subgroup_recover(chowla.cyclic_group(12), [0, 6.5]),
+        lambda: chowla.translate_overlap([0.5, 1.2], chowla.cayley_graph(chowla.cyclic_group(12), [1, 11])),
+        lambda: chowla.translate_overlap([0], ec.from_edge_list(0, [])),
+    ],
+    ids=["certificate", "cosine_min", "symmetric_set", "subgroup_recover", "translate_overlap", "translate_overlap-n0"],
+)
+def test_element_lists_fail_closed(call):
+    # int() used to truncate: 1.5 was read as 1, so A = (1, 2) was certified
+    # and H = [0, 6] recovered from [0, 6.5]; n = 0 raised ZeroDivisionError
+    with pytest.raises(InputError):
+        call()
+
+
 def test_m_gamma_subgroup_zero():
     grp = chowla.cyclic_group(12)
     assert chowla.m_gamma(grp, [0, 3, 6, 9]) == pytest.approx(0.0, abs=1e-9)

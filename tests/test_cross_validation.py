@@ -1,5 +1,7 @@
 """Randomized sweeps pitting library routines against the brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 
 import eigencliques as ec
@@ -95,6 +97,38 @@ def test_cherry_sweep():
         counts = block_edge_counts(g.adjacency, groups)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, brute_block_edge_counts(g.adjacency, groups))
+    # no groups, only empty groups, an empty group first and last, every
+    # vertex its own group, and groups listed out of vertex order, as
+    # regular_partition's parts are
+    g = ec.gnp(30, 0.5, 7)
+    shuffled = np.random.default_rng(304).permutation(g.n).tolist()
+    for groups in (
+        [],
+        [[], []],
+        [[], list(range(10)), [20, 3], []],
+        [[v] for v in range(g.n)],
+        [shuffled[:12], shuffled[12:19], shuffled[19:]],
+        [[29, 5, 17], [4, 0], [28, 27, 26]],
+    ):
+        counts = block_edge_counts(g.adjacency, groups)
+        assert counts.dtype == np.int64 and counts.shape == (len(groups), len(groups))
+        assert np.array_equal(counts, brute_block_edge_counts(g.adjacency, groups)), groups
+
+
+def test_block_edge_counts_singleton_peak():
+    # decompose's merge over n singletons: the int64 counts, the int32 row
+    # sums and their column gather take 2.125 x 8 n^2 bytes; a float64
+    # one-hot product took 4.0
+    g = ec.gnp(2000, 0.5, 0)
+    groups = [[v] for v in range(g.n)]
+    tracemalloc.start()
+    try:
+        counts = block_edge_counts(g.adjacency, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 8 * g.n * g.n
+    assert np.array_equal(counts, g.adjacency)
 
 
 def test_degrees_into_sweep():

@@ -93,6 +93,46 @@ def test_phase1_high_degree_split_scores_both_sides(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "graph, params, steps",
+    [
+        (lambda: ec.gnp(120, 0.5, 1), (0.05, 0.1, 0.06), []),
+        (
+            lambda: ec.gnp(120, 0.5, 1),
+            (0.05, 0.2, 0.01),
+            [
+                ("neighborhood", 60, 0.6780678465286449),
+                ("neighborhood", 34, 0.74205571050548),
+                ("neighborhood", 22, 0.8134578044048917),
+                ("neighborhood", 16, 0.8998137114143442),
+                ("neighborhood", 13, 0.9619367135701218),
+                ("neighborhood", 11, 1.0043914909769784),
+                ("neighborhood", 10, 1.0472172240151658),
+            ],
+        ),
+        (
+            lambda: planted_noisy_union(12, 4, 5, p_noise=0.1),
+            (0.05, 0.1, 0.06),
+            [("neighborhood", 16, 3.6506385531383407), ("neighborhood", 12, 4.44128606984584)],
+        ),
+        (
+            _hubs_on_a_path,
+            (0.05, 0.1, 0.06),
+            [("neighborhood", 10, 3.0963891043049783), ("neighborhood", 8, 3.109109154629015)],
+        ),
+        (_hubs_on_a_path, (0.01, 0.1, 0.09), [("heavy-keep", 40, 6.560412054027139)]),
+    ],
+    ids=["gnp120", "gnp120-dense-bias", "planted", "hubs", "hubs-size-bias"],
+)
+def test_phase1_move_sequence_is_pinned(graph, params, steps):
+    # reports leave phase 1's moves out, so a rewrite that reached the same
+    # set by other moves would pass them; every move, size and potential is
+    # pinned here, the potentials exactly
+    g = graph()
+    t = densify.phase1_densify(g, np.arange(g.n), *params)
+    assert [(s["move"], s["size"], s["potential"]) for s in t.params["steps"]] == steps
+
+
+@pytest.mark.parametrize(
     "vertices",
     [np.array([-1]), np.array([3, 2]), np.array([2, 2]), np.array([0, 10]), np.array([0.0, 1.0]), np.array([[0, 1]])],
 )
