@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .graphs import Graph, _index_set, _vertex_index, block_edge_counts, complement, degrees_into, induced_subgraph, triangles_per_vertex
+from .graphs import Graph, _index_set, _vertex_index, block_edge_counts, degrees_into, triangles_per_vertex
 from .spectral import lambda_min
 
 __all__ = [
@@ -330,24 +330,26 @@ def phase2_dense_core(g: Graph, vertices: np.ndarray) -> PhaseTrace:
 # -- balanced subgraphs (used by phase 3) --------------------------------------
 
 
-def balanced_subgraph(g: Graph) -> PhaseTrace:
-    """Shrink to an induced subgraph whose maximum degree is a small multiple
-    of its average degree (C-balanced with C <= 4 log2(1/p')).
+def balanced_subgraph(g: Graph, vertices: np.ndarray) -> PhaseTrace:
+    """Shrink the complement of G[vertices] to an induced subgraph that is
+    C-balanced (maximum degree <= C times average degree, C <= 4 log2(1/p')).
 
     Iteratively removes the prescribed fraction of highest-degree vertices
     while that halves the density, then strips the remaining heavy vertices.
-    Requires input density at most 1/5.
+    Requires complement density at most 1/5; no complement graph is built.
     """
-    p0 = g.density
+    vertices = _index_set(g.n, vertices)
+    deg = len(vertices) - 1 - degrees_into(g.adjacency, vertices, vertices)
+    p0 = _graph_density(deg)
     if p0 > 0.2:
-        raise InputError(f"balanced_subgraph needs density <= 1/5, got {p0:.3f}")
-    # deg: the degrees inside G[current]. The density stays at most 1/5, so
-    # log2(1/p) > 2 and a trim of r vertices leaves some.
-    current, deg, rounds = np.arange(g.n), g.degrees, 0
+        raise InputError(f"balanced_subgraph needs complement density <= 1/5, got {p0:.3f}")
+    # deg: the complement degrees inside current. The density stays at most
+    # 1/5, so log2(1/p) > 2 and a trim of r vertices leaves some.
+    current, rounds = vertices, 0
     while len(current) > 2 and (p_cur := _density(deg)) > 0.0:
         r = int(math.ceil(len(current) / math.log2(1.0 / p_cur)))
         trimmed = np.sort(current[np.lexsort((current, -deg))[r:]])
-        trimmed_deg = degrees_into(g.adjacency, trimmed, trimmed)
+        trimmed_deg = len(trimmed) - 1 - degrees_into(g.adjacency, trimmed, trimmed)
         if _density(trimmed_deg) >= p_cur / 2.0:
             break
         current, deg, rounds = trimmed, trimmed_deg, rounds + 1
@@ -356,7 +358,7 @@ def balanced_subgraph(g: Graph) -> PhaseTrace:
         keep = deg < (len(current) - 1) * p_k * math.log2(1.0 / p_k)
         if keep.any():
             current = current[keep]
-            deg = degrees_into(g.adjacency, current, current)
+            deg = len(current) - 1 - degrees_into(g.adjacency, current, current)
     out_p = _density(deg)
     measured_c = float(deg.max() / deg.mean()) if deg.any() else None
     claimed_c = 4.0 * math.log2(1.0 / out_p) if out_p > 0 else None
@@ -369,8 +371,8 @@ def balanced_subgraph(g: Graph) -> PhaseTrace:
     }
     return PhaseTrace(
         phase=3,
-        vertices_in=tuple(range(g.n)),
-        vertices_out=tuple(int(v) for v in current),
+        vertices_in=tuple(vertices.tolist()),
+        vertices_out=tuple(current.tolist()),
         density_in=p0,
         density_out=out_p,
         params={"rounds": rounds},
@@ -416,17 +418,14 @@ def phase3_clique(g: Graph, vertices: np.ndarray) -> CliqueCertificate:
 
     The greedy step is the Turan guarantee run on the complement: the clique
     found has size at least n3 / (dbar3 + 1), where n3 and dbar3 are the core's
-    size and the core's average complement degree. balanced_subgraph reads
-    a graph, so this is the one place the search builds G[vertices] and its
-    complement.
+    size and the core's average complement degree.
     """
     vertices = _index_set(g.n, vertices)
     n = len(vertices)
     deg = degrees_into(g.adjacency, vertices, vertices)
-    # the complement's Graph.density (0 for n <= 1); a nonempty graph's balanced core is nonempty
-    if n <= 1 or (n * (n - 1) // 2 - int(deg.sum()) // 2) / (n * (n - 1) / 2) <= 0.2:
-        local = balanced_subgraph(complement(induced_subgraph(g, vertices))).vertices_out
-        core, note = vertices[np.asarray(local, dtype=np.intp)], None
+    # the complement's density (0 for n <= 1); a nonempty set's balanced core is nonempty
+    if _graph_density(n - 1 - deg) <= 0.2:
+        core, note = np.asarray(balanced_subgraph(g, vertices).vertices_out, dtype=np.intp), None
     else:
         core, note = vertices, "complement density above 1/5; balancing skipped, guarantee informational"
     clique = greedy_clique(g, core)

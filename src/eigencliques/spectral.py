@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, complement, neighbor_masks, pair_uniforms, triangles_per_vertex
+from .graphs import Graph, neighbor_masks, pair_uniforms, triangles_per_vertex
 
 __all__ = [
     "Spectrum",
@@ -252,17 +252,21 @@ def _lambda_min_dense(g: Graph, tol: float) -> float:
     raise NumericalError("lambda_n bracket: A - (lambda + delta) I is positive definite", lam)
 
 
-def _trace_checked_eigenvalues(h: Graph, tol: float) -> np.ndarray:
-    """h's eigenvalues (descending) from eigvalsh alone, checked by the trace
-    identities sum(mu) = 0, sum(mu^2) = 2m and sum(mu^3) = 6 triangles."""
-    mu = np.linalg.eigvalsh(h.adjacency.astype(np.float64))[::-1]
-    two_m = 2.0 * h.m
-    six_t = 2.0 * float(triangles_per_vertex(h.adjacency).sum())  # each triangle is counted at its 3 vertices
+def _complement_eigenvalues(g: Graph, tol: float) -> np.ndarray:
+    """The complement's eigenvalues (descending) from eigvalsh alone, checked by
+    the trace identities sum(mu) = 0, sum(mu^2) = 2m and sum(mu^3) = 6 triangles.
+    J - I - A is held in uint8; only eigvalsh's input is a float64 copy."""
+    max_degree = g.n - 1 - int(g.degrees.min())  # the complement's
+    c = 1 - g.adjacency  # uint8
+    np.fill_diagonal(c, 0)
+    mu = np.linalg.eigvalsh(c.astype(np.float64))[::-1]
+    two_m = float(g.n * (g.n - 1) - 2 * g.m)
+    six_t = 2.0 * float(triangles_per_vertex(c).sum())  # each triangle is counted at its 3 vertices
     checks = (
         ("sum(mu)=0", float(mu.sum()), 0.0, 1.0 + two_m),
         ("sum(mu^2)=2m", float((mu**2).sum()), two_m, 1.0 + two_m),
         # |sum(mu^3)| <= max|mu| sum(mu^2) <= maxdeg 2m
-        ("sum(mu^3)=6 triangles", float((mu**3).sum()), six_t, 1.0 + two_m * h.max_degree),
+        ("sum(mu^3)=6 triangles", float((mu**3).sum()), six_t, 1.0 + two_m * max_degree),
     )
     for name, value, expected, scale in checks:
         if abs(value - expected) > tol * scale:
@@ -552,14 +556,13 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
             continue
         vinf = float(np.abs(s.eigenvectors[:, i]).max())
         report.records.append(_record("T", lam, sqrt_n / abs(lam), vinf, tol, bound="sup_norm", index=i))
-    comp = complement(g)
-    if n > 10 and comp.density <= 0.1:
+    if n > 10 and (comp_density := (n * (n - 1) // 2 - g.m) / (n * (n - 1) / 2)) <= 0.1:
         v1 = s.eigenvectors[:, 0]
         if v1.sum() < 0:
             v1 = -v1
-        bar_delta = comp.max_degree
+        bar_delta = n - 1 - int(g.degrees.min())
         low = (1.0 - 3.0 * bar_delta / n) / sqrt_n
-        high = (1.0 + 2.0 * comp.density + 2.0 / n) / sqrt_n
+        high = (1.0 + 2.0 * comp_density + 2.0 / n) / sqrt_n
         report.records.append(_record("T", 0.0, float(v1.min()), low, tol, bound="principal_entry_lower"))
         report.records.append(_record("T", 0.0, high, float(v1.max()), tol, bound="principal_entry_upper"))
     if g.is_regular() and g.m > 0 and n <= _INDEPENDENCE_CUTOFF:
@@ -568,7 +571,7 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
         alpha = exact_independence_number(g)
         hoffman = n * lam_n / (lam_n + d)
         report.records.append(_record("T", 0.0, hoffman, float(alpha), tol, bound="hoffman"))
-    mu = _trace_checked_eigenvalues(comp, tol) if n >= 2 else np.zeros(0)
+    mu = _complement_eigenvalues(g, tol) if n >= 2 else np.zeros(0)
     for i in range(1, n):
         lhs = -float(s.eigenvalues[n - i])  # -lambda_{n+1-i} in 1-based notation
         rhs = 1.0 + float(mu[i])

@@ -3,7 +3,8 @@ from first principles (itertools enumeration, bitmask tables) and never calls
 the code path it is used to check. The fixtures at the end are what the
 acceptance criteria call and the package does not ship: the Edwards floor,
 two non-abelian groups, rank-1 Boolean rounding and the triple Hadamard
-diagnostic."""
+diagnostic. graph_balanced_subgraph is the reference for the index-set
+balanced_subgraph: the earlier form, which balanced a Graph it was given."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from eigencliques import spectrum
 from eigencliques.chowla import FiniteGroup
+from eigencliques.densify import PhaseTrace
 from eigencliques.errors import InputError
 
 
@@ -395,3 +397,53 @@ def triple_hadamard_diagnostic(g) -> dict:
         "shift_min_eig": float(np.linalg.eigvalsh(shifted)[0]),
         "lambda_n_abs": c,
     }
+
+
+def graph_balanced_subgraph(g) -> PhaseTrace:
+    """balanced_subgraph as it read a Graph (the complement is built by the
+    caller), with its vertices labelled 0..n-1 and its degrees taken by
+    np.ix_ gathers. Phase 3 passed it complement(induced_subgraph(g, S))."""
+
+    def density(deg: np.ndarray) -> float:  # 1 for a single vertex, as densify._density
+        k = len(deg)
+        return (int(deg.sum()) // 2) / (k * (k - 1) / 2) if k > 1 else float(k == 1)
+
+    def inner_degrees(idx: np.ndarray) -> np.ndarray:
+        return g.adjacency[np.ix_(idx, idx)].sum(axis=1, dtype=np.int64)
+
+    p0 = g.density
+    if p0 > 0.2:
+        raise InputError(f"balanced_subgraph needs density <= 1/5, got {p0:.3f}")
+    current, deg, rounds = np.arange(g.n), g.degrees, 0
+    while len(current) > 2 and (p_cur := density(deg)) > 0.0:
+        r = int(math.ceil(len(current) / math.log2(1.0 / p_cur)))
+        trimmed = np.sort(current[np.lexsort((current, -deg))[r:]])
+        trimmed_deg = inner_degrees(trimmed)
+        if density(trimmed_deg) >= p_cur / 2.0:
+            break
+        current, deg, rounds = trimmed, trimmed_deg, rounds + 1
+    p_k = density(deg)
+    if p_k > 0.0 and len(current) > 1:
+        keep = deg < (len(current) - 1) * p_k * math.log2(1.0 / p_k)
+        if keep.any():
+            current = current[keep]
+            deg = inner_degrees(current)
+    out_p = density(deg)
+    measured_c = float(deg.max() / deg.mean()) if deg.any() else None
+    claimed_c = 4.0 * math.log2(1.0 / out_p) if out_p > 0 else None
+    guarantee = {
+        "claimed_balance": claimed_c,
+        "measured_balance": measured_c,
+        "met": bool(measured_c <= claimed_c) if (measured_c is not None and claimed_c is not None) else None,
+        "measured_size": int(len(current)),
+        "rounds": rounds,
+    }
+    return PhaseTrace(
+        phase=3,
+        vertices_in=tuple(range(g.n)),
+        vertices_out=tuple(int(v) for v in current),
+        density_in=p0,
+        density_out=out_p,
+        params={"rounds": rounds},
+        guarantee=guarantee,
+    )

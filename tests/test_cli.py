@@ -100,6 +100,34 @@ def test_one_spectrum_per_eigh(tmp_path, monkeypatch, command, results):
     assert counts["spectrum"] + counts["lambda_min"] + counts["eigvalsh"] == results
 
 
+_ONE_GRAPH_INPUTS = {
+    "union": lambda: ec.clique_union([40] * 10),
+    "dense": lambda: ec.gnp(240, 0.5, 1),
+    "sparse": lambda: ec.gnp(240, 0.05, 1),
+    "small": lambda: ec.gnp(16, 0.5, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "command, graph",
+    [(c, i) for c in ("spectrum", "clique", "decompose", "maxcut") for i in ("union", "dense", "sparse")] + [("bisect", "small")],
+)
+def test_one_graph_per_command(tmp_path, monkeypatch, command, graph):
+    # a command builds the Graph it reads and no other: the clique search, the
+    # peels, phase 3's balancing and the complement's spectrum all read index
+    # sets or the adjacency of that one graph
+    path = write_graph(tmp_path, "g.txt", _ONE_GRAPH_INPUTS[graph]())
+    init, calls = ec.Graph.__init__, []
+
+    def counted(self, adjacency):
+        calls.append(np.shape(adjacency))
+        init(self, adjacency)
+
+    monkeypatch.setattr(ec.Graph, "__init__", counted)
+    assert main([command, "--input", path, "--output", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1, calls
+
+
 def test_clique_planted(tmp_path, capsys):
     path = write_graph(tmp_path, "cu.txt", ec.clique_union([16, 16, 16]))
     code, out, _ = run(capsys, "clique", "--input", path)

@@ -7,7 +7,7 @@ import eigencliques as ec
 from eigencliques import densify
 from eigencliques.errors import DegenerateInputError, InputError
 from conftest import flip_edges, flipped_union, planted_noisy_union
-from oracles import triple_hadamard_diagnostic, union_find_blocks
+from oracles import graph_balanced_subgraph, triple_hadamard_diagnostic, union_find_blocks
 
 
 def test_phase0_k11():
@@ -144,6 +144,7 @@ def test_vertex_sets_are_checked(vertices):
     entries = [
         lambda s: densify.phase1_densify(g, s, 0.05, 0.1, 0.06),
         lambda s: densify.phase2_dense_core(g, s),
+        lambda s: densify.balanced_subgraph(g, s),
         lambda s: densify.phase3_clique(g, s),
         lambda s: densify.peel_cliques(g, "greedy", s),
         lambda s: densify.greedy_clique(g, s),
@@ -207,21 +208,21 @@ def test_phase2_complete_graph():
 
 def test_balanced_subgraph_matching_unchanged():
     g = ec.from_edge_list(50, [(2 * i, 2 * i + 1) for i in range(25)])
-    t = densify.balanced_subgraph(g)
+    t = densify.balanced_subgraph(ec.complement(g), np.arange(g.n))
     assert t.vertices_out == tuple(range(50))
     assert t.guarantee["met"]
 
 
 def test_balanced_subgraph_star():
     g = ec.from_edge_list(100, [(0, i) for i in range(1, 100)])
-    t = densify.balanced_subgraph(g)
+    t = densify.balanced_subgraph(ec.complement(g), np.arange(g.n))
     assert 0 not in t.vertices_out  # the centre is stripped
     assert t.density_out <= g.density
 
 
 def test_balanced_subgraph_gnp():
     g = ec.gnp(400, 0.05, 2)
-    t = densify.balanced_subgraph(g)
+    t = densify.balanced_subgraph(ec.complement(g), np.arange(g.n))
     assert t.guarantee["measured_balance"] is not None
     assert t.guarantee["measured_balance"] <= t.guarantee["claimed_balance"]
     assert t.guarantee["met"]
@@ -229,7 +230,38 @@ def test_balanced_subgraph_gnp():
 
 def test_balanced_subgraph_density_gate():
     with pytest.raises(InputError):
-        densify.balanced_subgraph(ec.gnp(30, 0.5, 1))
+        densify.balanced_subgraph(ec.complement(ec.gnp(30, 0.5, 1)), np.arange(30))
+
+
+def test_balanced_subgraph_matches_the_graph_reference():
+    # balancing the complement of G[S] on index sets of g gives what the
+    # Graph-based form gives on complement(G[S]), relabelled through S
+    rng = np.random.default_rng(26)
+    cases = [
+        (flipped_union([30, 20, 10], 101, 0.03), [30, 20, 10]),
+        (planted_noisy_union(12, 4, 5, p_noise=0.1), [12] * 4),
+        (ec.clique_union([7, 7]), [7, 7]),
+    ]
+    checked = trimmed = 0
+    for g, sizes in cases:
+        starts = np.cumsum([0] + sizes)
+        subsets = [np.arange(0), np.array([g.n - 1])]
+        for _ in range(40):
+            b = int(rng.integers(len(sizes)))
+            inside = rng.choice(np.arange(starts[b], starts[b + 1]), size=int(rng.integers(1, sizes[b] + 1)), replace=False)
+            outside = rng.choice(g.n, size=int(rng.integers(0, 3)), replace=False)
+            subsets.append(np.unique(np.concatenate([inside, outside])))
+        for s in subsets:
+            h = ec.complement(ec.induced_subgraph(g, s))
+            if h.density > 0.2:
+                continue
+            t, ref = densify.balanced_subgraph(g, s), graph_balanced_subgraph(h)
+            assert t.vertices_in == tuple(s.tolist())
+            assert t.vertices_out == tuple(int(s[v]) for v in ref.vertices_out)
+            assert (t.density_in, t.density_out, t.params, t.guarantee) == (ref.density_in, ref.density_out, ref.params, ref.guarantee)
+            checked += 1
+            trimmed += len(t.vertices_out) < len(s)
+    assert checked >= 60 and trimmed >= 10, (checked, trimmed)
 
 
 def test_balanced_robustness_exhaustive_small():

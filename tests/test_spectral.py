@@ -346,6 +346,21 @@ def test_eigen_bound_report_principal_entry():
     assert r.verdict == "holds"
 
 
+def test_eigen_bound_report_memory_at_n1000():
+    # the complement is held in uint8 and only eigvalsh's input is float64; a
+    # float64 J - I - A held while counting triangles traced about 2 x 8n^2
+    g = ec.gnp(1000, 0.5, 1)
+    s = ec.spectrum(g)
+    tracemalloc.start()
+    try:
+        report = spectral.eigen_bound_report(g, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * g.n**2
+    assert report.verdict == "holds"
+
+
 def test_lambda_min_needs_a_vertex():
     with pytest.raises(InputError, match="n >= 1"):
         spectral.lambda_min(ec.from_edge_list(0, []))
