@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, SizeError
-from .graphs import Graph, _vertex_index, block_edge_counts, degrees_into, neighbor_masks, pair_uniforms
+from .graphs import Graph, _vertex_index, degrees_into, neighbor_masks, pair_uniforms
 from .spectral import lambda_min, spectrum
 
 __all__ = [
@@ -259,8 +259,10 @@ def unbalanced_cut(g: Graph, x_side: Iterable[int]) -> CutReport:
     if not len(yi):
         raise InputError("Y = V \\ X must be nonempty")
     xs = xi.tolist()
-    counts = block_edge_counts(g.adjacency, [xi, yi])
-    a, b, c = int(counts[0, 0]) // 2, int(counts[0, 1]), int(counts[1, 1]) // 2
+    deg_y = degrees_into(g.adjacency, xi, yi)
+    a = int(degrees_into(g.adjacency, xi, xi).sum()) // 2
+    b = int(deg_y.sum())
+    c = g.m - a - b
     certs: dict = {"a": a, "b": b, "c": c}
     if a <= b / 2.0:
         sides = [0] * g.n
@@ -272,9 +274,8 @@ def unbalanced_cut(g: Graph, x_side: Iterable[int]) -> CutReport:
     p = min(max(b / (4.0 * a), 0.0), 0.5 - 1e-15)
     q = 0.5 + p
     in_u: dict[int, bool] = {}
-    deg_y = dict(zip(xs, degrees_into(g.adjacency, xi, yi).tolist()))
-    for v in xs:
-        delta = float(deg_y[v])
+    for v, dy in zip(xs, deg_y.tolist()):
+        delta = float(dy)
         for w in xs:
             if w == v or not g.adjacency[v, w]:
                 continue

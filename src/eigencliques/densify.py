@@ -182,14 +182,17 @@ def default_parameters(g: Graph, lam_n: float) -> tuple[float, float, float]:
     return gamma, 2.0 * gamma, 1.2 * gamma
 
 
-def _pad_set(adj: np.ndarray, base: np.ndarray, pool: np.ndarray, target: int) -> np.ndarray:
-    """Grow base to the target size using pool vertices with most edges into base."""
+def _pad_set(adj: np.ndarray, current: np.ndarray, base_mask: np.ndarray, target: int) -> np.ndarray:
+    """Grow base = current[base_mask] to the target size using the other vertices
+    of the ascending set current with most edges into base; ascending, as current is."""
+    base, pool = current[base_mask], np.flatnonzero(~base_mask)
     need = target - len(base)
     if need <= 0 or len(pool) == 0:
         return base
-    scores = degrees_into(adj, pool, base)
-    order = np.lexsort((pool, -scores))  # most edges into base, ties lowest index
-    return np.sort(np.concatenate([base, pool[order[:need]]]))
+    scores = degrees_into(adj, current[pool], base)
+    mask = base_mask.copy()
+    mask[pool[np.lexsort((pool, -scores))[:need]]] = True  # most edges into base, ties lowest index
+    return current[mask]
 
 
 def phase1_densify(g: Graph, vertices: np.ndarray, gamma: float, eps: float, rho: float) -> PhaseTrace:
@@ -236,19 +239,19 @@ def phase1_densify(g: Graph, vertices: np.ndarray, gamma: float, eps: float, rho
         shortlist = np.argsort(-score, kind="stable")[:10]
         if int(np.argmax(tri)) not in shortlist:
             shortlist = np.append(shortlist, int(np.argmax(tri)))
-        for v in current[shortlist]:
-            nbrs = current[g.adjacency[v, current].astype(bool)]
-            if not len(nbrs):
+        for i in shortlist:
+            closed = g.adjacency[current[i], current].astype(bool)  # a new mask: i's neighbours in current
+            if not closed.any():
                 continue
-            closed = np.sort(np.append(nbrs, v))
-            target = max(int(math.ceil(p_cur * k)), len(closed))
-            cand = _pad_set(g.adjacency, closed, np.setdiff1d(current, closed), target)
+            closed[i] = True
+            target = max(int(math.ceil(p_cur * k)), int(closed.sum()))
+            cand = _pad_set(g.adjacency, current, closed, target)
             candidates.append((*potential(cand), "neighborhood", cand))
         # (a) high-degree split with C = 5
         is_heavy = deg > 5.0 * deg.mean()
         if is_heavy.any():
-            heavy, rest = current[is_heavy], current[~is_heavy]
-            cand = _pad_set(g.adjacency, heavy, rest, max(int(math.ceil(k / 5.0)), heavy.size))
+            rest = current[~is_heavy]
+            cand = _pad_set(g.adjacency, current, is_heavy, max(int(math.ceil(k / 5.0)), int(is_heavy.sum())))
             candidates.append((*potential(cand), "heavy-keep", cand))
             if rest.size:
                 candidates.append((*potential(rest), "heavy-drop", rest))
@@ -514,7 +517,7 @@ def peel_cliques(
         if len(clique) < floor:
             break
         cliques.append(tuple(clique))
-        residual = np.setdiff1d(residual, clique, assume_unique=True)
+        residual = np.delete(residual, np.searchsorted(residual, clique))
     nodes: list[tuple[int, ...]] = list(cliques) + [(int(v),) for v in residual]
     sizes = np.asarray([len(node) for node in nodes], dtype=np.int64)
     near = block_edge_counts(g.adjacency, nodes) / np.outer(sizes, sizes) >= 1.0 - merge_threshold

@@ -140,10 +140,16 @@ def _validate_spectrum(s: Spectrum, a: np.ndarray, m: int) -> None:
     if gram_err > tol:
         raise NumericalError("eigenvector basis not orthonormal", gram_err)
     scale = 1.0 + 2.0 * m
-    if abs(float(s.eigenvalues.sum())) > tol * scale:
-        raise NumericalError("trace identity sum(lambda)=0 violated", float(s.eigenvalues.sum()))
-    if abs(float((s.eigenvalues**2).sum()) - 2.0 * m) > tol * scale:
-        raise NumericalError("trace identity sum(lambda^2)=2m violated")
+    _check_moments(s.eigenvalues, (("sum(lambda)=0", 0.0, scale), ("sum(lambda^2)=2m", 2.0 * m, scale)), tol)
+
+
+def _check_moments(values: np.ndarray, moments: Sequence[tuple[str, float, float]], tol: float) -> None:
+    """NumericalError unless sum(values^k) lies within tol * scale of expected
+    for the k-th (name, expected, scale) of moments, k = 1, 2, ...; a NaN sum fails."""
+    for k, (name, expected, scale) in enumerate(moments, start=1):
+        value = float((values**k).sum())
+        if not abs(value - expected) <= tol * scale:
+            raise NumericalError(f"trace identity {name} violated", value - expected)
 
 
 def lambda_min(g: Graph, tol: float | None = None) -> float:
@@ -160,7 +166,7 @@ def lambda_min(g: Graph, tol: float | None = None) -> float:
     of inertia), so lambda_n lies in [lam - delta, lam + delta].
     Below _KRYLOV_MIN_N vertices, or when Lanczos hits its step cap, the
     bound reaches delta or the factorisation fails, lam comes from eigvalsh
-    and two factorisations decide both sides (_lambda_min_dense). Raises
+    on the same float64 copy and two factorisations decide both sides. Raises
     InputError as spectrum does, and NumericalError naming the side that
     fails, or when Cholesky's rounding term n eps (maxdeg + |lam| + delta)
     reaches delta, so tol = 0 fails closed.
@@ -170,11 +176,40 @@ def lambda_min(g: Graph, tol: float | None = None) -> float:
     if tol is None:
         tol = default_tol(g.n)
     _check_tol(tol)
+    a = g.adjacency.astype(np.float64)  # both routes' one float64 copy of A
     if g.n >= _KRYLOV_MIN_N:
-        lam = _lambda_min_krylov(g, tol)
-        if lam is not None:
-            return lam
-    return _lambda_min_dense(g, tol)
+        y = _lanczos_ritz_vector(g.adjacency.astype(np.float32), min(_LANCZOS_STEPS, g.n // 3))
+        if y is not None:
+            y = y.astype(np.float64)
+            lam = float(y @ (a @ y) / (y @ y))
+            del y  # the factorisation below holds two n x n copies; nothing else stays alive
+            delta = tol * (1.0 + abs(lam))
+            rounding = 2 * (g.n + 2) * np.finfo(np.float64).eps * (g.max_degree + abs(lam) + delta)
+            # a NaN quotient fails too; no factorisation: not lambda_n, or a cluster tighter than delta
+            if rounding < delta and _factors(a, lam - delta):
+                return lam
+    lam = float(np.linalg.eigvalsh(a)[0])
+    delta = tol * (1.0 + abs(lam))
+    rounding = g.n * np.finfo(np.float64).eps * (g.max_degree + abs(lam) + delta)
+    if rounding >= delta:
+        raise NumericalError(f"inertia bracket cannot decide at tol={tol:g}: rounding {rounding:.3g} >= delta", delta)
+    if not _factors(a, lam - delta):
+        raise NumericalError("lambda_n bracket: A - (lambda - delta) I is not positive definite", lam)
+    if _factors(a, lam + delta):
+        raise NumericalError("lambda_n bracket: A - (lambda + delta) I is positive definite", lam)
+    return lam
+
+
+def _factors(a: np.ndarray, shift: float) -> bool:
+    """Whether a - shift I is positive definite: one Cholesky with a's zero diagonal set to -shift, then restored."""
+    np.fill_diagonal(a, -shift)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(a, 0.0)
+    return True
 
 
 def _lanczos_ritz_vector(a: np.ndarray, cap: int) -> np.ndarray | None:
@@ -210,48 +245,6 @@ def _lanczos_ritz_vector(a: np.ndarray, cap: int) -> np.ndarray | None:
     return None
 
 
-def _lambda_min_krylov(g: Graph, tol: float) -> float | None:
-    """lambda_min's Krylov path; None where it cannot certify, so the dense path decides."""
-    y = _lanczos_ritz_vector(g.adjacency.astype(np.float32), min(_LANCZOS_STEPS, g.n // 3))
-    if y is None:
-        return None
-    y = y.astype(np.float64)
-    shifted = g.adjacency.astype(np.float64)
-    lam = float(y @ (shifted @ y) / (y @ y))
-    del y  # the factorisation below holds two n x n copies; nothing else stays alive
-    delta = tol * (1.0 + abs(lam))
-    rounding = 2 * (g.n + 2) * np.finfo(np.float64).eps * (g.max_degree + abs(lam) + delta)
-    if not rounding < delta:  # written so that a NaN quotient fails too
-        return None
-    np.fill_diagonal(shifted, delta - lam)
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return None  # the Ritz value is not lambda_n, or the bottom cluster is tighter than delta
-    return lam
-
-
-def _lambda_min_dense(g: Graph, tol: float) -> float:
-    """lambda_min from eigvalsh: A - (lam - delta) I must factor and A - (lam + delta) I must not."""
-    shifted = g.adjacency.astype(np.float64)
-    lam = float(np.linalg.eigvalsh(shifted)[0])
-    delta = tol * (1.0 + abs(lam))
-    rounding = g.n * np.finfo(np.float64).eps * (g.max_degree + abs(lam) + delta)
-    if rounding >= delta:
-        raise NumericalError(f"inertia bracket cannot decide at tol={tol:g}: rounding {rounding:.3g} >= delta", delta)
-    np.fill_diagonal(shifted, delta - lam)
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        raise NumericalError("lambda_n bracket: A - (lambda - delta) I is not positive definite", lam) from None
-    np.fill_diagonal(shifted, -lam - delta)
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return lam
-    raise NumericalError("lambda_n bracket: A - (lambda + delta) I is positive definite", lam)
-
-
 def _complement_eigenvalues(g: Graph, tol: float) -> np.ndarray:
     """The complement's eigenvalues (descending) from eigvalsh alone, checked by
     the trace identities sum(mu) = 0, sum(mu^2) = 2m and sum(mu^3) = 6 triangles.
@@ -262,15 +255,13 @@ def _complement_eigenvalues(g: Graph, tol: float) -> np.ndarray:
     mu = np.linalg.eigvalsh(c.astype(np.float64))[::-1]
     two_m = float(g.n * (g.n - 1) - 2 * g.m)
     six_t = 2.0 * float(triangles_per_vertex(c).sum())  # each triangle is counted at its 3 vertices
-    checks = (
-        ("sum(mu)=0", float(mu.sum()), 0.0, 1.0 + two_m),
-        ("sum(mu^2)=2m", float((mu**2).sum()), two_m, 1.0 + two_m),
+    moments = (
+        ("sum(mu)=0", 0.0, 1.0 + two_m),
+        ("sum(mu^2)=2m", two_m, 1.0 + two_m),
         # |sum(mu^3)| <= max|mu| sum(mu^2) <= maxdeg 2m
-        ("sum(mu^3)=6 triangles", float((mu**3).sum()), six_t, 1.0 + two_m * max_degree),
+        ("sum(mu^3)=6 triangles", six_t, 1.0 + two_m * max_degree),
     )
-    for name, value, expected, scale in checks:
-        if abs(value - expected) > tol * scale:
-            raise NumericalError(f"trace identity {name} violated", value - expected)
+    _check_moments(mu, moments, tol)
     return mu
 
 
@@ -350,6 +341,11 @@ def w_trace(m: np.ndarray, w: Subspace, tol: float = 1e-9) -> float:
     sym_err = float(np.abs(m - m.T).max()) if m.size else 0.0
     if sym_err > tol * (1.0 + float(np.abs(m).max())):
         raise InputError("matrix must be symmetric")
+    return _w_trace(m, w)
+
+
+def _w_trace(m: np.ndarray, w: Subspace) -> float:
+    """w_trace without its checks: m is square, symmetric and of w's ambient dimension, in any dtype."""
     if w.dim == 0:
         return 0.0
     return float(np.sum((w.basis.T @ m) * w.basis.T))
@@ -428,7 +424,6 @@ def verify_main_inequality(g: Graph, s: Spectrum, thresholds: Sequence[float] | 
     report = InequalityReport(name="main_spectral_inequality", tol=tol)
     t_min = 2.0 * abs(s.lambda_min) * math.sqrt(n)
     report.diagnostics["admissible_from"] = t_min
-    a = g.adjacency.astype(np.float64)
     for T in thresholds:
         skipped = T < t_min - tol * (1.0 + t_min) or T <= 0
         rec, low = _recursion_record(s, T, skipped)
@@ -437,7 +432,7 @@ def verify_main_inequality(g: Graph, s: Spectrum, thresholds: Sequence[float] | 
             continue
         rhs = rec["rhs"]
         w = subspace_from_hadamard(s, T)
-        tr_a = w_trace(a, w, tol)
+        tr_a = _w_trace(g.adjacency, w)
         comp_rhs = low.S + low.T * w.dim
         rec["dim_W"] = w.dim
         rec["trace_W_A"] = tr_a
@@ -550,11 +545,10 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
     n = g.n
     report = InequalityReport(name="eigen_bounds", tol=tol)
     sqrt_n = math.sqrt(n)
-    for i in range(n):
+    for i, vinf in enumerate(np.abs(s.eigenvectors).max(axis=0).tolist()):  # each column's sup norm
         lam = float(s.eigenvalues[i])
         if abs(lam) <= tol * (1.0 + sqrt_n):
             continue
-        vinf = float(np.abs(s.eigenvectors[:, i]).max())
         report.records.append(_record("T", lam, sqrt_n / abs(lam), vinf, tol, bound="sup_norm", index=i))
     if n > 10 and (comp_density := (n * (n - 1) // 2 - g.m) / (n * (n - 1) / 2)) <= 0.1:
         v1 = s.eigenvectors[:, 0]

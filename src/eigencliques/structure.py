@@ -94,35 +94,20 @@ def regular_partition(g: Graph, delta: float, tol: float | None = None) -> Regul
     if big_k > n:
         raise InputError(f"K={big_k} parts exceed n={n} vertices")
     size = n // big_k
-    cells: dict[tuple, list[int]] = {}
-    exceptional: list[int] = []
-    if idx.size:
-        w = s.eigenvectors[:, idx]
-        buckets = np.floor(w * math.sqrt(n) / beta).astype(np.int64)
-        for v in range(n):
-            key = tuple(int(x) for x in buckets[v])
-            if all(-h <= x <= h for x in key):
-                cells.setdefault(key, []).append(v)
-            else:
-                exceptional.append(v)
-    else:
-        exceptional = list(range(n))
-    parts: list[tuple[int, ...]] = []
-    spill: list[int] = []
-    for key in sorted(cells):
-        vs = cells[key]
-        full = len(vs) // size
-        for i in range(full):
-            parts.append(tuple(vs[i * size : (i + 1) * size]))
-        spill.extend(vs[full * size :])
-    stream = spill + exceptional
-    for i in range(len(stream) // size):
-        parts.append(tuple(stream[i * size : (i + 1) * size]))
-    remainder = tuple(stream[(len(stream) // size) * size :])
-    # floor(n / size) >= K parts, since size = floor(n / K)
-    extra = parts[big_k:]
-    parts = parts[:big_k]
-    remainder = tuple(sorted(remainder + tuple(v for p in extra for v in p)))
+    buckets = np.floor(s.eigenvectors[:, idx] * math.sqrt(n) / beta).astype(np.int64)
+    # all() over no columns is True: with no kept eigenvector every vertex is exceptional
+    inside = (np.abs(buckets) <= h).all(axis=1) & bool(idx.size)
+    # a cell is a distinct row of buckets[inside]; unique numbers the cells in lexicographic key order
+    cell = np.unique(buckets[inside], axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(cell, kind="stable")
+    by_cell, cell = np.flatnonzero(inside)[order], cell[order]  # cell by cell, each ascending
+    rank = np.arange(len(cell)) - np.searchsorted(cell, cell)  # position within the cell
+    whole = rank < (np.bincount(cell) // size * size)[cell]  # inside one of the cell's whole parts
+    # the whole parts, then every cell's spill, then the exceptional vertices, chopped into
+    # floor(n / size) >= K parts of size = floor(n / K); the rest is the remainder
+    stream = np.concatenate([by_cell[whole], by_cell[~whole], np.flatnonzero(~inside)])
+    parts = [tuple(stream[i * size : (i + 1) * size].tolist()) for i in range(big_k)]
+    remainder = tuple(sorted(stream[big_k * size :].tolist()))
     counts = block_edge_counts(g.adjacency, parts)
     pairs = []
     irregular = 0

@@ -4,7 +4,9 @@ the code path it is used to check. The fixtures at the end are what the
 acceptance criteria call and the package does not ship: the Edwards floor,
 two non-abelian groups, rank-1 Boolean rounding and the triple Hadamard
 diagnostic. graph_balanced_subgraph is the reference for the index-set
-balanced_subgraph: the earlier form, which balanced a Graph it was given."""
+balanced_subgraph: the earlier form, which balanced a Graph it was given.
+loop_regular_partition is the reference for the array-built
+regular_partition: the earlier form, which built its cells vertex by vertex."""
 
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ from eigencliques import spectrum
 from eigencliques.chowla import FiniteGroup
 from eigencliques.densify import PhaseTrace
 from eigencliques.errors import InputError
+from eigencliques.graphs import block_edge_counts
+from eigencliques.structure import _SCALED_BETA, _SCALED_H, RegularPartition
 
 
 def brute_maxcut(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
@@ -447,3 +451,73 @@ def graph_balanced_subgraph(g) -> PhaseTrace:
         params={"rounds": rounds},
         guarantee=guarantee,
     )
+
+
+def loop_regular_partition(g, delta: float, tol: float | None = None) -> RegularPartition:
+    """regular_partition with its cells built in a per-vertex loop: a dict from
+    each vertex's bucket tuple to its vertices, read in sorted key order, each
+    cell's whole parts taken first and the spill and exceptional vertices
+    chopped after them, then the parts past K moved to the remainder."""
+    if not (0.0 < delta < 1.0):
+        raise InputError("delta must lie in (0,1)")
+    n = g.n
+    s = spectrum(g, tol)
+    eps_target = delta * delta / 100.0 * n * n
+    for kappa in [0.5 / 2**i for i in range(12)]:
+        keep = s.eigenvalues >= kappa * n
+        residual = float((s.eigenvalues[~keep] ** 2).sum())
+        if residual <= eps_target:
+            break
+    idx = np.flatnonzero(keep)
+    r = max(int(idx.size), 1)
+    beta, h = _SCALED_BETA, _SCALED_H
+    big_k = min(max(int(1.0 / delta) + 1, 8), max(n // 4, 2))
+    if big_k > n:
+        raise InputError(f"K={big_k} parts exceed n={n} vertices")
+    size = n // big_k
+    cells: dict[tuple, list[int]] = {}
+    exceptional: list[int] = []
+    if idx.size:
+        w = s.eigenvectors[:, idx]
+        buckets = np.floor(w * math.sqrt(n) / beta).astype(np.int64)
+        for v in range(n):
+            key = tuple(int(x) for x in buckets[v])
+            if all(-h <= x <= h for x in key):
+                cells.setdefault(key, []).append(v)
+            else:
+                exceptional.append(v)
+    else:
+        exceptional = list(range(n))
+    parts: list[tuple[int, ...]] = []
+    spill: list[int] = []
+    for key in sorted(cells):
+        vs = cells[key]
+        full = len(vs) // size
+        for i in range(full):
+            parts.append(tuple(vs[i * size : (i + 1) * size]))
+        spill.extend(vs[full * size :])
+    stream = spill + exceptional
+    for i in range(len(stream) // size):
+        parts.append(tuple(stream[i * size : (i + 1) * size]))
+    remainder = tuple(stream[(len(stream) // size) * size :])
+    extra = parts[big_k:]
+    parts = parts[:big_k]
+    remainder = tuple(sorted(remainder + tuple(v for p in extra for v in p)))
+    counts = block_edge_counts(g.adjacency, parts)
+    pairs = []
+    irregular = 0
+    for i in range(big_k):
+        for j in range(i + 1, big_k):
+            dens = float(counts[i, j]) / (len(parts[i]) * len(parts[j]))
+            if dens >= 1.0 - delta:
+                cls = "full"
+            elif dens <= delta:
+                cls = "empty"
+            else:
+                cls = "irregular"
+                irregular += 1
+            pairs.append({"i": i, "j": j, "density": dens, "class": cls})
+    profile = {"profile": "scaled", "beta": beta, "h": h, "K": big_k, "kappa": kappa, "rank": r,
+               "residual": residual, "irregular_bound": delta * big_k * big_k}
+    return RegularPartition(parts=parts, remainder=remainder, delta=delta, pairs=pairs,
+                            irregular_count=irregular, profile=profile)

@@ -90,6 +90,22 @@ def test_phase1_high_degree_split_scores_both_sides(monkeypatch):
     densify.phase1_densify(_hubs_on_a_path(), np.arange(200), 0.05, 0.1, 0.06)
     assert (tuple(range(40)),) * 2 in scored  # heavy-keep
     assert (tuple(range(4, 200)),) * 2 in scored  # heavy-drop
+    assert (tuple(range(4, 200)), tuple(range(4))) in scored  # the hubs' padding
+
+
+def test_pad_set_matches_a_sorted_reference():
+    # the padded set of a mask over an ascending set: the masked vertices and the
+    # others with most edges into them, ties lowest index, in ascending order
+    g = ec.gnp(40, 0.4, 5)
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        current = np.sort(rng.choice(40, size=int(rng.integers(2, 41)), replace=False))
+        mask = rng.random(len(current)) < rng.random()
+        target = int(rng.integers(0, len(current) + 2))
+        base = current[mask].tolist()
+        pool = sorted(current[~mask].tolist(), key=lambda v: (-int(g.adjacency[v, base].sum()), v))
+        want = sorted(base + pool[: max(target - len(base), 0)])
+        assert densify._pad_set(g.adjacency, current, mask, target).tolist() == want
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,51 @@ def test_eigen_bound_report_memory_at_n1000():
     assert report.verdict == "holds"
 
 
+def test_verify_main_inequality_memory_at_n1000():
+    # the W-trace reads the adjacency Graph already checked: no float64 copy of
+    # A and no float64 symmetry check, which traced 3 x 8n^2
+    g = ec.gnp(1000, 0.5, 1)
+    s = ec.spectrum(g)
+    tracemalloc.start()
+    try:
+        report = spectral.verify_main_inequality(g, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * 8 * g.n**2
+    assert report.verdict == "holds"
+
+
+def test_private_w_trace_on_the_adjacency_matches_w_trace():
+    # the inequality's W-trace of the uint8 adjacency is bit for bit the checked
+    # w_trace of its float64 copy, at every admissible threshold with dim W > 0
+    graphs = [ec.complete(60), ec.clique_union([40, 30]), ec.turan(2, 50), ec.gnp(300, 0.9, 1),
+              ec.clique_union([100] * 3), ec.complete(400)]
+    checked = 0
+    for g in graphs:
+        s = ec.spectrum(g)
+        for rec in spectral.verify_main_inequality(g, s).records:
+            if rec["verdict"] == "skipped" or not rec["dim_W"]:
+                continue
+            w = spectral.subspace_from_hadamard(s, rec["T"])
+            exact = spectral.w_trace(g.adjacency.astype(np.float64), w)
+            assert spectral._w_trace(g.adjacency, w) == exact == rec["trace_W_A"], (g, rec["T"])
+            checked += 1
+    assert checked >= 10
+
+
+def test_factors_restores_the_zero_diagonal():
+    # lambda_min runs every factorisation on its one float64 copy of A, so
+    # each must leave A as it found it, whether it factors or not
+    g = ec.gnp(30, 0.5, 4)
+    a = g.adjacency.astype(np.float64)
+    lam = float(np.linalg.eigvalsh(a)[0])
+    assert spectral._factors(a, lam - 0.1)
+    assert np.array_equal(a, g.adjacency)
+    assert not spectral._factors(a, lam + 0.1)
+    assert np.array_equal(a, g.adjacency)
+
+
 def test_lambda_min_needs_a_vertex():
     with pytest.raises(InputError, match="n >= 1"):
         spectral.lambda_min(ec.from_edge_list(0, []))
@@ -498,6 +543,21 @@ def test_eigen_bound_report_checks_the_complement_eigenvalues(monkeypatch, pertu
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: perturb(eigvalsh(a)))
     with pytest.raises(NumericalError, match=identity):
         spectral.eigen_bound_report(g, s)
+
+
+def test_spectrum_fails_closed_on_a_nan_eigenvalue(monkeypatch):
+    # a NaN eigenvalue passes the residual and Gram comparisons; the trace
+    # identities are written so that a NaN sum fails them
+    eigh = np.linalg.eigh
+
+    def nan_first(a):
+        vals, vecs = eigh(a)
+        vals[0] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_first)
+    with pytest.raises(NumericalError, match=r"^trace identity sum\(lambda\)=0 violated$"):
+        ec.spectrum(ec.gnp(20, 0.5, 1))
 
 
 def test_interlacing_vertex_deletion():

@@ -8,7 +8,7 @@ import eigencliques as ec
 from eigencliques import structure
 from eigencliques.errors import InputError
 from conftest import flip_edges, planted_noisy_union
-from oracles import brute_cherries, clique_union_model, rank1_boolean_round
+from oracles import brute_cherries, clique_union_model, loop_regular_partition, rank1_boolean_round
 
 
 def test_regular_partition_two_blocks():
@@ -54,6 +54,34 @@ def test_regular_partition_parts_partition_vertices():
     seen = [v for part in rp.parts for v in part] + list(rp.remainder)
     assert sorted(seen) == list(range(45))
     assert len({len(p) for p in rp.parts}) == 1
+
+
+_PARTITION_CASES = [
+    *[(f"gnp({n}, {p})", lambda n=n, p=p: ec.gnp(n, p, n)) for n in (8, 30, 101, 200) for p in (0.1, 0.5, 0.9)],
+    ("clique_union([50, 50])", lambda: ec.clique_union([50, 50])),
+    ("clique_union([40, 30, 20, 7])", lambda: ec.clique_union([40, 30, 20, 7])),
+    ("clique_union([3] * 12)", lambda: ec.clique_union([3] * 12)),
+    ("edgeless(40)", lambda: ec.from_edge_list(40, [])),  # no kept eigenvector: every vertex is exceptional
+    ("edgeless(2)", lambda: ec.from_edge_list(2, [])),
+    ("complete(2)", lambda: ec.complete(2)),
+]
+
+
+@pytest.mark.parametrize("name, make", _PARTITION_CASES, ids=[c[0] for c in _PARTITION_CASES])
+def test_regular_partition_matches_the_loop_reference(name, make):
+    # the array-built cells, parts and remainder are the per-vertex loop's, at every delta
+    g = make()
+    for delta in (0.05, 0.1, 0.2, 0.3, 0.6):
+        got, want = structure.regular_partition(g, delta), loop_regular_partition(g, delta)
+        assert (got.parts, got.remainder, got.irregular_count) == (want.parts, want.remainder, want.irregular_count)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert all(type(v) is int for part in got.parts for v in part) and all(type(v) is int for v in got.remainder)
+
+
+def test_regular_partition_one_vertex_matches_the_loop_reference():
+    for f in (structure.regular_partition, loop_regular_partition):
+        with pytest.raises(InputError, match=r"^K=2 parts exceed n=1 vertices$"):
+            f(ec.from_edge_list(1, []), 0.1)
 
 
 def test_cherry_count_examples():
