@@ -342,7 +342,12 @@ def balanced_subgraph(g: Graph, vertices: np.ndarray) -> PhaseTrace:
     Requires complement density at most 1/5; no complement graph is built.
     """
     vertices = _index_set(g.n, vertices)
-    deg = len(vertices) - 1 - degrees_into(g.adjacency, vertices, vertices)
+    return _balance(g, vertices, len(vertices) - 1 - degrees_into(g.adjacency, vertices, vertices))
+
+
+def _balance(g: Graph, vertices: np.ndarray, deg: np.ndarray) -> PhaseTrace:
+    """balanced_subgraph on an index set whose complement degrees deg inside
+    it the caller already holds."""
     p0 = _graph_density(deg)
     if p0 > 0.2:
         raise InputError(f"balanced_subgraph needs complement density <= 1/5, got {p0:.3f}")
@@ -428,7 +433,7 @@ def phase3_clique(g: Graph, vertices: np.ndarray) -> CliqueCertificate:
     deg = degrees_into(g.adjacency, vertices, vertices)
     # the complement's density (0 for n <= 1); a nonempty set's balanced core is nonempty
     if _graph_density(n - 1 - deg) <= 0.2:
-        core, note = np.asarray(balanced_subgraph(g, vertices).vertices_out, dtype=np.intp), None
+        core, note = np.asarray(_balance(g, vertices, n - 1 - deg).vertices_out, dtype=np.intp), None
     else:
         core, note = vertices, "complement density above 1/5; balancing skipped, guarantee informational"
     clique = greedy_clique(g, core)

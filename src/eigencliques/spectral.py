@@ -131,16 +131,16 @@ def spectrum(g: Graph, tol: float | None = None) -> Spectrum:
 
 def _validate_spectrum(s: Spectrum, a: np.ndarray, m: int) -> None:
     tol = s.tol
+    scale = 1.0 + 2.0 * m
+    _check_moments(s.eigenvalues, (("sum(lambda)=0", 0.0, scale), ("sum(lambda^2)=2m", 2.0 * m, scale)), tol)
     resid = np.abs(a @ s.eigenvectors - s.eigenvectors * s.eigenvalues).max(axis=0)
     allowed = tol * (1.0 + np.abs(s.eigenvalues))
-    if (resid > allowed).any():
+    if not (resid <= allowed).all():  # a NaN residual fails
         raise NumericalError("eigenpair residual exceeds tolerance", float(resid.max()))
     gram = s.eigenvectors.T @ s.eigenvectors
     gram_err = float(np.abs(gram - np.eye(s.n)).max())
-    if gram_err > tol:
+    if not gram_err <= tol:
         raise NumericalError("eigenvector basis not orthonormal", gram_err)
-    scale = 1.0 + 2.0 * m
-    _check_moments(s.eigenvalues, (("sum(lambda)=0", 0.0, scale), ("sum(lambda^2)=2m", 2.0 * m, scale)), tol)
 
 
 def _check_moments(values: np.ndarray, moments: Sequence[tuple[str, float, float]], tol: float) -> None:

@@ -6,7 +6,9 @@ two non-abelian groups, rank-1 Boolean rounding and the triple Hadamard
 diagnostic. graph_balanced_subgraph is the reference for the index-set
 balanced_subgraph: the earlier form, which balanced a Graph it was given.
 loop_regular_partition is the reference for the array-built
-regular_partition: the earlier form, which built its cells vertex by vertex."""
+regular_partition: the earlier form, which built its cells vertex by vertex.
+subset_edge_counts and the table scans are the reference for the exact cuts'
+meet-in-the-middle walk: the earlier form, one table over all 2^n subsets."""
 
 from __future__ import annotations
 
@@ -87,6 +89,65 @@ def brute_discrepancy(adj: np.ndarray) -> tuple[Fraction, Fraction]:
             best_p = max(best_p, score)
             best_m = max(best_m, -score)
     return best_p, best_m
+
+
+def subset_edge_counts(adj: np.ndarray) -> np.ndarray:
+    """e(G[U]) for every subset U, indexed by bitmask (bit i = row i): one
+    int16 table of 2^n entries, built by doubling, e[U | {v}] = e[U] + |N(v) & U|
+    for every U below bit v."""
+    n = adj.shape[0]
+    nbr = [sum(1 << int(u) for u in np.flatnonzero(row)) for row in adj]
+    masks = np.arange(1 << max(n - 1, 0), dtype=np.uint32)
+    e = np.zeros(1 << n, dtype=np.int16)
+    for v in range(1, n):
+        half = 1 << v
+        e[half : 2 * half] = e[:half] + np.bitwise_count(masks[:half] & nbr[v])
+    return e
+
+
+def _bits_popcount(n: int) -> np.ndarray:
+    pc = np.zeros(1 << n, dtype=np.uint8)
+    for v in range(n):
+        pc[1 << v : 2 << v] = pc[: 1 << v] + 1
+    return pc
+
+
+def table_maxcut(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """Maximum cut from the table, vertex v as bit n-1-v: the first minimum of
+    e[U] + e[~U] over the masks with vertex 0 on side 0 (lexicographically
+    first assignment)."""
+    n = adj.shape[0]
+    e = subset_edge_counts(adj[::-1, ::-1])
+    half = 1 << (n - 1)
+    inner = e[:half] + e[::-1][:half]
+    k = int(np.argmin(inner))
+    return int(adj.sum()) // 2 - int(inner[k]), tuple((k >> (n - 1 - v)) & 1 for v in range(n))
+
+
+def table_bisection(adj: np.ndarray) -> tuple[int, list[int]]:
+    """Minimum bisection from the table, vertex v as bit n-1-v: the last
+    maximum of e[U] + e[~U] over masks U of n // 2 bits, with vertex 0 in U
+    for even n."""
+    n = adj.shape[0]
+    e = subset_edge_counts(adj[::-1, ::-1])
+    inner = e + e[::-1]
+    inner[_bits_popcount(n) != n // 2] = -1
+    if n % 2 == 0:
+        inner[: 1 << (n - 1)] = -1
+    k = inner.size - 1 - int(np.argmax(inner[::-1]))
+    return int(adj.sum()) // 2 - int(inner[k]), [(k >> (n - 1 - v)) & 1 for v in range(n)]
+
+
+def table_discrepancy(adj: np.ndarray) -> tuple[Fraction, Fraction, list[int], list[int]]:
+    """disc+, disc- and their witnesses from the table, vertex v as bit v: the
+    first argmax and first argmin of C(n,2) e[U] - m C(|U|,2)."""
+    n = adj.shape[0]
+    m, denom = int(adj.sum()) // 2, n * (n - 1) // 2
+    size = _bits_popcount(n).astype(np.int64)
+    score = subset_edge_counts(adj).astype(np.int64) * denom - m * (size * (size - 1) // 2)
+    plus, minus = int(np.argmax(score)), int(np.argmin(score))
+    wit_p, wit_m = ([v for v in range(n) if (mask >> v) & 1] for mask in (plus, minus))
+    return Fraction(int(score[plus]), denom), Fraction(-int(score[minus]), denom), wit_p, wit_m
 
 
 def brute_cherries(adj: np.ndarray) -> int:

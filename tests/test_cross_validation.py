@@ -18,6 +18,9 @@ from oracles import (
     brute_triangles_per_vertex,
     clique_union_model,
     cosine_grid_min,
+    table_bisection,
+    table_discrepancy,
+    table_maxcut,
 )
 
 
@@ -56,16 +59,41 @@ def test_discrepancy_sweep():
         assert rep.disc_plus == op and rep.disc_minus == om
 
 
+def _table_graphs(n: int) -> list[ec.Graph]:
+    # edgeless and complete graphs tie every cut of a given size, cycles and
+    # Turan graphs tie many
+    graphs = [ec.from_edge_list(n, []), ec.complete(n), ec.gnp(n, 0.5, n)]
+    return graphs + [ec.cycle(n), ec.turan(3, n)] if n >= 3 else graphs
+
+
+def _check_against_tables(graphs) -> None:
+    for g in graphs:
+        rep = cuts.maxcut_exact(g)
+        assert (rep.cut_size, rep.partition) == table_maxcut(g.adjacency), g.n
+        rep = cuts.bisection_exact(g)
+        assert (rep.bw, rep.witnesses["bisection"]) == table_bisection(g.adjacency), g.n
+        if 2 <= g.n <= cuts.EXHAUSTIVE_SUBSET_LIMIT:
+            rep = cuts.discrepancy(g)
+            got = (rep.disc_plus, rep.disc_minus, rep.witnesses["disc_plus"], rep.witnesses["disc_minus"])
+            assert got == table_discrepancy(g.adjacency), g.n
+
+
+def test_exact_cuts_match_table_scans():
+    # the meet-in-the-middle walk at its default split against one 2^n table
+    # per graph. The walk covers n vertices (n - 1 for maxcut and for even-n
+    # bisection, which fix vertex 0): one block up to 14 of them, then
+    # 2^(walked - 14) blocks
+    _check_against_tables(g for n in range(1, cuts.EXHAUSTIVE_CUT_LIMIT + 1) for g in _table_graphs(n))
+
+
 def test_exact_cuts_small_blocks_sweep(monkeypatch):
-    # below n = 17 one block holds the whole subset table; with 3 masks per
-    # block every build and scan crosses many unaligned block boundaries, and
-    # values, witnesses and tie-breaks must not change
+    # with 2 or 3 low bits per block the Gray walk crosses many blocks from
+    # n = 4 on, and values, witnesses and tie-breaks must not change
     rng = np.random.default_rng(106)
-    graphs = [*_TIED, *(_random_graph(rng) for _ in range(15))]
-    routines = (cuts.maxcut_exact, cuts.bisection_exact, cuts.discrepancy)
-    whole = [[routine(g) for routine in routines] for g in graphs]
-    monkeypatch.setattr(cuts, "_BLOCK", 3)
-    assert [[routine(g) for routine in routines] for g in graphs] == whole
+    graphs = [*_TIED, *(_random_graph(rng) for _ in range(15)), *(g for n in range(1, 13) for g in _table_graphs(n))]
+    for low_bits in (2, 3):
+        monkeypatch.setattr(cuts, "_LOW_BITS", low_bits)
+        _check_against_tables(graphs)
 
 
 def test_triangles_per_vertex_sweep():

@@ -241,8 +241,9 @@ def test_bisection_size_error():
 
 
 def test_exhaustive_limit_refuses_before_allocating():
-    # n = 25 is refused before the 2^25-entry subset table is allocated; only
-    # MaxCut has a local search to point to
+    # n = 25 is refused before any enumeration array is allocated: the cap is
+    # one block of the walk (2^14 int32s), which peaks at 0.76 MiB at n = 24.
+    # Only MaxCut has a local search to point to
     g = ec.gnp(cuts.EXHAUSTIVE_CUT_LIMIT + 1, 0.3, 1)
     for routine in (cuts.maxcut_exact, cuts.bisection_exact):
         tracemalloc.start()
@@ -252,14 +253,15 @@ def test_exhaustive_limit_refuses_before_allocating():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20, routine.__name__
+        assert peak < 1 << 16, routine.__name__
         assert ("maxcut_local_search" in str(info.value)) == (routine is cuts.maxcut_exact)
 
 
 # Values and witnesses recorded from the implementation that built whole-table
 # temporaries, keyed by (n, graph): maxcut value and partition, then bisection
-# width, deficit and witness. From n = 18 every scan of the subset table spans
-# several blocks, and the edgeless and complete graphs tie across all of them.
+# width, deficit and witness. At each of these n every walk spans several
+# blocks of 2^14 masks, and the edgeless and complete graphs tie across all of
+# them.
 _ACROSS_BLOCKS = {
     (18, "edgeless"): (0, "000000000000000000", 0, 0, "111111111000000000"),
     (18, "complete"): (81, "000000000111111111", 81, 0, "111111111000000000"),
@@ -320,12 +322,13 @@ def test_discrepancy_ties_across_blocks(n, kind, disc_plus, disc_minus, witnesse
 
 
 def test_exact_cuts_peak_memory():
-    # the int16 subset table plus a fixed scratch block, at the largest exact n
+    # the meet-in-the-middle walk holds a few blocks of 2^14 int32s and one
+    # row per top vertex, at the largest exact n (measured 0.69, 0.76 and 0.57 MiB)
     g24, g20 = ec.gnp(24, 0.5, 24), ec.gnp(20, 0.5, 20)
     for routine, g, cap in (
-        (cuts.maxcut_exact, g24, (2 << 24) + (4 << 20)),
-        (cuts.bisection_exact, g24, (2 << 24) + (4 << 20)),
-        (cuts.discrepancy, g20, (2 << 20) + (2 << 20)),
+        (cuts.maxcut_exact, g24, 1 << 20),
+        (cuts.bisection_exact, g24, 1 << 20),
+        (cuts.discrepancy, g20, 1 << 20),
     ):
         tracemalloc.start()
         try:

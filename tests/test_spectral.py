@@ -546,8 +546,7 @@ def test_eigen_bound_report_checks_the_complement_eigenvalues(monkeypatch, pertu
 
 
 def test_spectrum_fails_closed_on_a_nan_eigenvalue(monkeypatch):
-    # a NaN eigenvalue passes the residual and Gram comparisons; the trace
-    # identities are written so that a NaN sum fails them
+    # the trace identities run first, and are written so that a NaN sum fails them
     eigh = np.linalg.eigh
 
     def nan_first(a):
@@ -557,6 +556,21 @@ def test_spectrum_fails_closed_on_a_nan_eigenvalue(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", nan_first)
     with pytest.raises(NumericalError, match=r"^trace identity sum\(lambda\)=0 violated$"):
+        ec.spectrum(ec.gnp(20, 0.5, 1))
+
+
+def test_spectrum_fails_closed_on_a_nan_eigenvector(monkeypatch):
+    # a NaN eigenvector entry leaves the eigenvalues' trace identities intact;
+    # the residual comparison is written so that a NaN residual fails it
+    eigh = np.linalg.eigh
+
+    def nan_entry(a):
+        vals, vecs = eigh(a)
+        vecs[3, 0] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_entry)
+    with pytest.raises(NumericalError, match=r"^eigenpair residual exceeds tolerance$"):
         ec.spectrum(ec.gnp(20, 0.5, 1))
 
 
