@@ -8,7 +8,6 @@ after construction and safe to share.
 from __future__ import annotations
 
 import operator
-import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -394,25 +393,65 @@ def neighbor_masks(adj: np.ndarray) -> list[int]:
 #
 # The canonical layout that format_edge_list writes (the header, then exactly m
 # lines, each two integers of at most 18 digits split by one space and ended by
-# "\n") is read in one numpy pass; 18 digits cannot overflow int64. Any other
-# text goes through _parse_lines, the one definition of the other accepted
-# layouts and of every line-numbered error.
+# "\n"; an edge endpoint may start with '-') is checked on its ASCII bytes and
+# read in one numpy pass; 18 digits cannot overflow int64. Any other text goes
+# through _parse_lines, the one definition of the other accepted layouts and
+# of every line-numbered error.
 
-_HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")
-# Up to 16 lines per match: sub() then takes about 40% less time than at one
-# line per match on 62k lines, and its backtracking state stays bounded.
-_LINES = re.compile(r"(?:-?[0-9]{1,18} -?[0-9]{1,18}\n){1,16}")
+# Characters checked per pass, cut after a line end so that the temporaries stay
+# a few MiB at any text size. A canonical line has at most 40 characters.
+_CHUNK = 1 << 16
+_LINE_SEPARATORS = np.frombuffer(b" \n", dtype=np.uint16)[0]  # one line's two separator bytes, read as one
+
+
+def _canonical_lines(b: np.ndarray, header: bool) -> int | None:
+    """The number of lines in b, ASCII bytes that start at a line start, if each
+    line is two tokens of 1-18 digits split by ' ' and ended by '\n', where a
+    token may start with '-' outside the header line (b's first line when
+    header is set); else None."""
+    if b[-1] != 10:
+        return None
+    at = np.flatnonzero((b - 48) > 9)  # every byte that is not a digit: b - 48 wraps below '0'
+    seps = b[at]
+    minus = seps == 45
+    signs = at[minus]
+    if signs.size:
+        at, seps = at[~minus], seps[~minus]
+    if len(at) % 2 or (seps.view(np.uint16) != _LINE_SEPARATORS).any():
+        return None
+    if signs.size:
+        # a '-' is not on the header line and follows a separator (b[-1] is a '\n',
+        # so b[0 - 1] reads as the line start it is); a '-' with no digit after it
+        # leaves a span of 1 below, and one after another '-' follows no separator
+        if header and signs[0] < at[1]:
+            return None
+        before = b[signs - 1]
+        if not ((before == 32) | (before == 10)).all():
+            return None
+    spans = np.diff(at, prepend=-1)  # each token's length plus its separator, a '-' included
+    spans[np.searchsorted(at, signs)] -= 1
+    if spans.min() < 2 or spans.max() > 19:
+        return None
+    return len(at) // 2
 
 
 def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
     """(n, (m, 2) int64 pairs) if text is in the canonical layout, else None."""
-    head = _HEADER.match(text)
-    if head is None:
+    if not text.isascii():
         return None
-    n, m = int(head[1]), int(head[2])
-    # Every character inside a _LINES match and m + 1 newlines: m + 1 such
-    # lines. A fullmatch of the whole text would keep backtracking state per line.
-    if text.count("\n") != m + 1 or _LINES.sub("", text):
+    lines = start = 0
+    while start < len(text):
+        stop = len(text) if len(text) - start <= _CHUNK else text.rfind("\n", start, start + _CHUNK) + 1
+        if stop <= start:  # no line end in a whole chunk
+            return None
+        found = _canonical_lines(np.frombuffer(text[start:stop].encode("ascii"), dtype=np.uint8), start == 0)
+        if found is None:
+            return None
+        lines, start = lines + found, stop
+    if not lines:
+        return None
+    n, m = map(int, text[: text.index("\n")].split(" "))
+    if lines != m + 1:
         return None
     return n, np.fromstring(text, dtype=np.int64, sep=" ")[2:].reshape(m, 2)
 
@@ -458,14 +497,64 @@ def parse_edge_list(text: str) -> Graph:
     return from_edge_list(*(parsed if parsed is not None else _parse_lines(text)))
 
 
+def _label_fields(n: int) -> np.ndarray:
+    """The text of each label 0..n-1 twice, as (2n,) unsigned ints of 2, 4 or 8
+    bytes: entry u holds "u " right-aligned and entry n + v holds "v\n"
+    left-aligned, both padded with zero bytes. A line "u v\n" is then entries
+    (u, n + v) with its padding in one run: v's tail and the next u's head."""
+    width = len(str(max(n - 1, 0)))
+    # up to 7 digits: the adjacency of 10^7 vertices would hold 10^14 bytes
+    size = 2 if width < 2 else 4 if width < 4 else 8
+    labels = np.arange(n)
+    lengths = np.ones(n, dtype=np.intp)
+    for k in range(1, width):
+        lengths += labels >= 10**k
+    table = np.zeros((2, n, size), dtype=np.uint8)
+    for k in range(width):  # the k-th digit from the right, of each label that has one
+        has = np.flatnonzero(lengths > k)
+        digit = labels[has] // 10**k % 10 + 48
+        table[0, has, size - 2 - k] = digit
+        table[1, has, lengths[has] - 1 - k] = digit
+    table[0, :, size - 1] = 32
+    table[1, labels, lengths] = 10
+    return table.view(f"u{size}").reshape(2 * n)
+
+
 def format_edge_list(g: Graph) -> str:
-    pairs = np.argwhere(np.triu(g.adjacency, 1)).ravel().tolist()
-    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(pairs)
+    """The canonical layout: the header, then each edge u < v in ascending order."""
+    head = f"{g.n} {g.m}\n"
+    if not g.m:
+        return head
+    n, adj = g.n, g.adjacency.view(np.bool_)
+    fields = np.empty((g.m, 2), dtype=np.intp)  # (u, n + v) of each edge u < v, ascending
+    rows, at = max(1, (1 << 22) // n), 0  # bands of 4 MiB of the adjacency at a time
+    for top in range(0, n, rows):
+        flat = np.flatnonzero(np.triu(adj[top : top + rows], top + 1))  # (u - top) n + v
+        band = fields[at : at + len(flat)]
+        np.divmod(flat, n, out=(band[:, 0], band[:, 1]))
+        band += (top, n)
+        at += len(flat)
+    del flat, band  # each array is dropped once the next exists: the peak is the lines, their mask and the text
+    lines = _label_fields(n)[fields].view(np.uint8)
+    del fields
+    body = lines[lines != 0]
+    del lines
+    return head + str(body, "ascii")
 
 
 def read_edge_list(path_: str) -> Graph:
-    with open(path_, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    """The graph in a UTF-8 edge-list file; bytes that are not UTF-8 are an InputError naming their offset."""
+    with open(path_, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"byte {err.start}: not UTF-8 text ({err.reason})") from None
+    del data
+    # the newlines text-mode reading gives: "\r\n" and a lone "\r" read as "\n"
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_edge_list(text)
 
 
 def write_edge_list(g: Graph, path_: str) -> None:

@@ -8,12 +8,17 @@ balanced_subgraph: the earlier form, which balanced a Graph it was given.
 loop_regular_partition is the reference for the array-built
 regular_partition: the earlier form, which built its cells vertex by vertex.
 subset_edge_counts and the table scans are the reference for the exact cuts'
-meet-in-the-middle walk: the earlier form, one table over all 2^n subsets."""
+meet-in-the-middle walk: the earlier form, one table over all 2^n subsets.
+regex_parse_canonical, percent_format_edge_list and recursive_dumps are the
+references for the array-pass text codecs: the earlier forms, a regex check
+of the canonical edge list, one %-format over every edge, and one isinstance
+chain per JSON value."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -356,6 +361,78 @@ def loop_escape(s: str) -> str:
             out.append(ch)
     return "".join(out)
 
+
+# -- the earlier text codecs --------------------------------------------------
+
+_HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")
+# Up to 16 lines per match, so that sub()'s backtracking state stays bounded.
+_LINES = re.compile(r"(?:-?[0-9]{1,18} -?[0-9]{1,18}\n){1,16}")
+
+
+def regex_parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
+    """The former graphs._parse_canonical: (n, (m, 2) int64 pairs) if a header
+    regex matches, the text has m + 1 newlines and every character lies in a
+    match of the line regex, else None."""
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    n, m = int(head[1]), int(head[2])
+    if text.count("\n") != m + 1 or _LINES.sub("", text):
+        return None
+    return n, np.fromstring(text, dtype=np.int64, sep=" ")[2:].reshape(m, 2)
+
+
+def percent_format_edge_list(g) -> str:
+    """The former graphs.format_edge_list: one %-format over every edge u < v.
+    The edges are found row by row, so no n x n temporary is made."""
+    adj = g.adjacency
+    pairs = [p for u in range(g.n) for v in np.flatnonzero(adj[u, u + 1 :]).tolist() for p in (u, u + 1 + v)]
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(pairs)
+
+
+def _old_format_float(x: float) -> str:
+    if x != x:
+        return '"nan"'
+    if x == float("inf"):
+        return '"inf"'
+    if x == float("-inf"):
+        return '"-inf"'
+    return format(float(x), ".17g")
+
+
+def recursive_dumps(obj, indent: int = 0, _level: int = 0) -> str:
+    """The former serialize.dumps: one isinstance chain per value, strings escaped by loop_escape."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, Fraction):
+        return _old_format_float(float(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _old_format_float(float(obj))
+    if isinstance(obj, str):
+        return '"' + loop_escape(obj) + '"'
+    if isinstance(obj, np.ndarray):
+        return recursive_dumps(obj.tolist(), indent, _level)
+    if isinstance(obj, (list, tuple)):
+        inner = [recursive_dumps(x, indent, _level + 1) for x in obj]
+        if indent:
+            pad = " " * indent * (_level + 1)
+            close = " " * indent * _level
+            return "[\n" + ",\n".join(pad + s for s in inner) + "\n" + close + "]" if inner else "[]"
+        return "[" + ", ".join(inner) + "]"
+    if isinstance(obj, dict):
+        items = ['"' + loop_escape(str(k)) + '": ' + recursive_dumps(v, indent, _level + 1) for k, v in obj.items()]
+        if indent:
+            pad = " " * indent * (_level + 1)
+            close = " " * indent * _level
+            return "{\n" + ",\n".join(pad + s for s in items) + "\n" + close + "}" if items else "{}"
+        return "{" + ", ".join(items) + "}"
+    if hasattr(obj, "to_json_dict"):
+        return recursive_dumps(obj.to_json_dict(), indent, _level)
+    raise TypeError(f"cannot serialise {type(obj)!r}")
 
 # -- fixtures -----------------------------------------------------------------
 

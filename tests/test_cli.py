@@ -6,9 +6,12 @@ import pytest
 
 import eigencliques as ec
 from conftest import flipped_union, planted_noisy_union
+from eigencliques import cli
 from eigencliques.chowla import MAX_CHOWLA_DEGREE
 from eigencliques.cli import main
 from eigencliques.graphs import MAX_VERTICES
+from eigencliques.serialize import dumps
+from oracles import recursive_dumps
 
 
 def run(capsys, *argv):
@@ -47,6 +50,39 @@ def test_spectrum_empty_file(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--input", str(p))
     assert code == 1
     assert "line 1" in err
+
+
+def test_non_utf8_input_fails_closed(tmp_path, capsys):
+    # reading in text mode raised UnicodeDecodeError, a ValueError that main let through as a traceback
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"\xff3 1\n0 1\n")
+    code, out, err = run(capsys, "maxcut", "--input", str(p), "--output", str(tmp_path / "o.json"))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: byte 0: not UTF-8 text (invalid start byte)"]
+
+
+def test_reports_match_recursive_dumps(tmp_path, monkeypatch):
+    # every command's report on the benchmark's two graph shapes (bisect is exact
+    # only on small graphs, so it runs on G(20, 1/2)), in both output formats
+    docs = []
+
+    def recording(obj, indent=0):
+        docs.append(obj)
+        return dumps(obj, indent)
+
+    monkeypatch.setattr(cli, "dumps", recording)
+    runs = [("chowla", "1,2,5"), ("bisect", write_graph(tmp_path, "small.txt", ec.gnp(20, 0.5, 1)))]
+    for name, g in (("dense.txt", ec.gnp(500, 0.5, 1)), ("planted.txt", planted_noisy_union(40, 25, 1))):
+        path = write_graph(tmp_path, name, g)
+        runs += [(command, path) for command in ("spectrum", "clique", "decompose", "maxcut")]
+    for command, arg in runs:
+        for fmt in ("json", "text"):
+            argv = [command, arg] if command == "chowla" else [command, "--input", arg]
+            assert main([*argv, "--format", fmt, "--output", str(tmp_path / "out")]) in (0, 2)
+    assert len(docs) > 2 * len(runs)
+    for doc in docs:
+        for indent in (0, 2):
+            assert dumps(doc, indent) == recursive_dumps(doc, indent)
 
 
 def test_reports_byte_identical(tmp_path):

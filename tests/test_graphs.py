@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import eigencliques as ec
 from eigencliques import cuts, graphs, structure
 from eigencliques.errors import InputError, ToolkitError
 from eigencliques.graphs import format_edge_list, parse_edge_list
-from oracles import loop_edge_adjacency
+from oracles import loop_edge_adjacency, percent_format_edge_list, regex_parse_canonical
 
 
 def test_from_edge_list_triangle():
@@ -281,6 +282,15 @@ LAYOUTS = [
     ("3 1\n0 1\n\x0c", False),
     ("3 1\n0\n1\n", False),
     ("3 2\n0 1\n1 2", False),
+    ("3 1\n0 1\n5", False),  # a token after the last line end
+    ("3 1\n0 1\n-", False),
+    ("3 1\n 1\n", False),  # an empty token
+    ("3 1\n0 \n", False),
+    ("3 1\n0 -\n", False),
+    ("3 1\n0 1-\n", False),
+    ("3 1\n0-1 2\n", False),
+    ("3 1\n0 --1\n", False),
+    ("3 1\n0 -1-\n", False),
 ] + [(text, text in ("3 1\n0 3\n", "3 1\n-1 0\n", "3 1\n1 1\n", "3 1\n5 5\n")) for text, _ in ERROR_TEXTS]
 
 
@@ -312,21 +322,64 @@ def _perturbations(text: str, seed: int) -> list[str]:
     return [changed, swapped, deleted, added]
 
 
+def _same_canonical_parse(text) -> bool:
+    """Whether text is canonical, after checking the array pass against the regex reference."""
+    parsed, reference = graphs._parse_canonical(text), regex_parse_canonical(text)
+    assert (parsed is None) == (reference is None), repr(text)
+    if parsed is not None:
+        assert parsed[0] == reference[0] and np.array_equal(parsed[1], reference[1]), repr(text)
+    return parsed is not None
+
+
 @pytest.mark.parametrize("text,canonical", LAYOUTS)
 def test_edge_list_layouts_match_line_loop(text, canonical):
-    assert (graphs._parse_canonical(text) is not None) == canonical
+    assert _same_canonical_parse(text) == canonical
     assert _outcome(parse_edge_list, text) == _outcome(_loop_reference, text)
 
 
-def test_edge_list_perturbations_match_line_loop():
-    texts = [
-        text for seed in range(40) for text in _perturbations(format_edge_list(ec.gnp(10, 0.4, seed % 4)), seed)
-    ]
+# Tokens written over a header or an edge token: -0, leading zeros, and 18 and
+# 19 digits with and without a sign
+TOKENS = ["-0", "00", "007", "-007", "9" * 18, "-" + "9" * 18, "0" * 17 + "1", "1" * 19, "-" + "1" * 19, "0" * 19]
+TOKENS += ["--1", "-"]
+
+
+def _token_variants(text: str, seed: int) -> list[str]:
+    """The text with one header token, then one edge token, replaced by a TOKENS entry."""
+    rng = random.Random(seed)
+    lines = text.splitlines(keepends=True)
+    out = []
+    for k in (0, rng.randrange(1, len(lines))) if len(lines) > 1 else (0,):
+        tokens = lines[k].split(" ")
+        side = rng.randrange(2)
+        tokens[side] = rng.choice(TOKENS) + ("\n" if side else "")
+        out.append("".join(lines[:k] + [" ".join(tokens)] + lines[k + 1 :]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_texts() -> list[str]:
+    graph_texts = [(format_edge_list(ec.gnp(10, 0.4, seed % 4)), seed) for seed in range(40)]
+    # multi-digit labels: up to 3 digits, then 4
+    graph_texts += [(format_edge_list(ec.gnp(120, 0.05, seed)), seed) for seed in range(10)]
+    graph_texts += [(format_edge_list(ec.gnp(1100, 0.002, seed)), seed) for seed in range(5)]
+    return [t for text, seed in graph_texts for t in _perturbations(text, seed) + _token_variants(text, seed)]
+
+
+def test_edge_list_perturbations_match_line_loop(fuzz_texts):
     canonical = 0
-    for text in texts:
-        canonical += graphs._parse_canonical(text) is not None
+    for text in fuzz_texts:
+        canonical += _same_canonical_parse(text)
         assert _outcome(parse_edge_list, text) == _outcome(_loop_reference, text), repr(text)
-    assert 0 < canonical < len(texts)  # both paths are exercised
+    assert 0 < canonical < len(fuzz_texts)  # both paths are exercised
+
+
+# 40 characters is the longest canonical line, so the smallest chunk that holds
+# one; 97 cuts the texts at varying places within a line
+@pytest.mark.parametrize("chunk", [40, 97])
+def test_edge_list_chunks_match_regex_reference(monkeypatch, fuzz_texts, chunk):
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    assert sum(map(_same_canonical_parse, fuzz_texts)) > 0
+    assert graphs._parse_canonical("3 1\n0 1" + " " * 40 + "\n") is None  # no line end within a chunk
 
 
 def test_formatted_edge_lists_skip_the_line_loop(monkeypatch):
@@ -347,6 +400,50 @@ def test_format_edge_list_empty_graphs():
     assert format_edge_list(ec.path(3)) == "3 2\n0 1\n1 2\n"
 
 
+def _band_graph(n: int, distances) -> SimpleNamespace:
+    """u ~ v iff |u - v| is in distances, as the n, m and adjacency that
+    format_edge_list reads. The adjacency is a read-only Toeplitz view of one
+    2n - 1 byte buffer: a Graph holds n^2 bytes and its checks take 3 n^2
+    more (0.8 GB at n = 16384)."""
+    buf = np.zeros(2 * n - 1, dtype=np.uint8)
+    d = np.asarray(distances, dtype=np.intp)
+    buf[n - 1 + d] = 1
+    buf[n - 1 - d] = 1
+    adj = np.lib.stride_tricks.as_strided(buf[n - 1 :], shape=(n, n), strides=(-1, 1), writeable=False)
+    return SimpleNamespace(n=n, m=int((n - d).sum()), adjacency=adj)
+
+
+# every digit-width boundary of a label, up to the vertex ceiling
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 16384])
+def test_format_edge_list_matches_percent_format(n):
+    if n < 9999:
+        graph_list = [ec.Graph(np.zeros((n, n), dtype=np.uint8))]
+        if n:
+            graph_list += [ec.path(n), ec.gnp(n, min(0.5, 20 / n), n)]
+        if 0 < n <= 101:
+            graph_list.append(ec.complete(n))
+    else:
+        far = np.random.default_rng(n).choice(np.arange(2, n), size=3, replace=False)
+        graph_list = [_band_graph(n, []), _band_graph(n, [1]), _band_graph(n, [1, *far, n - 1])]
+    for g in graph_list:
+        assert format_edge_list(g) == percent_format_edge_list(g)
+
+
+def test_format_edge_list_memory():
+    # G(2000, 1/2), 1,000,080 edges: the %-format's tuple of 2m ints peaked at
+    # 98.4 MiB; the array pass holds (u, n + v) index pairs, 16 bytes of padded
+    # text per edge, its mask and the 8.9 MB of text (39 MiB)
+    g = ec.gnp(2000, 0.5, 0)
+    tracemalloc.start()
+    try:
+        text = format_edge_list(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 8891126
+    assert peak < 48 * 2**20
+
+
 def test_canonical_read_memory():
     # G(500, 1/2) as the dense_random benchmark writes it: 62k edges, ~0.5 MB of text.
     # The line loop peaked at about 9 MiB (a tuple and two ints per edge).
@@ -360,6 +457,51 @@ def test_canonical_read_memory():
         tracemalloc.stop()
     assert again == g and g.m > 60000
     assert peak < 4 * 2**20
+
+
+def test_canonical_read_memory_at_n2000():
+    # G(2000, 1/2), 8.9 MB of text: the (m, 2) int64 pairs and the adjacency's
+    # copies make the 24.9 MiB that the regex check peaked at; the byte checks
+    # run in chunks, so their temporaries add nothing to that
+    g = ec.gnp(2000, 0.5, 0)
+    text = format_edge_list(g)
+    tracemalloc.start()
+    try:
+        again = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == g
+    assert peak < 27 * 2**20
+
+
+def test_read_edge_list_refuses_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"3 1\n0 1\n# caf\xe9\n")
+    with pytest.raises(InputError) as err:
+        ec.read_edge_list(str(p))
+    assert str(err.value) == "byte 13: not UTF-8 text (invalid continuation byte)"
+
+
+@pytest.mark.parametrize(
+    "raw,canonical",
+    [
+        (b"3 1\r\n0 1\r\n", True),
+        (b"3 1\r0 1\r", True),
+        (b"3 2\r\n0 1\r1 2\n", True),
+        (b"3 1\r\n\r\n0 1", False),
+        (b"3 1\r\n0 x\r\n", False),
+    ],
+)
+def test_read_edge_list_reads_newlines_as_text_mode(tmp_path, monkeypatch, raw, canonical):
+    p = tmp_path / "g.txt"
+    p.write_bytes(raw)
+    with open(p, encoding="utf-8") as fh:  # universal newlines: "\r\n" and "\r" read as "\n"
+        text = fh.read()
+    expected = _outcome(parse_edge_list, text)
+    if canonical:  # as text mode gave it, the text is read in the numpy pass
+        monkeypatch.setattr(graphs, "_parse_lines", None)
+    assert _outcome(lambda _: ec.read_edge_list(str(p)), None) == expected
 
 
 def test_petersen_shape():
