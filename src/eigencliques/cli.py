@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from . import __version__, chowla, cuts, densify, spectral, structure
@@ -191,7 +191,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main may run many times in one."""
     parser = argparse.ArgumentParser(prog="eigencliques", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -205,7 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--params", default=None, help="comma-separated k=v overrides")
         p.add_argument("--format", choices=["json", "text"], default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         _check_tol(args.tol)

@@ -1,10 +1,11 @@
 """MaxCut, surplus, spectral surplus certificates, bisection width, discrepancy.
 
-Exact routines enumerate every vertex subset by meet in the middle, in blocks
-of 2^14 masks (a tracemalloc peak of at most 0.57 MiB at n = 20 and 0.76 MiB
-at n = 24), and are gated by size limits; the surplus lower bounds come from
-closed-form spectral certificates rather than solving the semidefinite
-relaxation itself.
+The exact routines (MaxCut, bisection width, discrepancy) enumerate every
+vertex subset by meet in the middle, in blocks of 2^14 masks (a tracemalloc
+peak of at most 0.82 MiB at n = 24), and all stop at one size limit,
+EXHAUSTIVE_CUT_LIMIT; only MaxCut has a heuristic above it, a 1-flip local
+search. The surplus lower bounds come from closed-form spectral certificates
+rather than solving the semidefinite relaxation itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "SurplusBounds",
     "DiscrepancyReport",
     "EXHAUSTIVE_CUT_LIMIT",
-    "EXHAUSTIVE_SUBSET_LIMIT",
     "maxcut_exact",
     "maxcut_local_search",
     "surplus_lb_spectral",
@@ -37,13 +37,10 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CUT_LIMIT = 24
-EXHAUSTIVE_SUBSET_LIMIT = 20
 # Constant of the quadratic surplus bound c / sqrt(Delta*+1) * sum lambda^2.
 _SURPLUS_C = 1.0 / 60.0
 # Slack allowed when unbalanced_cut checks its biased-cut guarantee.
 _UNBALANCED_TOL = 1e-12
-# Seed of the heuristic discrepancy's disc+ start; disc- starts from the next one.
-_DISCREPANCY_SEED = 0
 # Low mask bits the exact routines enumerate per block (see _optima): one
 # block covers up to 14 walked vertices. A block of 2^14 int32s is 64 KiB;
 # blocks of 2^16 masks took up to 2.6 times as long for n = 17 to 20.
@@ -166,40 +163,31 @@ def maxcut_exact(g: Graph) -> CutReport:
     return CutReport(partition, best_cut, _surplus(g, best_cut), "exact")
 
 
-def _hill_climb(adj: np.ndarray, x: np.ndarray, alpha: int, beta: int, c) -> np.ndarray:
-    """1-flip ascent of f(x) = alpha e(X) + beta C(|X|, 2) + c.x over 0/1 vectors, X = {v : x_v = 1}.
-
-    h_v = alpha |N(v) & X| + beta |X - {v}| + c_v, so flipping v gains
-    h_v (1 - 2 x_v). Vertices are visited in order 0..n-1 and flipped on a
-    strictly positive gain until a full pass flips none; a flip moves h by
-    +-(alpha adj[v] + beta), except at v itself. Extra memory is O(n).
-    """
-    x = x.astype(np.int8)
-    alpha, beta = np.int64(alpha), np.int64(beta)
-    h = alpha * adj.sum(axis=0, dtype=np.int64, where=(x == 1)[:, None]) + beta * (x.sum(dtype=np.int64) - x) + c
-    improved = True
-    while improved:
-        improved = False
-        for v in range(len(x)):
-            sign = 1 - 2 * int(x[v])
-            if sign * int(h[v]) > 0:
-                x[v] ^= 1
-                h += sign * (alpha * adj[v] + beta)
-                h[v] -= sign * beta
-                improved = True
-    return x
-
-
 def maxcut_local_search(g: Graph, seed: int = 0) -> CutReport:
-    """1-flip local optimum: every vertex has at least half its edges crossing."""
+    """1-flip local optimum: every vertex has at least half its edges crossing.
+
+    From a seeded random assignment x, vertices are visited in order 0..n-1
+    and moved on a strictly positive gain until a full pass moves none.
+    With X = {v : x_v = 1} and h_v = deg(v) - 2 |N(v) & X|, moving v gains
+    s h_v for s = 1 - 2 x_v, and subtracts 2 s adj[v] from h. Extra memory is O(n).
+    """
     n = g.n
     if n == 0:
         return CutReport((), 0, Fraction(0), "local-search")
-    u = pair_uniforms(seed, np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64))
-    # f = sum of degrees over X - 2 e(X) = e(X, V - X), the cut
-    sides = _hill_climb(g.adjacency, u < 0.5, -2, 0, g.degrees)
-    cut = cut_size(g, sides)
-    return CutReport(tuple(int(x) for x in sides), cut, _surplus(g, cut), "local-search")
+    adj = g.adjacency
+    x = (pair_uniforms(seed, np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)) < 0.5).astype(np.int8)
+    h = g.degrees - 2 * adj.sum(axis=0, dtype=np.int64, where=(x == 1)[:, None])
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            sign = 1 - 2 * int(x[v])
+            if sign * int(h[v]) > 0:
+                x[v] ^= 1
+                h -= np.int64(2 * sign) * adj[v]
+                improved = True
+    cut = cut_size(g, x)
+    return CutReport(tuple(int(s) for s in x), cut, _surplus(g, cut), "local-search")
 
 
 @dataclass
@@ -335,10 +323,9 @@ class DiscrepancyReport:
     disc_plus: Fraction | None = None
     disc_minus: Fraction | None = None
     witnesses: dict = field(default_factory=dict)
-    method: str = "exact"
 
     def to_json_dict(self) -> dict:
-        out: dict = {"method": self.method}
+        out: dict = {"method": "exact"}
         if self.bw is not None:
             out["bw"] = self.bw
             out["dfc"] = float(self.dfc)
@@ -378,42 +365,24 @@ def bisection_exact(g: Graph) -> DiscrepancyReport:
 
 
 def discrepancy(g: Graph) -> DiscrepancyReport:
-    """disc+ and disc- with witness subsets.
+    """disc+ and disc- with witness subsets, exact over every vertex subset.
 
-    Exact over every vertex subset when n <= EXHAUSTIVE_SUBSET_LIMIT,
-    1-flip local search otherwise.
+    There is no heuristic path: above EXHAUSTIVE_CUT_LIMIT vertices it raises
+    SizeError before allocating.
     """
     n = g.n
+    if n > EXHAUSTIVE_CUT_LIMIT:
+        raise SizeError(f"n={n} exceeds the exhaustive discrepancy limit {EXHAUSTIVE_CUT_LIMIT}")
     if n <= 1 or g.m == 0:
         return DiscrepancyReport(disc_plus=Fraction(0), disc_minus=Fraction(0), witnesses={"disc_plus": [], "disc_minus": []})
+    # disc+ scaled by C(n,2): C(n,2) e(U) - m C(|U|,2), each term at most
+    # 276^2 at n = 24, so int32 holds it; keep the first argmax and argmin
+    # (the empty set, mask 0, scores 0)
     denom = n * (n - 1) // 2
-    if n <= EXHAUSTIVE_SUBSET_LIMIT:
-        # disc+ scaled by C(n,2): C(n,2) e(U) - m C(|U|,2), each term at most
-        # 190^2 for n <= 20; keep the first argmax and argmin (the empty set,
-        # mask 0, scores 0)
-        (plus, plus_mask), (minus, minus_mask) = _optima(g.adjacency, denom, -g.m, [0] * n, (-1, 1))
-        wit_p = [v for v in range(n) if (plus_mask >> v) & 1]
-        wit_m = [v for v in range(n) if (minus_mask >> v) & 1]
-        return DiscrepancyReport(
-            disc_plus=Fraction(plus, denom),
-            disc_minus=Fraction(-minus, denom),
-            witnesses={"disc_plus": wit_p, "disc_minus": wit_m},
-        )
-    # heuristic: 1-flip search from seeded starts on the exact path's scaled
-    # score sign * (C(n,2) e(U) - m C(|U|,2)), for both signs
-    results = {}
-    for sign, key in ((1, "disc_plus"), (-1, "disc_minus")):
-        seed = _DISCREPANCY_SEED + (0 if sign == 1 else 1)
-        u = pair_uniforms(seed, np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64))
-        idx = np.flatnonzero(_hill_climb(g.adjacency, u < 0.5, sign * denom, -sign * g.m, 0))
-        k = len(idx)
-        score = sign * (denom * (int(degrees_into(g.adjacency, idx, idx).sum()) // 2) - g.m * (k * (k - 1) // 2))
-        if score < 0:
-            score, idx = 0, []  # empty set witnesses 0
-        results[key] = (Fraction(score, denom), [int(v) for v in idx])
+    (plus, plus_mask), (minus, minus_mask) = _optima(g.adjacency, denom, -g.m, [0] * n, (-1, 1))
     return DiscrepancyReport(
-        disc_plus=results["disc_plus"][0],
-        disc_minus=results["disc_minus"][0],
-        witnesses={"disc_plus": results["disc_plus"][1], "disc_minus": results["disc_minus"][1]},
-        method="local-search",
+        disc_plus=Fraction(plus, denom),
+        disc_minus=Fraction(-minus, denom),
+        witnesses={"disc_plus": [v for v in range(n) if (plus_mask >> v) & 1],
+                   "disc_minus": [v for v in range(n) if (minus_mask >> v) & 1]},
     )

@@ -94,9 +94,6 @@ class Graph:
             return 0.0
         return self.m / (self.n * (self.n - 1) / 2)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[v])
-
     def edges(self) -> list[tuple[int, int]]:
         iu, ju = np.nonzero(np.triu(self.adjacency, 1))
         return list(zip(iu.tolist(), ju.tolist()))

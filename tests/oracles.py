@@ -145,11 +145,13 @@ def table_bisection(adj: np.ndarray) -> tuple[int, list[int]]:
 
 def table_discrepancy(adj: np.ndarray) -> tuple[Fraction, Fraction, list[int], list[int]]:
     """disc+, disc- and their witnesses from the table, vertex v as bit v: the
-    first argmax and first argmin of C(n,2) e[U] - m C(|U|,2)."""
+    first argmax and first argmin of C(n,2) e[U] - m C(|U|,2). Both terms are
+    at most 276^2 for n <= 24, so the table is int32: 64 MiB at n = 24."""
     n = adj.shape[0]
     m, denom = int(adj.sum()) // 2, n * (n - 1) // 2
-    size = _bits_popcount(n).astype(np.int64)
-    score = subset_edge_counts(adj).astype(np.int64) * denom - m * (size * (size - 1) // 2)
+    score = subset_edge_counts(adj).astype(np.int32)
+    score *= denom
+    score -= np.array([m * (k * (k - 1) // 2) for k in range(n + 1)], dtype=np.int32)[_bits_popcount(n)]
     plus, minus = int(np.argmax(score)), int(np.argmin(score))
     wit_p, wit_m = ([v for v in range(n) if (mask >> v) & 1] for mask in (plus, minus))
     return Fraction(int(score[plus]), denom), Fraction(-int(score[minus]), denom), wit_p, wit_m

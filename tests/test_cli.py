@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -422,6 +423,34 @@ def test_maxcut_path_follows_exhaustive_limit(tmp_path, capsys, n, method):
     assert code == 0
     doc = json.loads(out)
     assert doc["method"] == method
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    # main runs many times in one process (the benchmark calls it per job):
+    # argparse and its subparsers are constructed on the first call only, and
+    # the cached parser keeps --version, prog and the exit 2 on a bad flag
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        path = write_graph(tmp_path, "g.txt", ec.cycle(6))
+        for argv in (("maxcut", "--input", path), ("bisect", "--input", path), ("chowla", "1,2"), ("spectrum", "--input", path)):
+            assert run(capsys, *argv)[0] == 0
+        assert built[0] == "eigencliques" and len(built) == 1 + len(cli._COMMANDS)
+        for argv, code, stream in ((("--version",), 0, "out"), (("maxcut", "--format", "xml"), 2, "err")):
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+            assert info.value.code == code
+            out = capsys.readouterr()
+            assert (ec.__version__ + "\n" if code == 0 else "usage: eigencliques maxcut") in getattr(out, stream)
+        assert len(built) == 1 + len(cli._COMMANDS)
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_text_format(tmp_path, capsys):

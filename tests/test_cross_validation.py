@@ -72,7 +72,7 @@ def _check_against_tables(graphs) -> None:
         assert (rep.cut_size, rep.partition) == table_maxcut(g.adjacency), g.n
         rep = cuts.bisection_exact(g)
         assert (rep.bw, rep.witnesses["bisection"]) == table_bisection(g.adjacency), g.n
-        if 2 <= g.n <= cuts.EXHAUSTIVE_SUBSET_LIMIT:
+        if g.n >= 2:
             rep = cuts.discrepancy(g)
             got = (rep.disc_plus, rep.disc_minus, rep.witnesses["disc_plus"], rep.witnesses["disc_minus"])
             assert got == table_discrepancy(g.adjacency), g.n
@@ -80,9 +80,9 @@ def _check_against_tables(graphs) -> None:
 
 def test_exact_cuts_match_table_scans():
     # the meet-in-the-middle walk at its default split against one 2^n table
-    # per graph. The walk covers n vertices (n - 1 for maxcut and for even-n
-    # bisection, which fix vertex 0): one block up to 14 of them, then
-    # 2^(walked - 14) blocks
+    # per graph, for all three exact routines through their one limit. The
+    # walk covers n vertices (n - 1 for maxcut and for even-n bisection, which
+    # fix vertex 0): one block up to 14 of them, then 2^(walked - 14) blocks
     _check_against_tables(g for n in range(1, cuts.EXHAUSTIVE_CUT_LIMIT + 1) for g in _table_graphs(n))
 
 

@@ -8,6 +8,7 @@ import pytest
 import eigencliques as ec
 from eigencliques import cuts
 from eigencliques.errors import InputError, SizeError
+from eigencliques.graphs import pair_uniforms
 from oracles import (
     brute_bisection,
     brute_discrepancy,
@@ -15,6 +16,7 @@ from oracles import (
     brute_surplus,
     edwards_floor,
     local_optimum_cuts,
+    table_discrepancy,
 )
 
 
@@ -96,10 +98,9 @@ def test_local_search_visiting_order_pinned():
 
 def test_hill_climb_needs_no_square_array():
     g = ec.gnp(600, 0.5, 4)
-    x = np.arange(g.n) % 2
     tracemalloc.start()
     try:
-        cuts._hill_climb(g.adjacency, x, g.n * (g.n - 1) // 2, -g.m, 0)
+        cuts.maxcut_local_search(g, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,10 +243,10 @@ def test_bisection_size_error():
 
 def test_exhaustive_limit_refuses_before_allocating():
     # n = 25 is refused before any enumeration array is allocated: the cap is
-    # one block of the walk (2^14 int32s), which peaks at 0.76 MiB at n = 24.
+    # one block of the walk (2^14 int32s), which peaks at 0.82 MiB at n = 24.
     # Only MaxCut has a local search to point to
     g = ec.gnp(cuts.EXHAUSTIVE_CUT_LIMIT + 1, 0.3, 1)
-    for routine in (cuts.maxcut_exact, cuts.bisection_exact):
+    for routine in (cuts.maxcut_exact, cuts.bisection_exact, cuts.discrepancy):
         tracemalloc.start()
         try:
             with pytest.raises(SizeError, match="exceeds") as info:
@@ -311,32 +312,38 @@ def test_exact_cuts_ties_across_blocks(n, kind):
             20, "gnp", Fraction(23, 2), 12,
             ([0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 17, 18, 19], [0, 1, 2, 3, 4, 5, 6, 10, 12, 13, 15, 16, 17]),
         ),
+        # checked once against oracles.table_discrepancy
+        (
+            23, "gnp", Fraction(376, 23), Fraction(3678, 253),
+            ([0, 1, 2, 5, 9, 14, 15, 16, 18, 20, 21, 22], [0, 1, 2, 3, 4, 5, 7, 10, 11, 12, 13, 14, 17, 18, 19]),
+        ),
+        (24, "complete", 0, 0, ([], [])),
+        (
+            24, "gnp", Fraction(1645, 92), Fraction(5015, 276),
+            ([2, 3, 5, 7, 8, 10, 11, 13, 15, 17, 18, 19, 20, 22, 23], [0, 1, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15, 19, 21]),
+        ),
     ],
 )
 def test_discrepancy_ties_across_blocks(n, kind, disc_plus, disc_minus, witnesses):
     # the complete graph scores 0 on every subset, so both witnesses are the first: the empty set
     rep = cuts.discrepancy(_graph(n, kind))
-    assert rep.method == "exact"
+    assert rep.to_json_dict()["method"] == "exact"
     assert (rep.disc_plus, rep.disc_minus) == (disc_plus, disc_minus)
     assert (rep.witnesses["disc_plus"], rep.witnesses["disc_minus"]) == witnesses
 
 
 def test_exact_cuts_peak_memory():
     # the meet-in-the-middle walk holds a few blocks of 2^14 int32s and one
-    # row per top vertex, at the largest exact n (measured 0.69, 0.76 and 0.57 MiB)
-    g24, g20 = ec.gnp(24, 0.5, 24), ec.gnp(20, 0.5, 20)
-    for routine, g, cap in (
-        (cuts.maxcut_exact, g24, 1 << 20),
-        (cuts.bisection_exact, g24, 1 << 20),
-        (cuts.discrepancy, g20, 1 << 20),
-    ):
+    # row per top vertex, at the largest exact n (measured 0.69, 0.76 and 0.82 MiB)
+    g = ec.gnp(cuts.EXHAUSTIVE_CUT_LIMIT, 0.5, 24)
+    for routine in (cuts.maxcut_exact, cuts.bisection_exact, cuts.discrepancy):
         tracemalloc.start()
         try:
             routine(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cap, (routine.__name__, peak)
+        assert peak < 1 << 20, (routine.__name__, peak)
 
 
 def test_discrepancy_c4():
@@ -372,29 +379,36 @@ def test_discrepancy_witnesses_reproduce_values():
 
 
 def test_discrepancy_exact_at_exhaustive_limit():
-    # the exact branch at n = EXHAUSTIVE_SUBSET_LIMIT = 20 (int32 scores over
-    # 2^20 subsets); values and witnesses recorded from the implementation
-    # that still took a cutoff, at its default
-    rep = cuts.discrepancy(ec.gnp(cuts.EXHAUSTIVE_SUBSET_LIMIT, 0.5, 1))
-    assert rep.method == "exact"
-    assert rep.disc_plus == Fraction(1279, 95)
-    assert rep.disc_minus == Fraction(1227, 95)
-    assert rep.witnesses == {
-        "disc_plus": [2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 18],
-        "disc_minus": [1, 4, 5, 9, 10, 11, 12, 15, 16, 17, 18, 19],
-    }
+    # int32 scores over all 2^n subsets at n = 20 (values recorded from the
+    # implementation that still took a cutoff, at its default) and at
+    # n = EXHAUSTIVE_CUT_LIMIT = 24 (checked once against oracles.table_discrepancy)
+    for n, disc_plus, disc_minus, witnesses in (
+        (20, Fraction(1279, 95), Fraction(1227, 95), (
+            [2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 18],
+            [1, 4, 5, 9, 10, 11, 12, 15, 16, 17, 18, 19],
+        )),
+        (cuts.EXHAUSTIVE_CUT_LIMIT, Fraction(1715, 92), Fraction(1781, 92), (
+            [2, 3, 5, 6, 7, 8, 9, 11, 13, 14, 15, 18, 21, 22, 23],
+            [1, 4, 5, 6, 9, 10, 11, 12, 15, 16, 17, 18, 19, 20, 21],
+        )),
+    ):
+        rep = cuts.discrepancy(ec.gnp(n, 0.5, 1))
+        assert (rep.disc_plus, rep.disc_minus) == (disc_plus, disc_minus), n
+        assert (rep.witnesses["disc_plus"], rep.witnesses["disc_minus"]) == witnesses, n
 
 
-def test_discrepancy_heuristic_mode():
-    g = ec.gnp(25, 0.5, 2)
+def test_discrepancy_exact_where_local_search_fell_short():
+    # the n = 22 bisect graph of the benchmark's dense_random workload at seed
+    # 7919: its third small graph, the half of all pairs with the smallest
+    # keys at hash seed 7919 * 3 + 2. The 1-flip search that served n = 21 to
+    # 24 reported disc+ 15.294... and disc- 13.857... on it
+    n = 22
+    iu, ju = np.triu_indices(n, 1)
+    keep = np.argsort(pair_uniforms(7919 * 3 + 2, iu, ju), kind="stable")[: n * (n - 1) // 4]
+    g = ec.from_edge_list(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
     rep = cuts.discrepancy(g)
-    assert rep.method == "local-search"
-    assert rep.disc_plus == Fraction(484, 25)
-    assert rep.disc_minus == Fraction(811, 50)
-    assert rep.witnesses == {
-        "disc_plus": [0, 1, 5, 7, 8, 11, 12, 13, 15, 16, 17, 18, 20, 21, 22, 23, 24],
-        "disc_minus": [1, 3, 6, 7, 8, 9, 10, 12, 13, 19, 20, 23, 24],
-    }
+    assert (float(rep.disc_plus), float(rep.disc_minus)) == (16.727272727272727, 16.857142857142858)
+    assert (rep.disc_plus, rep.disc_minus, rep.witnesses["disc_plus"], rep.witnesses["disc_minus"]) == table_discrepancy(g.adjacency)
 
 
 def test_dfc_nonnegative_small():
