@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .graphs import Graph, _index_set, _vertex_index, block_edge_counts, degrees_into, triangles_per_vertex
+from .graphs import Graph, _index_set, _vertex_index, degrees_into, triangles_per_vertex
 from .spectral import lambda_min
 
 __all__ = [
@@ -497,10 +497,11 @@ def peel_cliques(
     Cliques are extracted from the ascending residual vertex set until one
     falls under the size floor sqrt(n), n = len(vertices). The cliques and the
     leftover vertices (as 1-cliques) become nodes of an auxiliary graph
-    joining pairs with crossing density >= 1 - n^(-1/6) (1/2 for n <= 1), all
-    read off one k x k block edge-count matrix; its connected components are
-    the blocks. Returns (cliques in peel order, sorted blocks, sorted leftover
-    vertices).
+    joining pairs with crossing density >= 1 - n^(-1/6) (1/2 for n <= 1); its
+    connected components are the blocks. For n > 1 that threshold lies in
+    (0, 1), so two leftover vertices are joined exactly when adjacent; only
+    the peeled cliques' rows are counted and divided by the size products.
+    Returns (cliques in peel order, sorted blocks, sorted leftover vertices).
 
     The extractor picks each peeled clique. "pipeline" runs _clique_search,
     the four-phase search of clique_pipeline without its spectral
@@ -525,9 +526,19 @@ def peel_cliques(
         residual = np.delete(residual, np.searchsorted(residual, clique))
     nodes: list[tuple[int, ...]] = list(cliques) + [(int(v),) for v in residual]
     sizes = np.asarray([len(node) for node in nodes], dtype=np.int64)
-    near = block_edge_counts(g.adjacency, nodes) / np.outer(sizes, sizes) >= 1.0 - merge_threshold
+    c, k = len(cliques), len(nodes)
+    # two leftover vertices: count / 1 >= 1 - t with 0 < t < 1 (n > 1) is adjacency
+    near = np.zeros((k, k), dtype=bool)
+    near[c:, c:] = g.adjacency[np.ix_(residual, residual)]
+    if c:
+        # the cliques' rows: edge counts to every node, then the same density test, mirrored
+        peeled = np.concatenate(cliques)
+        starts = np.cumsum(sizes) - sizes
+        rows = np.add.reduceat(g.adjacency[peeled], starts[:c], axis=0, dtype=np.int32)
+        counts = np.add.reduceat(rows[:, np.concatenate([peeled, residual])], starts, axis=1, dtype=np.int32)
+        block = counts / np.outer(sizes[:c], sizes) >= 1.0 - merge_threshold
+        near[:c], near[:, :c] = block, block.T
     # components by frontier expansion: each node enters exactly one frontier
-    k = len(nodes)
     label = np.full(k, -1)
     for start in range(k):
         if label[start] >= 0:

@@ -29,7 +29,6 @@ __all__ = [
     "petersen",
     "complement",
     "induced_subgraph",
-    "block_edge_counts",
     "degrees_into",
     "triangles_per_vertex",
     "neighbor_masks",
@@ -333,29 +332,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 # -- block algebra ------------------------------------------------------------
-
-
-def block_edge_counts(adj: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Edge counts between vertex groups, exact in integers.
-
-    Entry (i, j) is the number of ordered adjacent pairs (u, v) with u in
-    groups[i] and v in groups[j]: e(X, Y) for disjoint groups, 2 e(G[X]) on
-    the diagonal, 0 for an empty group. The grouped rows are summed group by
-    group, then those sums' grouped columns, both in int32: no entry exceeds
-    n^2 <= MAX_VERTICES^2 = 2^28. Groups may overlap and come in any order;
-    a vertex that is not an integer in [0, n) is an InputError.
-    """
-    sizes = np.asarray([len(grp) for grp in groups], dtype=np.intp)
-    idx = np.asarray([v for grp in groups for v in grp])
-    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(adj)):
-        raise InputError("group vertices must be integers in [0, n)")
-    idx = idx.astype(np.intp, copy=False)
-    counts = np.zeros((len(sizes), len(sizes)), dtype=np.int64)
-    full = np.flatnonzero(sizes)  # reduceat cannot reduce an empty group
-    starts = (np.cumsum(sizes) - sizes)[full]
-    rows = np.add.reduceat(adj[idx], starts, axis=0, dtype=np.int32)[:, idx]
-    counts[full[:, None], full] = np.add.reduceat(rows, starts, axis=1, dtype=np.int32)
-    return counts
 
 
 def degrees_into(adj: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:

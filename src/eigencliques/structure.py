@@ -13,7 +13,7 @@ import numpy as np
 
 from .densify import peel_cliques
 from .errors import InputError, NumericalError
-from .graphs import Graph, _vertex_index, block_edge_counts, degrees_into, triangles_per_vertex
+from .graphs import Graph, _vertex_index, degrees_into, triangles_per_vertex
 from .spectral import lambda_min, spectrum
 
 __all__ = [
@@ -106,9 +106,11 @@ def regular_partition(g: Graph, delta: float, tol: float | None = None) -> Regul
     # the whole parts, then every cell's spill, then the exceptional vertices, chopped into
     # floor(n / size) >= K parts of size = floor(n / K); the rest is the remainder
     stream = np.concatenate([by_cell[whole], by_cell[~whole], np.flatnonzero(~inside)])
-    parts = [tuple(stream[i * size : (i + 1) * size].tolist()) for i in range(big_k)]
+    parted = stream[: big_k * size]
+    parts = [tuple(part) for part in parted.reshape(big_k, size).tolist()]
     remainder = tuple(sorted(stream[big_k * size :].tolist()))
-    counts = block_edge_counts(g.adjacency, parts)
+    # every part has size vertices: one gather, summed over each size x size tile
+    counts = g.adjacency[np.ix_(parted, parted)].reshape(big_k, size, big_k, size).sum(axis=(1, 3), dtype=np.int64)
     pairs = []
     irregular = 0
     for i in range(big_k):

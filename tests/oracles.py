@@ -28,7 +28,6 @@ from eigencliques import spectrum
 from eigencliques.chowla import FiniteGroup
 from eigencliques.densify import PhaseTrace
 from eigencliques.errors import InputError
-from eigencliques.graphs import block_edge_counts
 from eigencliques.structure import _SCALED_BETA, _SCALED_H, RegularPartition
 
 
@@ -643,7 +642,7 @@ def loop_regular_partition(g, delta: float, tol: float | None = None) -> Regular
     extra = parts[big_k:]
     parts = parts[:big_k]
     remainder = tuple(sorted(remainder + tuple(v for p in extra for v in p)))
-    counts = block_edge_counts(g.adjacency, parts)
+    counts = brute_block_edge_counts(g.adjacency, parts)
     pairs = []
     irregular = 0
     for i in range(big_k):

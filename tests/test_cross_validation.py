@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 
 import eigencliques as ec
-from eigencliques import chowla, cuts, structure
-from eigencliques.graphs import block_edge_counts, complement, degrees_into, neighbor_masks, triangles_per_vertex
+from eigencliques import chowla, cuts, densify, structure
+from eigencliques.graphs import complement, degrees_into, neighbor_masks, triangles_per_vertex
 from oracles import (
     brute_bisection,
-    brute_block_edge_counts,
     brute_cherries,
     brute_degrees_into,
     brute_discrepancy,
@@ -109,54 +108,42 @@ def test_triangles_per_vertex_sweep():
 
 
 def test_cherry_sweep():
-    # also checks the block-algebra primitives that cherry counting and the
-    # decomposition are built on; groups are random, may overlap or be empty
+    # also checks the triangle and neighbour-mask primitives that cherry
+    # counting and the exact cuts are built on
     rng = np.random.default_rng(104)
-    group_rng = np.random.default_rng(204)
     for _ in range(25):
         g = _random_graph(rng)
         assert structure.cherry_count(g) == brute_cherries(g.adjacency)
         assert triangles_per_vertex(g.adjacency).tolist() == brute_triangles_per_vertex(g.adjacency)
         assert neighbor_masks(g.adjacency) == brute_neighbor_masks(g.n, g.edges())
-        groups = [
-            sorted(group_rng.choice(g.n, size=int(group_rng.integers(0, g.n + 1)), replace=False).tolist())
-            for _ in range(int(group_rng.integers(1, 5)))
-        ]
-        counts = block_edge_counts(g.adjacency, groups)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, brute_block_edge_counts(g.adjacency, groups))
-    # no groups, only empty groups, an empty group first and last, every
-    # vertex its own group, and groups listed out of vertex order, as
-    # regular_partition's parts are
-    g = ec.gnp(30, 0.5, 7)
-    shuffled = np.random.default_rng(304).permutation(g.n).tolist()
-    for groups in (
-        [],
-        [[], []],
-        [[], list(range(10)), [20, 3], []],
-        [[v] for v in range(g.n)],
-        [shuffled[:12], shuffled[12:19], shuffled[19:]],
-        [[29, 5, 17], [4, 0], [28, 27, 26]],
-    ):
-        counts = block_edge_counts(g.adjacency, groups)
-        assert counts.dtype == np.int64 and counts.shape == (len(groups), len(groups))
-        assert np.array_equal(counts, brute_block_edge_counts(g.adjacency, groups)), groups
 
 
-def test_block_edge_counts_singleton_peak():
-    # decompose's merge over n singletons: the int64 counts, the int32 row
-    # sums and their column gather take 2.125 x 8 n^2 bytes; a float64
-    # one-hot product took 4.0
-    g = ec.gnp(2000, 0.5, 0)
-    groups = [[v] for v in range(g.n)]
+def _traced_peak(run):
     tracemalloc.start()
     try:
-        counts = block_edge_counts(g.adjacency, groups)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * 8 * g.n * g.n
-    assert np.array_equal(counts, g.adjacency)
+
+
+# Both run the merge over G(2000, 1/2)'s 2000 leftover vertices, which must
+# hold one bool k x k matrix and no n x n count or density matrix.
+
+
+def test_clique_union_decompose_peak_at_n2000():
+    g = ec.gnp(2000, 0.5, 0)
+    dec, peak = _traced_peak(lambda: structure.clique_union_decompose(g))
+    assert [len(b) for b in dec.blocks] == [2000] and dec.edit_distance == 998920
+    assert peak <= 1.5 * 8 * g.n * g.n, peak / (8 * g.n * g.n)
+
+
+def test_clique_pipeline_peak_at_n2000():
+    # the floor is lambda_min's 2.0 x 8 n^2
+    g = ec.gnp(2000, 0.5, 0)
+    cert, peak = _traced_peak(lambda: densify.clique_pipeline(g))
+    assert cert.verified and cert.size == 14
+    assert peak <= 2.1 * 8 * g.n * g.n, peak / (8 * g.n * g.n)
 
 
 def test_degrees_into_sweep():

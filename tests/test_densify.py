@@ -428,6 +428,11 @@ def test_peel_cliques_merge_matches_union_find_oracle():
         # the decompose_cu302010_flip3 golden's graph: a 21- and an 8-vertex
         # clique merge at crossing density < 1
         flipped_union([30, 20, 10], 101, 0.03),
+        # K12 on 0..11; at 1 - 14^(-1/6) = 0.356, vertex 12 (5 of 12 neighbours)
+        # joins the peeled clique and vertex 13 (4 of 12) stays a leftover
+        ec.from_edge_list(
+            14, [*itertools.combinations(range(12), 2), *((v, 12) for v in range(5)), *((v, 13) for v in range(7, 11))]
+        ),
     ]
     kinds = set()
     for g in graphs:
@@ -442,7 +447,10 @@ def test_peel_cliques_merge_matches_union_find_oracle():
             multi = [set(c) for c in cliques if len(c) > 1]
             if any(sum(c <= set(b) for c in multi) >= 2 for b in blocks):
                 kinds.add("cliques merged")
-    assert kinds == {"one", "singletons", "many", "cliques merged"}
+            peeled = set().union(*multi)
+            if any(not set(b) <= peeled and any(c <= set(b) for c in multi) for b in blocks):
+                kinds.add("leftover joined a clique")
+    assert kinds == {"one", "singletons", "many", "cliques merged", "leftover joined a clique"}
 
 
 def test_index_sets_match_induced_subgraphs():

@@ -78,16 +78,6 @@ def test_is_clique_rejects_non_integer_vertices(vertices):
     assert g.is_clique([0, 1]) and g.is_clique(np.array([1, 0])) and not g.is_clique([0, 1, 2])
 
 
-@pytest.mark.parametrize("groups", [[[-1], [1]], [[0.5], [1]]], ids=["negative", "non-integer"])
-def test_block_edge_counts_rejects_bad_group_vertices(groups):
-    # -1 wrapped round to vertex 2 and 0.5 was truncated to vertex 0
-    adj = ec.path(3).adjacency
-    with pytest.raises(InputError, match="group vertices must be integers"):
-        graphs.block_edge_counts(adj, groups)
-    # groups in any order, overlapping and empty are still read
-    assert graphs.block_edge_counts(adj, [[2, 1], [], [1]]).tolist() == [[2, 0, 1], [0, 0, 0], [1, 0, 0]]
-
-
 @pytest.mark.parametrize(
     "read",
     [
