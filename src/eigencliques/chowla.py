@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InputError, NumericalError, SizeError
 from .graphs import Graph, _check_vertex_count, _distinct_integers
-from .spectral import lambda_min
 
 __all__ = [
     "FiniteGroup",
@@ -407,6 +406,8 @@ def m_gamma(group: FiniteGroup, a_set: SymmetricSet | Iterable[int]) -> float:
     gens = a_set.without_identity()
     if not gens:
         return 0.0
+    from .spectral import lambda_min  # here, so that the chowla command does not load spectral
+
     lam = lambda_min(cayley_graph(group, a_set))
     if a_set.contains_identity:
         lam += 1.0

@@ -12,12 +12,19 @@ import argparse
 import math
 import sys
 from functools import cache, partial
+from importlib import import_module
+from types import ModuleType
 from typing import Callable, NamedTuple
 
-from . import __version__, chowla, cuts, densify, spectral, structure
+from . import __version__
 from .errors import ToolkitError
-from .graphs import Graph, generate, read_edge_list, write_edge_list
+from .graphs import Graph, read_edge_list
 from .serialize import dumps
+
+# Only the chowla command runs chowla, but it is loaded with the CLI:
+# bench/tracing.py looks up every module it wraps in sys.modules, and the
+# planted_union workload runs no chowla job.
+import_module(f"{__package__}.chowla")
 
 
 def _parse_params(command: str, raw: str | None) -> dict:
@@ -67,9 +74,13 @@ def _strict(key: str, value: str) -> bool:
 
 
 def _check_tol(tol: float | None) -> None:
+    if tol is None:
+        return
+    from .spectral import _MAX_TOL
+
     # written so that NaN fails the comparison too
-    if tol is not None and not 0.0 <= tol <= spectral._MAX_TOL:
-        raise ToolkitError(f"--tol must be a finite number in [0, {spectral._MAX_TOL:g}], got {tol!r}")
+    if not 0.0 <= tol <= _MAX_TOL:
+        raise ToolkitError(f"--tol must be a finite number in [0, {_MAX_TOL:g}], got {tol!r}")
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
@@ -101,8 +112,9 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 
 # Each handler turns the input graph (None for chowla and gen) into a report
-# and an exit code; main reads the input and emits the report.
-def _cmd_spectrum(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
+# and an exit code. Its first argument is the module that does the work: main
+# imports it, then reads the input and emits the report.
+def _cmd_spectrum(spectral: ModuleType, g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     s = spectral.spectrum(g, args.tol)
     bounds = spectral.eigen_bound_report(g, s)
     main = spectral.verify_main_inequality(g, s)
@@ -118,7 +130,7 @@ def _cmd_spectrum(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dic
     return report, 0 if bounds.holds() and main.holds() else 2
 
 
-def _cmd_maxcut(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
+def _cmd_maxcut(cuts: ModuleType, g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     if g.n <= cuts.EXHAUSTIVE_CUT_LIMIT:
         rep = cuts.maxcut_exact(g)
     else:
@@ -128,12 +140,12 @@ def _cmd_maxcut(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict,
     return doc, 0
 
 
-def _cmd_clique(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
+def _cmd_clique(densify: ModuleType, g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     cert = densify.clique_pipeline(g, tol=args.tol, **params)
     return cert.to_json_dict(), 0 if cert.verified else 2
 
 
-def _cmd_chowla(g: None, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
+def _cmd_chowla(chowla: ModuleType, g: None, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     try:
         a = [int(x) for x in args.a_list.split(",") if x]
     except ValueError:
@@ -143,7 +155,7 @@ def _cmd_chowla(g: None, args: argparse.Namespace, params: dict) -> tuple[dict, 
     return report.to_json_dict(), 0 if report.holds(tol) else 2
 
 
-def _cmd_decompose(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
+def _cmd_decompose(structure: ModuleType, g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     decomp = structure.clique_union_decompose(g, **params)
     doc = decomp.to_json_dict()
     doc["clique_union_like"] = decomp.clique_union_like
@@ -151,7 +163,7 @@ def _cmd_decompose(g: Graph, args: argparse.Namespace, params: dict) -> tuple[di
     return doc, 0
 
 
-def _cmd_bisect(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
+def _cmd_bisect(cuts: ModuleType, g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict, int]:
     rep = cuts.bisection_exact(g)
     disc = cuts.discrepancy(g)
     doc = rep.to_json_dict()
@@ -159,7 +171,7 @@ def _cmd_bisect(g: Graph, args: argparse.Namespace, params: dict) -> tuple[dict,
     return doc, 0
 
 
-def _cmd_gen(g: None, args: argparse.Namespace, params: dict) -> tuple[None, int]:
+def _cmd_gen(graphs: ModuleType, g: None, args: argparse.Namespace, params: dict) -> tuple[None, int]:
     family = params.pop("family", None)
     if family is None:
         raise ToolkitError("gen requires --params family=...")
@@ -167,26 +179,29 @@ def _cmd_gen(g: None, args: argparse.Namespace, params: dict) -> tuple[None, int
         raise ToolkitError("gen requires --output")
     if family == "Gnp":
         params["seed"] = args.seed
-    write_edge_list(generate(family, **params), args.output)
+    graphs.write_edge_list(graphs.generate(family, **params), args.output)
     return None, 0
 
 
 class _Command(NamedTuple):
     help: str
-    run: Callable[[Graph | None, argparse.Namespace, dict], tuple[dict | None, int]]
+    module: str  # the eigencliques module passed to run, imported when the command runs
+    run: Callable[[ModuleType, Graph | None, argparse.Namespace, dict], tuple[dict | None, int]]
     reads_input: bool
     params: dict  # --params key -> converter(key, raw value)
 
 
 _COMMANDS = {
-    "spectrum": _Command("eigenvalues, eigenvector bounds, and the recursive spectral inequality", _cmd_spectrum, True,
-                         {}),
-    "maxcut": _Command("exact or local-search MaxCut with spectral caps", _cmd_maxcut, True, {}),
-    "clique": _Command("four-phase clique extraction with a verified certificate", _cmd_clique, True, {"mode": _str}),
-    "chowla": _Command("Cayley/cosine certificate for an inline set A", _cmd_chowla, False, {}),
-    "decompose": _Command("clique-union decomposition with exact edit distance", _cmd_decompose, True, {"extractor": _str}),
-    "bisect": _Command("exact bisection width, deficit, and discrepancy", _cmd_bisect, True, {}),
-    "gen": _Command("write a generated family to an edge-list file", _cmd_gen, False,
+    "spectrum": _Command("eigenvalues, eigenvector bounds, and the recursive spectral inequality", "spectral",
+                         _cmd_spectrum, True, {}),
+    "maxcut": _Command("exact or local-search MaxCut with spectral caps", "cuts", _cmd_maxcut, True, {}),
+    "clique": _Command("four-phase clique extraction with a verified certificate", "densify", _cmd_clique, True,
+                       {"mode": _str}),
+    "chowla": _Command("Cayley/cosine certificate for an inline set A", "chowla", _cmd_chowla, False, {}),
+    "decompose": _Command("clique-union decomposition with exact edit distance", "structure", _cmd_decompose, True,
+                          {"extractor": _str}),
+    "bisect": _Command("exact bisection width, deficit, and discrepancy", "cuts", _cmd_bisect, True, {}),
+    "gen": _Command("write a generated family to an edge-list file", "graphs", _cmd_gen, False,
                     {"family": _str, "sizes": _sizes, "n": _int, "p": _float, "r": _int, "k": _int, "strict": _strict}),
 }
 
@@ -219,8 +234,11 @@ def main(argv: list[str] | None = None) -> int:
         if command.reads_input and not args.input:
             raise ToolkitError(f"{args.command} requires --input")
         params = {k: command.params[k](k, v) for k, v in args.params.items()}
+        # imported before the read: compiling a module between the read and the
+        # first eigh was seen to raise the peak RSS
+        module = import_module(f"{__package__}.{command.module}")
         g = read_edge_list(args.input) if command.reads_input else None
-        report, code = command.run(g, args, params)
+        report, code = command.run(module, g, args, params)
         if report is not None:
             _emit(report, args)
         return code

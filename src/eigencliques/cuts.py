@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InputError, SizeError
 from .graphs import Graph, _vertex_index, degrees_into, neighbor_masks, pair_uniforms
-from .spectral import lambda_min, spectrum
 
 __all__ = [
     "CutReport",
@@ -213,6 +212,8 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
     certificate matrices are checked for positive semidefiniteness and the
     diagonal cap; a failure flags the result but the values are still reported.
     """
+    from .spectral import spectrum  # here, so that bisect does not load spectral
+
     s = spectrum(g, tol)
     tol = s.tol
     n = g.n
@@ -259,6 +260,8 @@ def spectral_surplus_caps(g: Graph, tol: float | None = None) -> float:
     """
     if g.n == 0 or g.m == 0:
         return 0.0
+    from .spectral import lambda_min
+
     return abs(lambda_min(g, tol)) * g.n / 4.0
 
 

@@ -64,7 +64,18 @@ class Graph:
             raise InputError("adjacency must have zero diagonal")
         if not np.array_equal(adj, adj.T):
             raise InputError("adjacency must be symmetric")
-        adj = adj.copy()
+        self._hold(adj.copy())
+
+    @classmethod
+    def _adopt(cls, adj: np.ndarray) -> Graph:
+        """The graph on adj, a symmetric 0/1 uint8 array with zero diagonal that
+        a constructor in this module built and that nothing else holds: kept as
+        it is, with no copy and no second check."""
+        g = cls.__new__(cls)
+        g._hold(adj)
+        return g
+
+    def _hold(self, adj: np.ndarray) -> None:
         adj.setflags(write=False)
         self.n: int = adj.shape[0]
         self.adjacency: np.ndarray = adj
@@ -175,7 +186,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[u, v] = 1
     adj[v, u] = 1
-    return Graph(adj)
+    return Graph._adopt(adj)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -208,7 +219,7 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     hit = u < p
     adj[iu[hit], ju[hit]] = 1
     adj[ju[hit], iu[hit]] = 1
-    return Graph(adj)
+    return Graph._adopt(adj)
 
 
 def clique_union(sizes: Sequence[int]) -> Graph:
@@ -224,7 +235,7 @@ def clique_union(sizes: Sequence[int]) -> Graph:
         adj[start : start + s, start : start + s] = 1
         start += s
     np.fill_diagonal(adj, 0)
-    return Graph(adj)
+    return Graph._adopt(adj)
 
 
 def complete(n: int) -> Graph:
@@ -250,7 +261,7 @@ def turan(r: int, n: int, strict: bool = False) -> Graph:
         adj[start : start + s, start : start + s] = 0
         start += s
     np.fill_diagonal(adj, 0)
-    return Graph(adj)
+    return Graph._adopt(adj)
 
 
 def h_k(k: int) -> Graph:
@@ -267,7 +278,7 @@ def h_k(k: int) -> Graph:
     adj[2 * k, :k] = 1
     adj[:k, 2 * k] = 1
     np.fill_diagonal(adj, 0)
-    return Graph(adj)
+    return Graph._adopt(adj)
 
 
 def cycle(n: int) -> Graph:
@@ -322,13 +333,13 @@ def generate(family: str, **params) -> Graph:
 def complement(g: Graph) -> Graph:
     adj = np.ones((g.n, g.n), dtype=np.uint8) - g.adjacency
     np.fill_diagonal(adj, 0)
-    return Graph(adj)
+    return Graph._adopt(adj)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph on the given vertices, relabelled 0..|U|-1 in ascending original order."""
     ix = _vertex_index(g.n, vertices)
-    return Graph(g.adjacency[np.ix_(ix, ix)])
+    return Graph._adopt(g.adjacency[np.ix_(ix, ix)])
 
 
 # -- block algebra ------------------------------------------------------------

@@ -138,7 +138,8 @@ def _validate_spectrum(s: Spectrum, a: np.ndarray, m: int) -> None:
     if not (resid <= allowed).all():  # a NaN residual fails
         raise NumericalError("eigenpair residual exceeds tolerance", float(resid.max()))
     gram = s.eigenvectors.T @ s.eigenvectors
-    gram_err = float(np.abs(gram - np.eye(s.n)).max())
+    gram.flat[:: s.n + 1] -= 1.0  # V^T V - I in place, with no identity matrix
+    gram_err = float(np.abs(gram, out=gram).max())
     if not gram_err <= tol:
         raise NumericalError("eigenvector basis not orthonormal", gram_err)
 

@@ -450,9 +450,9 @@ def test_canonical_read_memory():
 
 
 def test_canonical_read_memory_at_n2000():
-    # G(2000, 1/2), 8.9 MB of text: the (m, 2) int64 pairs and the adjacency's
-    # copies make the 24.9 MiB that the regex check peaked at; the byte checks
-    # run in chunks, so their temporaries add nothing to that
+    # G(2000, 1/2), 8.9 MB of text: the (m, 2) int64 pairs and the adjacency
+    # make most of the peak; the byte checks run in chunks, so their
+    # temporaries add nothing to that
     g = ec.gnp(2000, 0.5, 0)
     text = format_edge_list(g)
     tracemalloc.start()
@@ -463,6 +463,41 @@ def test_canonical_read_memory_at_n2000():
         tracemalloc.stop()
     assert again == g
     assert peak < 27 * 2**20
+
+
+def test_read_edge_list_memory_at_n2000(tmp_path):
+    # a read holds the text, its (m, 2) int64 pairs, from_edge_list's per-edge
+    # range masks and the one adjacency that the Graph adopts; the copy that
+    # Graph(adj) makes (n^2 bytes, 3.8 MiB here: a 33.4 MiB peak) does not fit
+    g = ec.gnp(2000, 0.5, 0)
+    path = tmp_path / "g.txt"
+    ec.write_edge_list(g, str(path))
+    tracemalloc.start()
+    try:
+        again = ec.read_edge_list(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == g
+    assert peak <= path.stat().st_size + 16 * (g.m + 1) + g.n**2 + 3 * g.m
+
+
+def test_built_adjacency_is_adopted_and_an_outside_one_copied():
+    adj = np.zeros((3, 3), dtype=np.uint8)
+    adj[0, 1] = adj[1, 0] = 1
+    g = ec.Graph(adj)
+    adj[0, 1] = adj[1, 0] = 0
+    assert g.m == 1 and not np.shares_memory(g.adjacency, adj)
+    built = [
+        ec.from_edge_list(3, [(0, 1)]), ec.from_edge_list(0, []), ec.gnp(1, 0.5), ec.gnp(30, 0.5, 1),
+        ec.clique_union([2, 3]), ec.turan(3, 7), ec.h_k(2), ec.cycle(5), ec.path(1), ec.petersen(),
+        ec.complement(g), ec.complement(ec.gnp(30, 0.5, 1)), ec.induced_subgraph(g, [0, 1]), ec.induced_subgraph(g, []),
+    ]
+    for h in built:
+        # adopted unchecked and frozen, so each must be what Graph(adj) accepts
+        assert not h.adjacency.flags.writeable and h.adjacency.dtype == np.uint8
+        assert ec.Graph(h.adjacency) == h
+        assert h.m == int(h.adjacency.sum()) // 2
 
 
 def test_read_edge_list_refuses_bytes_that_are_not_utf8(tmp_path):

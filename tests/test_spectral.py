@@ -574,6 +574,33 @@ def test_spectrum_fails_closed_on_a_nan_eigenvector(monkeypatch):
         ec.spectrum(ec.gnp(20, 0.5, 1))
 
 
+def test_orthonormality_error_is_max_of_gram_minus_identity():
+    # the Gram check subtracts I in place; the error it reports stays bit-identical
+    # to max |V^T V - I| (one column scaled by 1 + 1e-6 leaves the residuals within tol)
+    g = ec.gnp(40, 0.5, 1)
+    s = ec.spectrum(g)
+    vecs = s.eigenvectors.copy()
+    vecs[:, 0] *= 1 + 1e-6
+    bad = spectral.Spectrum(eigenvalues=s.eigenvalues, eigenvectors=vecs, tol=1.5e-6)
+    with pytest.raises(NumericalError, match=r"^eigenvector basis not orthonormal$") as info:
+        spectral._validate_spectrum(bad, g.adjacency.astype(np.float64), g.m)
+    assert info.value.residual == float(np.abs(vecs.T @ vecs - np.eye(g.n)).max())
+
+
+def test_spectrum_memory():
+    # the residual check holds A, V and two n x n products (4 * 8n^2); the Gram
+    # check, with V^T V, I and their difference, peaked at 5.0 * 8n^2
+    g = ec.gnp(500, 0.5, 1)
+    ec.spectrum(g)  # warm the solver's one-time allocations
+    tracemalloc.start()
+    try:
+        ec.spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * g.n**2
+
+
 def test_interlacing_vertex_deletion():
     # deleting a vertex cannot lower the smallest eigenvalue (Cauchy interlacing)
     for g in (ec.petersen(), ec.gnp(18, 0.4, 8), ec.clique_union([4, 3])):
