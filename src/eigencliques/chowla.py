@@ -46,9 +46,10 @@ _ISIN_BLOCK = 1 << 16
 class FiniteGroup:
     """Finite group by explicit multiplication table, or modular arithmetic for Z/nZ.
 
-    Element i*j is table[i][j]. On construction the table is verified to be a
-    Latin square with a two-sided identity and inverses; associativity is
-    checked exhaustively up to order 64 and on seeded random triples above.
+    Element i*j is table[i][j]. On construction the table is verified to hold
+    integers (1.0 is not read as 1) and to be a Latin square with a two-sided
+    identity and inverses; associativity is checked exhaustively up to order
+    64 and on seeded random triples above.
     An arithmetic group stores no table and no inverse array (inverse is
     None), so building one takes O(1) memory at every order.
     """
@@ -66,12 +67,13 @@ class FiniteGroup:
             self.inverse = None
             return
         self._modulus = None
-        t = np.asarray(table, dtype=np.int64)
+        t = np.asarray(table)
         n = t.shape[0]
         if t.shape != (n, n):
             raise InputError("multiplication table must be square")
-        if (t < 0).any() or (t >= n).any():
+        if t.dtype.kind not in "iu" or (t < 0).any() or (t >= n).any():
             raise InputError("table entries must be element indices")
+        t = t.astype(np.int64, copy=False)
         ref = np.arange(n)
         if not (np.sort(t, axis=1) == ref[None, :]).all() or not (np.sort(t, axis=0) == ref[:, None]).all():
             raise InputError("table is not a Latin square")
@@ -112,10 +114,11 @@ class FiniteGroup:
             return out
         return self.table[i, js]
 
-    def inv(self, i: int) -> int:
+    def inv(self, i):
+        """The inverse of i, or of each entry of an index array."""
         if self.table is None:
-            return int(-i % self._modulus)
-        return int(self.inverse[i])
+            return -i % self._modulus
+        return self.inverse[i]
 
     def __repr__(self) -> str:
         kind = "arithmetic" if self.table is None else "table"
@@ -472,8 +475,7 @@ def subgroup_recover(group: FiniteGroup, elements: Iterable[int]) -> dict:
     # |xH| = |H|, so xH lies in H exactly when the two sorted arrays agree
     rows = (np.sort(group.mul_row(xs[:, None], h_arr), axis=1) for xs in _row_blocks(h_arr, h_arr.size))
     closed = all((block == h_arr).all() for block in rows)
-    h_inv = -h_arr % group.order if group.table is None else group.inverse[h_arr]
-    closed = closed and bool(np.isin(h_inv, h_arr).all()) and group.identity in h_arr
+    closed = closed and bool(np.isin(group.inv(h_arr), h_arr).all()) and group.identity in h_arr
     diag["subgroup_ok"] = bool(closed)
     if not closed:
         return {"ok": False, "reason": "candidate B.B is not a subgroup", **diag}

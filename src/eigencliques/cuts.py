@@ -152,8 +152,6 @@ def maxcut_exact(g: Graph) -> CutReport:
     n = g.n
     if n > EXHAUSTIVE_CUT_LIMIT:
         raise SizeError(f"n={n} exceeds exhaustive limit {EXHAUSTIVE_CUT_LIMIT}; use maxcut_local_search")
-    if n == 0:
-        return CutReport((), 0, Fraction(0), "exact")
     # vertex v > 0 is bit n-1-v of U, the side-1 set, so masks run in
     # lexicographic order of the assignment; cut(U) = deg(U) - 2 e(U), and the
     # first maximum wins
@@ -171,8 +169,6 @@ def maxcut_local_search(g: Graph, seed: int = 0) -> CutReport:
     s h_v for s = 1 - 2 x_v, and subtracts 2 s adj[v] from h. Extra memory is O(n).
     """
     n = g.n
-    if n == 0:
-        return CutReport((), 0, Fraction(0), "local-search")
     adj = g.adjacency
     x = (pair_uniforms(seed, np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)) < 0.5).astype(np.int8)
     h = g.degrees - 2 * adj.sum(axis=0, dtype=np.int64, where=(x == 1)[:, None])
@@ -228,7 +224,6 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
     diagnostics: dict = {"delta_star": delta_star, "beta": beta}
     if neg.size:
         v_neg = s.eigenvectors[:, neg]
-        a = g.adjacency.astype(np.float64)
         x1 = v_neg @ v_neg.T
         x3 = beta * (v_neg * (lam_neg**2)) @ v_neg.T
         for name, x in (("X_linear", x1), ("X_cubic", x3)):
@@ -237,7 +232,7 @@ def surplus_lb_spectral(g: Graph, tol: float | None = None) -> SurplusBounds:
             dcap_ok = bool(np.diagonal(x).max() <= 1.0 + tol)
             diagnostics[name] = {"min_eig": float(evs[0]), "max_diag": float(np.diagonal(x).max()), "psd_ok": psd_ok, "diag_ok": dcap_ok}
             diag_ok = diag_ok and psd_ok and dcap_ok
-        pairing = -float((a * x1).sum())
+        pairing = -float((g.adjacency * x1).sum())
         diagnostics["linear_pairing"] = pairing
         diag_ok = diag_ok and abs(pairing - lb_linear) <= tol * max(1.0, lb_linear)
     lam_n = abs(s.lambda_min)  # ub_surp_quarter is spectral_surplus_caps's cap, from the same spectrum
@@ -258,7 +253,7 @@ def spectral_surplus_caps(g: Graph, tol: float | None = None) -> float:
 
     An edgeless graph (n = 0 included, which lambda_min refuses) gets 0.0.
     """
-    if g.n == 0 or g.m == 0:
+    if g.m == 0:
         return 0.0
     from .spectral import lambda_min
 
@@ -279,42 +274,37 @@ def unbalanced_cut(g: Graph, x_side: Iterable[int]) -> CutReport:
     yi = np.setdiff1d(np.arange(g.n), xi)
     if not len(yi):
         raise InputError("Y = V \\ X must be nonempty")
-    xs = xi.tolist()
     deg_y = degrees_into(g.adjacency, xi, yi)
     a = int(degrees_into(g.adjacency, xi, xi).sum()) // 2
     b = int(deg_y.sum())
     c = g.m - a - b
     certs: dict = {"a": a, "b": b, "c": c}
+    sides = np.zeros(g.n, dtype=np.int8)
     if a <= b / 2.0:
-        sides = [0] * g.n
-        for v in xs:
-            sides[v] = 1
-        cut = cut_size(g, sides)
+        sides[xi] = 1
         certs.update({"branch": "plain", "guarantee": (b - a - c) / 2.0})
-        return CutReport(tuple(sides), cut, _surplus(g, cut), "unbalanced", certs)
-    p = min(max(b / (4.0 * a), 0.0), 0.5 - 1e-15)
-    q = 0.5 + p
-    in_u: dict[int, bool] = {}
-    for v, dy in zip(xs, deg_y.tolist()):
-        delta = float(dy)
-        for w in xs:
-            if w == v or not g.adjacency[v, w]:
-                continue
-            if w in in_u:
-                delta += -1.0 if in_u[w] else 1.0
-            else:
-                delta += 1.0 - 2.0 * q
-        in_u[v] = delta >= 0.0
-    sides = [0] * g.n
-    for v in xs:
-        if in_u[v]:
-            sides[v] = 1
+    else:
+        xs = xi.tolist()
+        p = min(max(b / (4.0 * a), 0.0), 0.5 - 1e-15)
+        q = 0.5 + p
+        in_u: dict[int, bool] = {}
+        for v, dy in zip(xs, deg_y.tolist()):
+            delta = float(dy)
+            for w in xs:
+                if w == v or not g.adjacency[v, w]:
+                    continue
+                if w in in_u:
+                    delta += -1.0 if in_u[w] else 1.0
+                else:
+                    delta += 1.0 - 2.0 * q
+            in_u[v] = delta >= 0.0
+            sides[v] = in_u[v]
+        certs.update({"branch": "biased", "p": p, "guarantee": b * b / (8.0 * a) - c / 2.0})
     cut = cut_size(g, sides)
-    guarantee = b * b / (8.0 * a) - c / 2.0
-    certs.update({"branch": "biased", "p": p, "guarantee": guarantee})
-    report = CutReport(tuple(sides), cut, _surplus(g, cut), "unbalanced", certs)
-    certs["guarantee_met"] = bool(float(report.surplus) >= guarantee - _UNBALANCED_TOL)
-    return report
+    surplus = _surplus(g, cut)
+    if certs["branch"] == "biased":
+        certs["guarantee_met"] = bool(float(surplus) >= certs["guarantee"] - _UNBALANCED_TOL)
+    return CutReport(tuple(sides.tolist()), cut, surplus, "unbalanced", certs)
 
 
 @dataclass
@@ -376,7 +366,7 @@ def discrepancy(g: Graph) -> DiscrepancyReport:
     n = g.n
     if n > EXHAUSTIVE_CUT_LIMIT:
         raise SizeError(f"n={n} exceeds the exhaustive discrepancy limit {EXHAUSTIVE_CUT_LIMIT}")
-    if n <= 1 or g.m == 0:
+    if g.m == 0:
         return DiscrepancyReport(disc_plus=Fraction(0), disc_minus=Fraction(0), witnesses={"disc_plus": [], "disc_minus": []})
     # disc+ scaled by C(n,2): C(n,2) e(U) - m C(|U|,2), each term at most
     # 276^2 at n = 24, so int32 holds it; keep the first argmax and argmin

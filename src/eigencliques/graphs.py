@@ -55,16 +55,18 @@ class Graph:
     __slots__ = ("n", "adjacency", "m", "_degrees")
 
     def __init__(self, adjacency: np.ndarray):
-        adj = np.asarray(adjacency, dtype=np.uint8)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        given = np.asarray(adjacency)
+        if given.ndim != 2 or given.shape[0] != given.shape[1]:
             raise InputError("adjacency must be a square matrix")
-        if adj.size and (adj > 1).any():
+        # checked on the given values, so that 1.5, 0.5, 256 or NaN is not cast to 0 or 1
+        if not ((given == 0) | (given == 1)).all():
             raise InputError("adjacency entries must be 0 or 1")
-        if adj.size and np.diagonal(adj).any():
+        adj = given.astype(np.uint8)
+        if np.diagonal(adj).any():
             raise InputError("adjacency must have zero diagonal")
         if not np.array_equal(adj, adj.T):
             raise InputError("adjacency must be symmetric")
-        self._hold(adj.copy())
+        self._hold(adj)
 
     @classmethod
     def _adopt(cls, adj: np.ndarray) -> Graph:
@@ -79,7 +81,7 @@ class Graph:
         adj.setflags(write=False)
         self.n: int = adj.shape[0]
         self.adjacency: np.ndarray = adj
-        self._degrees = adj.sum(axis=1, dtype=np.int64) if self.n else np.zeros(0, dtype=np.int64)
+        self._degrees = adj.sum(axis=1, dtype=np.int64)
         self._degrees.setflags(write=False)
         self.m: int = int(self._degrees.sum()) // 2
 
@@ -111,10 +113,10 @@ class Graph:
     def is_regular(self) -> bool:
         return self.n == 0 or bool((self._degrees == self._degrees[0]).all())
 
-    def is_clique(self, vertices: Iterable[int] | None = None) -> bool:
+    def is_clique(self, vertices: Iterable[int]) -> bool:
         """Exact Boolean check that the given vertex set is pairwise adjacent.
         A vertex that is not an integer, or lies outside [0, n), is an InputError."""
-        idx = np.arange(self.n) if vertices is None else _vertex_index(self.n, vertices)
+        idx = _vertex_index(self.n, vertices)
         k = len(idx)
         return int(degrees_into(self.adjacency, idx, idx).sum()) == k * (k - 1)
 
@@ -157,7 +159,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     The pairs are checked as one (m, 2) array. The first offending pair in
     input order is reported, and on one pair the range error comes before the
-    self-loop error. A value beyond int64 is out of range like any other.
+    self-loop error. A float (1.0 too) is refused, and a value beyond int64
+    is out of range like any other.
     """
     if n < 0:
         raise InputError("vertex count must be nonnegative")
@@ -165,10 +168,10 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:
-        pairs = np.asarray(edges, dtype=np.int64)
-    except OverflowError:  # compared as Python ints below, so it is reported as out of range
-        pairs = np.asarray(edges, dtype=object)
-    except ValueError:  # ragged pairs, or a value with no integer
+        pairs = np.asarray(edges)
+        if pairs.dtype.kind not in "iu":  # read exactly, as numpy reads 2^63 as float64 and 10^30 as object
+            pairs = np.asarray([[operator.index(x) for x in pair] for pair in edges], dtype=object)
+    except (TypeError, ValueError):  # ragged pairs, or a value that is not an integer
         raise InputError("edges must be (u, v) pairs of integers") from None
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
@@ -183,6 +186,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if out_of_range[i]:
             raise InputError(f"edge ({a},{b}) out of range for n={n}")
         raise InputError(f"self-loop at vertex {a}")
+    u, v = pairs.T.astype(np.intp, copy=False)  # no copy of int64 pairs
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[u, v] = 1
     adj[v, u] = 1
@@ -224,7 +228,10 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
 
 def clique_union(sizes: Sequence[int]) -> Graph:
     """Vertex-disjoint union of cliques, blocks laid out consecutively."""
-    sizes = [int(s) for s in sizes]
+    try:
+        sizes = [operator.index(s) for s in sizes]  # 2.7 is not read as 2
+    except TypeError:
+        raise InputError("clique sizes must be integers") from None
     if not sizes or any(s < 1 for s in sizes):
         raise InputError("clique sizes must be positive")
     n = sum(sizes)

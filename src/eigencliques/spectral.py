@@ -331,16 +331,15 @@ def subspace_from_hadamard(s: Spectrum, T: float) -> Subspace:
     return Subspace(basis=u[:, :dim], rank_tol=rank_tol)
 
 
-def w_trace(m: np.ndarray, w: Subspace, tol: float = 1e-9) -> float:
-    """trace of the W-compression Pi_W M Pi_W, as sum_i w_i^T M w_i."""
-    _check_tol(tol)
+def w_trace(m: np.ndarray, w: Subspace) -> float:
+    """trace of the W-compression Pi_W M Pi_W, as sum_i w_i^T M w_i; m must be symmetric to a relative 1e-9."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape[0] != m.shape[1]:
         raise InputError("matrix must be square")
     if m.shape[0] != w.ambient:
         raise InputError("matrix and subspace dimensions differ")
     sym_err = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if sym_err > tol * (1.0 + float(np.abs(m).max())):
+    if sym_err > 1e-9 * (1.0 + float(np.abs(m).max())):
         raise InputError("matrix must be symmetric")
     return _w_trace(m, w)
 
@@ -439,13 +438,10 @@ def verify_main_inequality(g: Graph, s: Spectrum, thresholds: Sequence[float] | 
         rec["trace_W_A"] = tr_a
         rec["trace_compression_ok"] = bool(tr_a <= comp_rhs + tol * max(1.0, abs(comp_rhs)))
         idx = np.flatnonzero(_threshold_cut(s.eigenvalues, T, tol))
-        if idx.size:
-            vs = s.eigenvectors[:, idx]
-            lam = s.eigenvalues[idx]
-            g2 = (vs * vs).T @ (vs * vs)  # |v_i o v_j|_2^2 gram
-            hsum = float(lam @ g2 @ lam)
-        else:
-            hsum = 0.0
+        vs = s.eigenvectors[:, idx]
+        lam = s.eigenvalues[idx]
+        g2 = (vs * vs).T @ (vs * vs)  # |v_i o v_j|_2^2 gram
+        hsum = float(lam @ g2 @ lam)
         rec["hadamard_sum"] = hsum
         rec["hadamard_lower_ok"] = bool(hsum >= rhs / n - tol * max(1.0, rhs / n))
     return report
@@ -566,7 +562,7 @@ def eigen_bound_report(g: Graph, s: Spectrum) -> InequalityReport:
         alpha = exact_independence_number(g)
         hoffman = n * lam_n / (lam_n + d)
         report.records.append(_record("T", 0.0, hoffman, float(alpha), tol, bound="hoffman"))
-    mu = _complement_eigenvalues(g, tol) if n >= 2 else np.zeros(0)
+    mu = _complement_eigenvalues(g, tol)
     for i in range(1, n):
         lhs = -float(s.eigenvalues[n - i])  # -lambda_{n+1-i} in 1-based notation
         rhs = 1.0 + float(mu[i])

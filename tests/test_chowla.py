@@ -29,6 +29,8 @@ def test_cyclic_arithmetic_matches_table():
         assert np.array_equal(table.mul_row(a, i), arith.mul_row(a, i))
         assert table.inv(a) == arith.inv(a)
     assert arith.inverse is None
+    # an array of elements gives the array of their inverses, in either form
+    assert table.inv(i).tolist() == arith.inv(i).tolist() == [int(arith.inv(a)) for a in range(12)]
     # a column of left factors gives one row of products per factor
     rows = np.stack([arith.mul_row(a, i) for a in (3, 5, 11)])
     for grp in (table, arith):
@@ -74,6 +76,16 @@ def test_bad_tables_rejected():
     with pytest.raises(InputError):
         chowla.FiniteGroup(np.asarray([[0, 1, 2], [2, 0, 1], [1, 2, 0]]))
     chowla.FiniteGroup(np.asarray([[0, 1], [1, 0]]))  # Z2 is fine
+
+
+@pytest.mark.parametrize(
+    "table",
+    [np.array([[0, 1.0], [1, 0.2]]), np.array([[0.0, 1.0], [1.0, 0.0]]), [[0, 1.5], [1.5, 0]], np.array([[0, 1], [1, np.nan]])],
+)
+def test_table_entries_are_read_exactly(table):
+    # a cast to int64 read 0.2 as 0 and 1.5 as 1, so these were accepted as Z/2
+    with pytest.raises(InputError, match="^table entries must be element indices$"):
+        chowla.FiniteGroup(table)
 
 
 def test_symmetric_set_validation():

@@ -44,9 +44,9 @@ def test_maxcut_exact_lexicographic_tiebreak():
 
 
 def test_maxcut_bipartite_cuts_everything():
-    for g in (ec.turan(2, 10), ec.cycle(8), ec.path(7)):
+    for g in (ec.turan(2, 10), ec.cycle(8), ec.path(7), ec.from_edge_list(0, [])):
         rep = cuts.maxcut_exact(g)
-        assert rep.cut_size == g.m
+        assert rep.cut_size == g.m and len(rep.partition) == g.n
         assert rep.surplus == Fraction(g.m, 2)
 
 
@@ -67,8 +67,10 @@ def test_edwards_floor_sample():
 
 
 def test_local_search_empty():
-    rep = cuts.maxcut_local_search(ec.from_edge_list(4, []))
-    assert rep.cut_size == 0 and rep.surplus == 0
+    for n in (4, 0):
+        rep = cuts.maxcut_local_search(ec.from_edge_list(n, []))
+        assert rep.cut_size == 0 and rep.surplus == 0 and len(rep.partition) == n
+        assert rep.method == "local-search"
 
 
 def test_local_search_k5_all_local_optima_global():
@@ -202,6 +204,19 @@ def test_unbalanced_cut_biased_branch():
     assert 0 <= rep.certificates["p"] < 0.5
     assert float(rep.surplus) >= rep.certificates["guarantee"] - 1e-9
     assert cuts.cut_size(g, rep.partition) == rep.cut_size
+    # the partitions and certificates (keys in order) of both branches on every
+    # prefix split and one seeded split of each size, pinned by their hash
+    lines, branches = [], set()
+    for n, p in ((7, 0.3), (10, 0.5), (13, 0.8)):
+        g = ec.gnp(n, p, n)
+        for k in range(1, n):
+            chosen = np.argsort(pair_uniforms(k, np.arange(n, dtype=np.uint64), np.full(n, n, dtype=np.uint64)))[:k]
+            for xs in (range(k), chosen.tolist()):
+                rep = cuts.unbalanced_cut(g, xs)
+                branches.add(rep.certificates["branch"])
+                lines.append(repr((rep.partition, rep.cut_size, rep.surplus, list(rep.certificates.items()))))
+    assert branches == {"plain", "biased"}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "05ce47b1c4b4b62832c7784aa8e81bf4668a55a9b41f729e61c11e5176ca18b3"
 
 
 def test_unbalanced_cut_disjoint_triangles():

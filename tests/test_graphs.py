@@ -54,6 +54,14 @@ def test_generate_families():
         ec.generate("Nope", n=3)
 
 
+@pytest.mark.parametrize("sizes", [[2.7, 3], [2.0, 3], [np.float64(3)], np.array([2.5, 3.0]), ["3"]])
+def test_clique_union_reads_sizes_exactly(sizes):
+    # int() read 2.7 as a block of 2
+    with pytest.raises(InputError, match="^clique sizes must be integers$"):
+        ec.clique_union(sizes)
+    assert ec.clique_union(np.array([2, 3])) == ec.clique_union([2, 3])
+
+
 def test_turan_strict_mode():
     with pytest.raises(InputError):
         ec.turan(4, 10, strict=True)
@@ -215,6 +223,16 @@ def test_edge_list_error_texts(text, message):
         (3, [(0, 1, 2)], "edges must be (u, v) pairs of integers"),
         (3, [(0, 1), (2,)], "edges must be (u, v) pairs of integers"),
         (3, [(0, float("nan"))], "edges must be (u, v) pairs of integers"),
+        # a float endpoint is refused, not truncated to (0, 1) or (0, 2)
+        (3, [(0, 1.7)], "edges must be (u, v) pairs of integers"),
+        (3, [(0.5, 2)], "edges must be (u, v) pairs of integers"),
+        (3, [(0, 1.0)], "edges must be (u, v) pairs of integers"),
+        (3, np.array([[0.0, 1.0]]), "edges must be (u, v) pairs of integers"),
+        (3, [(0, 10**30), (0, 1.5)], "edges must be (u, v) pairs of integers"),
+        (3, [(0, 1), (1, "2")], "edges must be (u, v) pairs of integers"),
+        # 2^63 fits no int64, and numpy reads it as float64 in an untyped array
+        (3, [(0, 2**63)], f"edge (0,{2**63}) out of range for n=3"),
+        (3, np.array([[0, 2**63]], dtype=np.uint64), f"edge (0,{2**63}) out of range for n=3"),
     ],
 )
 def test_from_edge_list_error_texts(n, edges, message):
@@ -225,6 +243,10 @@ def test_from_edge_list_error_texts(n, edges, message):
 
 def test_from_edge_list_takes_numpy_pairs_and_generators():
     triangle = ec.complete(3)
+    pairs = np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64)
+    assert ec.from_edge_list(3, pairs) == triangle
+    assert ec.from_edge_list(3, [[0, 1], [True, 2], [2, False]]) == triangle
+    assert ec.from_edge_list(3, []).m == ec.from_edge_list(3, np.zeros((0, 2))).m == 0
     assert ec.from_edge_list(3, [(np.int64(0), np.int32(1)), (np.uint8(1), 2), (0, np.int16(2))]) == triangle
     assert ec.from_edge_list(3, np.array([[0, 1], [1, 2], [2, 0]], dtype=np.uint16)) == triangle
     assert ec.from_edge_list(3, ((i, (i + 1) % 3) for i in range(3))) == triangle
@@ -482,12 +504,22 @@ def test_read_edge_list_memory_at_n2000(tmp_path):
     assert peak <= path.stat().st_size + 16 * (g.m + 1) + g.n**2 + 3 * g.m
 
 
+@pytest.mark.parametrize("entry", [1.5, 0.5, 256, -1, np.nan, np.inf, 10**30, "1"])
+def test_graph_refuses_entries_other_than_0_and_1(entry):
+    # checked before the uint8 cast, which read 1.5 as an edge and 0.5, 256 and NaN as none
+    adj = np.array([[0, entry], [entry, 0]], dtype=object if entry == 10**30 else None)
+    with pytest.raises(InputError, match="^adjacency entries must be 0 or 1$"):
+        ec.Graph(adj)
+
+
 def test_built_adjacency_is_adopted_and_an_outside_one_copied():
     adj = np.zeros((3, 3), dtype=np.uint8)
     adj[0, 1] = adj[1, 0] = 1
     g = ec.Graph(adj)
     adj[0, 1] = adj[1, 0] = 0
     assert g.m == 1 and not np.shares_memory(g.adjacency, adj)
+    for one in (1.0, True):  # an entry equal to 1 in any dtype is an edge
+        assert ec.Graph(np.array([[0, one], [one, 0]])) == ec.from_edge_list(2, [(0, 1)])
     built = [
         ec.from_edge_list(3, [(0, 1)]), ec.from_edge_list(0, []), ec.gnp(1, 0.5), ec.gnp(30, 0.5, 1),
         ec.clique_union([2, 3]), ec.turan(3, 7), ec.h_k(2), ec.cycle(5), ec.path(1), ec.petersen(),
